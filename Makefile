@@ -16,7 +16,7 @@ build:
 	$(GO) build -o $(BIN)/choreo-agent ./cmd/choreo-agent
 
 test:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 120s ./...
 
 # One iteration of every benchmark plus the paper reproduction at quick
 # scale: catches perf-path regressions without CI-scale runtimes.
@@ -115,7 +115,7 @@ sweep-seq-smoke: build
 # same machinery shards and merges use). The replay needs no agents:
 # nothing re-runs, proving resume really skips measured cells.
 # Observability rides the same run: the traced sweep must produce one
-# stitched event log containing agent-side spans (proof the v3 trace
+# stitched event log containing agent-side spans (proof the trace
 # context crossed the process boundary), and a fleet metrics scrape
 # must merge into a valid exposition with per-agent labels.
 # The executed loop closes last: a -execute sweep must stream measured

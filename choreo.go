@@ -9,8 +9,7 @@
 //     bottleneck/hose detection — over a calibrated datacenter simulator
 //     or over real sockets via the agent/coordinator in cmd/choreo-agent;
 //   - profiling: inter-task traffic matrices built from flow records,
-//     pcap captures or sFlow samples, with hour-ahead predictability
-//     analysis;
+//     with hour-ahead predictability analysis;
 //   - placement: the paper's greedy Algorithm 1 plus Random, Round-Robin,
 //     Minimum-Machines baselines, an exact branch-and-bound optimum and
 //     the Appendix ILP, with applications executed on a max-min-fair flow

@@ -31,9 +31,8 @@ func runAgents(args []string) error {
 // runAgentsHealth preflights every agent: dial, protocol handshake
 // (catching version-mismatched agents with the precise "speaks vN, need
 // vM" error) and an RTT probe of the echo responder. It prints one line
-// per agent — negotiated protocol version and self-reported uptime
-// included, so a rolling upgrade's stragglers are visible at a glance —
-// and exits non-zero if any agent is sick.
+// per agent — protocol version and self-reported uptime included, so a
+// restarted agent stands out — and exits non-zero if any agent is sick.
 func runAgentsHealth(args []string) error {
 	fs := flag.NewFlagSet("agents health", flag.ExitOnError)
 	fleet := registerFleetFlags(fs)
@@ -51,11 +50,8 @@ func runAgentsHealth(args []string) error {
 	results, healthy := coord.CheckFleet(context.Background())
 	for _, h := range results {
 		if h.OK() {
-			up := "up=?"
-			if h.Uptime > 0 {
-				up = "up=" + h.Uptime.Truncate(time.Second).String()
-			}
-			fmt.Printf("agent %2d %-24s ok    v%d %-10s rtt=%s\n", h.Index, h.Addr, h.Version, up, h.RTT)
+			up := "up=" + h.Uptime.Truncate(time.Second).String()
+			fmt.Printf("agent %2d %-24s ok    v%d %-10s rtt=%s\n", h.Index, h.Addr, cluster.ProtocolVersion, up, h.RTT)
 		} else {
 			fmt.Printf("agent %2d %-24s FAIL  %v\n", h.Index, h.Addr, h.Err)
 		}
@@ -67,7 +63,7 @@ func runAgentsHealth(args []string) error {
 	return nil
 }
 
-// runAgentsMetrics scrapes every agent's registry over the v3 "metrics"
+// runAgentsMetrics scrapes every agent's registry over the "metrics"
 // op and prints one merged Prometheus exposition, every series tagged
 // agent="host:port" — the fleet-telemetry view without running a
 // scrape sidecar on each VM. The merged output passes

@@ -16,35 +16,19 @@ import (
 )
 
 // ProtocolVersion is the control-protocol revision spoken by this build
-// of the coordinator and choreo-agent. Version 1 is the original,
-// unversioned wire format (requests and responses without a "v" field
-// decode as version 0 and are treated as v1). Both sides echo the
-// version on every message; a version the agent cannot speak is refused
-// with a precise "speaks vN" error, so a coordinator talking to a stale
-// agent fails immediately instead of hanging on a half-understood
-// exchange.
+// of the coordinator and choreo-agent, and the only one either side
+// accepts. Both sides stamp it on every message; any other version —
+// a missing "v" field is v1 — is refused with a precise error naming
+// both versions, so a coordinator and agent from different builds fail
+// on the first exchange instead of half-understanding each other.
 //
 // History:
 //
 //	v1: unversioned original protocol
-//	v2: added the version handshake itself (strict equality both ways)
-//	v3: optional trace context on requests (traceId/traceSpan/peer),
-//	    completed agent spans + machine-readable errCause + uptime on
-//	    responses, the "metrics" scrape op, and byte-bounded bulk sends
-//	    (tcp-send with a "bytes" field; executed placements)
-//
-// From v3 on, the agent accepts any version in
-// [MinProtocolVersion, ProtocolVersion] and replies at the requester's
-// version, so old coordinators keep working; the v3 coordinator
-// likewise downgrades a session to v2 when a shipped v2 agent refuses a
-// v3 request (the refusal carries the agent's version, which is the
-// handshake).
+//	v2: added the version handshake itself
+//	v3: trace context, agent spans, errCause, uptime, the "metrics" op
+//	    and byte-bounded bulk sends (tcp-send with "bytes")
 const ProtocolVersion = 3
-
-// MinProtocolVersion is the oldest protocol revision this build still
-// speaks. v1 is out: it predates the handshake, so a v1 peer cannot be
-// negotiated with — only refused.
-const MinProtocolVersion = 2
 
 // protocolVersionOf normalizes a wire version: a missing field (0) is
 // the pre-handshake v1 format.
@@ -74,24 +58,21 @@ type Request struct {
 
 	// Bytes switches tcp-send from duration-bounded junk to a
 	// byte-bounded payload: write exactly Bytes bytes, then close so the
-	// receiver measures to EOF (v3; executed placements). The
-	// coordinator refuses to send it to a v2 peer rather than let a
-	// stale agent silently fall back to a duration-bounded send.
+	// receiver measures to EOF (executed placements).
 	Bytes int64 `json:"bytes,omitempty"`
 
-	// Trace context (v3). TraceID scopes span IDs to one coordinator
-	// run; TraceSpan is the coordinator-side span the agent's spans are
+	// Trace context. TraceID scopes span IDs to one coordinator run;
+	// TraceSpan is the coordinator-side span the agent's spans are
 	// children of. Peer is the control address of the agent on the other
 	// end of the measured path, so agent-side per-peer metrics label by
 	// stable control address instead of ephemeral data ports. All
-	// optional: absent means the requester is not tracing (or speaks v2,
-	// where the coordinator strips them).
+	// optional: absent means the requester is not tracing.
 	TraceID   string `json:"traceId,omitempty"`
 	TraceSpan int64  `json:"traceSpan,omitempty"`
 	Peer      string `json:"peer,omitempty"`
 }
 
-// SpanJSON is one completed agent-side span shipped back in a v3
+// SpanJSON is one completed agent-side span shipped back in a
 // response. IDs are agent-local (scoped to the request's TraceID);
 // Parent 0 means "the coordinator span named by the request's
 // TraceSpan". The coordinator re-emits these into its own event log
@@ -123,7 +104,7 @@ type Response struct {
 	OK    bool   `json:"ok"`
 	Error string `json:"error,omitempty"`
 
-	// ErrCause is a machine-readable classification of Error (v3):
+	// ErrCause is a machine-readable classification of Error:
 	// "train", "rtt", "bulk" or "proto". The coordinator folds it into
 	// its failure counter as "agent-<cause>", so an incident dashboard
 	// separates a failed train from a refused protocol version.
@@ -136,11 +117,10 @@ type Response struct {
 	RateBits float64     `json:"rateBits,omitempty"`
 	Bytes    int64       `json:"bytes,omitempty"`
 
-	// v3 additions. TraceID echoes the request's trace so the
-	// coordinator discards spans from a stale exchange; Spans are the
-	// agent-side child spans of the traced operation; UptimeMs rides the
-	// info reply; Metrics carries the agent's Prometheus exposition for
-	// the "metrics" op.
+	// TraceID echoes the request's trace so the coordinator discards
+	// spans from a stale exchange; Spans are the agent-side child spans
+	// of the traced operation; UptimeMs rides the info reply; Metrics
+	// carries the agent's Prometheus exposition for the "metrics" op.
 	TraceID  string     `json:"traceId,omitempty"`
 	Spans    []SpanJSON `json:"spans,omitempty"`
 	UptimeMs int64      `json:"uptimeMs,omitempty"`
@@ -154,7 +134,6 @@ type Agent struct {
 	ln    net.Listener
 	echo  *EchoServer
 	ip    string
-	ver   int // highest protocol version this agent speaks
 	start time.Time
 	met   *agentMetrics
 	wg    sync.WaitGroup
@@ -163,24 +142,6 @@ type Agent struct {
 // StartAgent binds the control listener on addr (e.g. "127.0.0.1:0") and
 // serves until Close.
 func StartAgent(addr string) (*Agent, error) {
-	return startAgent(addr, ProtocolVersion)
-}
-
-// StartAgentCompat starts an agent pinned to an older protocol version —
-// a stand-in for a shipped binary that predates this build, used by
-// mixed-fleet tests. A pinned agent reproduces the old strict-equality
-// handshake: it refuses any request version other than its own, never
-// emits spans, error causes or uptime, and does not know the "metrics"
-// op.
-func StartAgentCompat(addr string, version int) (*Agent, error) {
-	if version < MinProtocolVersion || version > ProtocolVersion {
-		return nil, fmt.Errorf("cluster: cannot pin agent to protocol v%d (speaks v%d..v%d)",
-			version, MinProtocolVersion, ProtocolVersion)
-	}
-	return startAgent(addr, version)
-}
-
-func startAgent(addr string, version int) (*Agent, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: bind agent control: %w", err)
@@ -194,7 +155,7 @@ func startAgent(addr string, version int) (*Agent, error) {
 		ln.Close()
 		return nil, err
 	}
-	a := &Agent{ln: ln, echo: echo, ip: host, ver: version, start: time.Now()}
+	a := &Agent{ln: ln, echo: echo, ip: host, start: time.Now()}
 	a.met = newAgentMetrics(echo)
 	a.wg.Add(1)
 	go a.serve()
@@ -230,67 +191,51 @@ func (a *Agent) serve() {
 	}
 }
 
+// maxRequestLine bounds one control request. The coordinator's largest
+// request is a few hundred bytes; the cap only stops a peer from
+// growing an agent's buffer without limit.
+const maxRequestLine = 64 << 10
+
 func (a *Agent) handle(conn net.Conn) {
 	defer conn.Close()
 	a.met.sessionOpen()
 	defer a.met.sessionClose()
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	sc := bufio.NewScanner(conn)
+	sc.Buffer(nil, maxRequestLine)
 	enc := json.NewEncoder(conn)
-	for {
+	for sc.Scan() {
 		var req Request
-		if err := dec.Decode(&req); err != nil {
+		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
+			a.met.failure("", "proto")
 			return
 		}
 		a.met.op(req.Op)
 		if err := a.dispatch(&req, enc); err != nil {
 			cause := errCauseOf(err)
 			a.met.failure(req.Op, cause)
-			resp := Response{Error: err.Error()}
-			if a.ver >= ProtocolVersion && protocolVersionOf(req.V) >= 3 {
-				resp.ErrCause = cause
-			}
-			_ = reply(enc, a.replyVersion(req.V), resp)
+			_ = reply(enc, Response{Error: err.Error(), ErrCause: cause})
 		}
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		// The rest of the line is still unread, so the session cannot
+		// resynchronise on the next request: it ends here.
+		a.met.failure("", "proto")
 	}
 }
 
-// reply stamps a protocol version on a response and encodes it; every
+// reply stamps the protocol version on a response and encodes it; every
 // response line, error responses included, carries it so the
 // coordinator can verify the handshake on the very first exchange.
-func reply(enc *json.Encoder, v int, resp Response) error {
-	resp.V = v
+func reply(enc *json.Encoder, resp Response) error {
+	resp.V = ProtocolVersion
 	return enc.Encode(resp)
 }
 
-// replyVersion picks the version stamped on a reply: a current agent
-// answers at the requester's version (that echo IS the downgrade
-// handshake a v2 coordinator relies on); an unspeakable version gets
-// the agent's own, so the refusal still identifies this build. A
-// version-pinned compat agent always stamps its pinned version, exactly
-// like the shipped build it stands in for.
-func (a *Agent) replyVersion(reqV int) int {
-	if a.ver < ProtocolVersion {
-		return a.ver
-	}
-	v := protocolVersionOf(reqV)
-	if v < MinProtocolVersion || v > ProtocolVersion {
-		return ProtocolVersion
-	}
-	return v
-}
-
-// acceptVersion applies the handshake: a current agent speaks the whole
-// [MinProtocolVersion, ProtocolVersion] range; a pinned compat agent
-// reproduces the old strict-equality check verbatim.
-func (a *Agent) acceptVersion(v int) error {
-	if a.ver < ProtocolVersion {
-		if v != a.ver {
-			return opFail("proto", fmt.Errorf("cluster: choreo-agent speaks protocol v%d, coordinator speaks v%d; upgrade so both sides match", a.ver, v))
-		}
-		return nil
-	}
-	if v < MinProtocolVersion || v > ProtocolVersion {
-		return opFail("proto", fmt.Errorf("cluster: choreo-agent speaks protocol v%d, coordinator speaks v%d; upgrade so both sides match (this agent accepts v%d..v%d)", ProtocolVersion, v, MinProtocolVersion, ProtocolVersion))
+// acceptVersion applies the handshake: the agent speaks exactly
+// ProtocolVersion.
+func acceptVersion(v int) error {
+	if v != ProtocolVersion {
+		return opFail("proto", fmt.Errorf("cluster: choreo-agent speaks protocol v%d, coordinator speaks v%d; upgrade so both sides match", ProtocolVersion, v))
 	}
 	return nil
 }
@@ -322,8 +267,8 @@ func errCauseOf(err error) string {
 }
 
 // peerLabel is the metrics label for the far end of a measured path:
-// the peer agent's control address when the (v3) coordinator supplied
-// it, a stable placeholder otherwise — never an ephemeral data port.
+// the peer agent's control address when the coordinator supplied it, a
+// stable placeholder otherwise — never an ephemeral data port.
 func peerLabel(req *Request) string {
 	if req.Peer != "" {
 		return req.Peer
@@ -332,28 +277,21 @@ func peerLabel(req *Request) string {
 }
 
 func (a *Agent) dispatch(req *Request, enc *json.Encoder) error {
-	v := protocolVersionOf(req.V)
-	if err := a.acceptVersion(v); err != nil {
+	if err := acceptVersion(protocolVersionOf(req.V)); err != nil {
 		return err
 	}
-	var rt *reqTrace
-	if a.ver >= ProtocolVersion && v >= 3 {
-		rt = newReqTrace(req.TraceID)
-	}
-	if req.Op == "metrics" && a.ver >= ProtocolVersion {
+	rt := newReqTrace(req.TraceID)
+	switch req.Op {
+	case "info":
+		return reply(enc, Response{OK: true, EchoPort: a.echo.Port(),
+			UptimeMs: time.Since(a.start).Milliseconds()})
+
+	case "metrics":
 		var b bytes.Buffer
 		if err := a.met.write(&b); err != nil {
 			return opFail("proto", err)
 		}
-		return reply(enc, v, Response{OK: true, Metrics: b.String()})
-	}
-	switch req.Op {
-	case "info":
-		resp := Response{OK: true, EchoPort: a.echo.Port()}
-		if a.ver >= ProtocolVersion && v >= 3 {
-			resp.UptimeMs = time.Since(a.start).Milliseconds()
-		}
-		return reply(enc, v, resp)
+		return reply(enc, Response{OK: true, Metrics: b.String()})
 
 	case "udp-recv":
 		cfg := reqConfig(req)
@@ -362,7 +300,7 @@ func (a *Agent) dispatch(req *Request, enc *json.Encoder) error {
 			return opFail("train", err)
 		}
 		defer recv.Close()
-		if err := reply(enc, v, Response{OK: true, Port: recv.Port()}); err != nil {
+		if err := reply(enc, Response{OK: true, Port: recv.Port()}); err != nil {
 			return err
 		}
 		sp := rt.tracer().Start(obs.Span{}, "agent.train",
@@ -388,7 +326,7 @@ func (a *Agent) dispatch(req *Request, enc *json.Encoder) error {
 		a.met.addBytes("rx", int64(received)*int64(cfg.PacketSize))
 		sp.End(obs.String("outcome", "ok"), obs.Int("received", int64(received)))
 		rt.attach(&resp)
-		return reply(enc, v, resp)
+		return reply(enc, resp)
 
 	case "udp-send":
 		cfg := reqConfig(req)
@@ -405,7 +343,7 @@ func (a *Agent) dispatch(req *Request, enc *json.Encoder) error {
 		sp.End(obs.String("outcome", "ok"), obs.Int("sent", sent))
 		resp := Response{OK: true}
 		rt.attach(&resp)
-		return reply(enc, v, resp)
+		return reply(enc, resp)
 
 	case "rtt":
 		sp := rt.tracer().Start(obs.Span{}, "agent.rtt",
@@ -419,7 +357,7 @@ func (a *Agent) dispatch(req *Request, enc *json.Encoder) error {
 		sp.End(obs.String("outcome", "ok"), obs.Int("rttNs", int64(rtt)))
 		resp := Response{OK: true, RTTNs: int64(rtt)}
 		rt.attach(&resp)
-		return reply(enc, v, resp)
+		return reply(enc, resp)
 
 	case "tcp-recv":
 		recv, err := NewBulkReceiver(a.ip)
@@ -427,7 +365,7 @@ func (a *Agent) dispatch(req *Request, enc *json.Encoder) error {
 			return opFail("bulk", err)
 		}
 		defer recv.Close()
-		if err := reply(enc, v, Response{OK: true, Port: recv.Port()}); err != nil {
+		if err := reply(enc, Response{OK: true, Port: recv.Port()}); err != nil {
 			return err
 		}
 		sp := rt.tracer().Start(obs.Span{}, "agent.bulk",
@@ -441,7 +379,7 @@ func (a *Agent) dispatch(req *Request, enc *json.Encoder) error {
 		sp.End(obs.String("outcome", "ok"), obs.Int("bytes", int64(rxBytes)))
 		resp := Response{OK: true, RateBits: float64(rate), Bytes: int64(rxBytes)}
 		rt.attach(&resp)
-		return reply(enc, v, resp)
+		return reply(enc, resp)
 
 	case "tcp-send":
 		dur := time.Duration(req.DurationMs) * time.Millisecond
@@ -465,7 +403,7 @@ func (a *Agent) dispatch(req *Request, enc *json.Encoder) error {
 		sp.End(obs.String("outcome", "ok"), obs.Int("bytes", int64(sent)))
 		resp := Response{OK: true, Bytes: int64(sent)}
 		rt.attach(&resp)
-		return reply(enc, v, resp)
+		return reply(enc, resp)
 	}
 	return opFail("proto", fmt.Errorf("cluster: unknown op %q", req.Op))
 }

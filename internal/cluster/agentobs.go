@@ -9,7 +9,7 @@ import (
 )
 
 // agentMetrics is the agent-side registry: every choreo-agent hosts one
-// and serves it over the v3 "metrics" op, so `choreo agents metrics`
+// and serves it over the "metrics" op, so `choreo agents metrics`
 // can scrape the fleet without a sidecar. Domain counters live next to
 // Go runtime telemetry (heap, GC, goroutines) because a wedged agent is
 // diagnosed by both.
@@ -55,9 +55,20 @@ func newAgentMetrics(echo *EchoServer) *agentMetrics {
 func (m *agentMetrics) sessionOpen()  { m.sessionsN.Add(1) }
 func (m *agentMetrics) sessionClose() { m.sessionsN.Add(-1) }
 
-func (m *agentMetrics) op(op string)             { m.ops.With(op).Inc() }
-func (m *agentMetrics) failure(op, cause string) { m.failures.With(op, cause).Inc() }
+func (m *agentMetrics) op(op string)             { m.ops.With(opLabel(op)).Inc() }
+func (m *agentMetrics) failure(op, cause string) { m.failures.With(opLabel(op), cause).Inc() }
 func (m *agentMetrics) rtt()                     { m.rttProbes.Inc() }
+
+// opLabel bounds the op label to the protocol's op set: the op string
+// comes off the network, so any other name shares the "unknown" series
+// instead of minting a new one per request.
+func opLabel(op string) string {
+	switch op {
+	case "info", "metrics", "udp-recv", "udp-send", "rtt", "tcp-recv", "tcp-send":
+		return op
+	}
+	return "unknown"
+}
 
 func (m *agentMetrics) train(role, peer string, seconds float64) {
 	m.trains.With(role).Inc()
@@ -75,8 +86,8 @@ func (m *agentMetrics) write(w io.Writer) error { return m.reg.WritePrometheus(w
 // reqTrace is the per-request agent tracer: spans recorded while
 // serving one traced request buffer in memory, then ship back to the
 // coordinator as SpanJSON records on the final response. Nil when the
-// request carries no trace context (or either side speaks v2) — every
-// method no-ops on nil, so op handlers trace unconditionally.
+// request carries no trace context — every method no-ops on nil, so op
+// handlers trace unconditionally.
 type reqTrace struct {
 	buf     bytes.Buffer
 	t       *obs.Tracer

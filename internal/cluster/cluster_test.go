@@ -1,7 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"io"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -200,8 +205,70 @@ func TestAgentUnknownOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.close()
-	if _, err := s.call(context.Background(), &Request{Op: "bogus"}); err == nil {
-		t.Error("unknown op should return an error response")
+	// Ops come off the network: 100 distinct bogus names must share one
+	// metric series rather than mint 100.
+	for i := 0; i < 100; i++ {
+		if _, err := s.call(context.Background(), &Request{Op: "bogus-" + itoa(i)}); err == nil {
+			t.Fatal("unknown op should return an error response")
+		}
+	}
+	var expo bytes.Buffer
+	if err := a.met.write(&expo); err != nil {
+		t.Fatal(err)
+	}
+	text := expo.String()
+	for _, want := range []string{
+		`choreo_agent_ops_total{op="unknown"} 100`,
+		`choreo_agent_failures_total{op="unknown",cause="proto"} 100`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition lacks %s:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, "bogus") || strings.Count(text, `op="unknown"`) != 2 {
+		t.Errorf("bogus ops leaked into metric labels:\n%s", text)
+	}
+}
+
+// TestAgentRefusesOverlongRequest feeds the agent 1 MiB with no newline:
+// the session must end with one proto failure instead of buffering it,
+// and a fresh session to the same agent must still work.
+func TestAgentRefusesOverlongRequest(t *testing.T) {
+	a, err := StartAgent("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	conn, err := net.Dial("tcp", a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// An unterminated JSON string, so only the line bound can stop the
+	// read. The agent hangs up mid-write, so the write's error is
+	// expected.
+	line := append([]byte(`{"v":3,"op":"info","target":"`), bytes.Repeat([]byte{'x'}, 1<<20)...)
+	go func() { _, _ = conn.Write(line) }()
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatal("agent kept reading an over-long request line")
+		}
+	}
+	var expo bytes.Buffer
+	if err := a.met.write(&expo); err != nil {
+		t.Fatal(err)
+	}
+	if want := `choreo_agent_failures_total{op="unknown",cause="proto"} 1`; !strings.Contains(expo.String(), want) {
+		t.Errorf("over-long request not counted as %s:\n%s", want, expo.String())
+	}
+
+	c := NewCoordinator([]string{a.Addr()}, time.Second)
+	if _, err := c.Info(context.Background(), 0); err != nil {
+		t.Errorf("normal session after the refused one: %v", err)
 	}
 }
 

@@ -4,11 +4,8 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
-	"strings"
-	"sync"
 	"time"
 
 	"choreo/internal/obs"
@@ -33,10 +30,7 @@ type Coordinator struct {
 	timeout time.Duration
 	obs     *obs.Observer   // nil until Instrument
 	m       *clusterMetrics // nil until Instrument
-	traceID string          // set by Instrument; scopes trace context on v3 requests
-
-	mu      sync.Mutex
-	peerVer map[string]int // negotiated protocol version per agent address
+	traceID string          // set by Instrument; scopes trace context on requests
 }
 
 // NewCoordinator takes agent control addresses.
@@ -47,28 +41,7 @@ func NewCoordinator(agents []string, timeout time.Duration) *Coordinator {
 	return &Coordinator{
 		agents:  append([]string(nil), agents...),
 		timeout: timeout,
-		peerVer: make(map[string]int),
 	}
-}
-
-// peerVersion returns the protocol version to open a session to addr
-// with: the cached downgrade if a previous exchange negotiated one,
-// this build's version otherwise.
-func (c *Coordinator) peerVersion(addr string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if v, ok := c.peerVer[addr]; ok {
-		return v
-	}
-	return ProtocolVersion
-}
-
-// notePeerVersion caches a negotiated downgrade so later sessions to
-// the same agent skip the refused first request.
-func (c *Coordinator) notePeerVersion(addr string, v int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.peerVer[addr] = v
 }
 
 // Agents returns the configured agent count.
@@ -86,7 +59,6 @@ type session struct {
 	timeout time.Duration
 	m       *clusterMetrics // shared with the coordinator; nil when uninstrumented
 	c       *Coordinator
-	ver     int // protocol version this session speaks (downgraded on negotiation)
 }
 
 func (c *Coordinator) dial(ctx context.Context, addr string) (*session, error) {
@@ -104,18 +76,7 @@ func (c *Coordinator) dial(ctx context.Context, addr string) (*session, error) {
 		timeout: c.timeout,
 		m:       c.m,
 		c:       c,
-		ver:     c.peerVersion(addr),
 	}, nil
-}
-
-// downgradeError is the internal signal that an agent refused the
-// session's version and named a lower one it does speak. Negotiation,
-// not an incident: it is never surfaced to callers and never counted
-// as a failure.
-type downgradeError struct{ to int }
-
-func (e *downgradeError) Error() string {
-	return fmt.Sprintf("cluster: peer negotiated protocol v%d", e.to)
 }
 
 // ctxCause substitutes the context's own error for an I/O error it
@@ -129,13 +90,7 @@ func ctxCause(ctx context.Context, err error) error {
 	return err
 }
 
-// call sends one request and reads its first response, negotiating the
-// protocol version on the way: a v2 agent refuses the initial v3
-// request with a reply stamped v2, which readWithin surfaces as a
-// downgradeError — the session drops to the agent's version, caches it
-// on the coordinator so later sessions start there, and resends. The
-// loop terminates because every downgrade strictly lowers s.ver and
-// readWithin only accepts versions >= MinProtocolVersion.
+// call sends one request and reads its first response.
 func (s *session) call(ctx context.Context, req *Request) (*Response, error) {
 	return s.callWithin(ctx, req, s.timeout)
 }
@@ -144,42 +99,17 @@ func (s *session) call(ctx context.Context, req *Request) (*Response, error) {
 // whose first response only lands once the remote work completes — a
 // byte-bounded bulk send acknowledges after the last byte, which can
 // be well past one control round-trip.
-func (s *session) callWithin(ctx context.Context, req *Request, d time.Duration) (*Response, error) {
-	for {
-		resp, err := s.send(ctx, req, d)
-		var dg *downgradeError
-		if errors.As(err, &dg) {
-			s.ver = dg.to
-			s.c.notePeerVersion(s.addr, dg.to)
-			continue
-		}
-		return resp, err
-	}
-}
-
-func (s *session) send(ctx context.Context, req *Request, readDeadline time.Duration) (*Response, error) {
-	if s.ver < 3 && req.Bytes > 0 {
-		// A pre-v3 agent would ignore the bytes field and quietly run a
-		// duration-bounded send instead — refuse rather than let an
-		// executed placement measure the wrong transfer.
-		s.m.fail(s.addr, "proto")
-		return nil, fmt.Errorf("cluster: agent %s speaks protocol v%d; byte-bounded bulk transfers need v%d — upgrade choreo-agent", s.addr, s.ver, ProtocolVersion)
-	}
-	req.V = s.ver
+func (s *session) callWithin(ctx context.Context, req *Request, readDeadline time.Duration) (*Response, error) {
+	req.V = ProtocolVersion
 	// Propagate trace context: the span in ctx (the pair or bulk span
 	// that issued this remote work) becomes the parent of the agent's
 	// spans. No span in flight (or tracing off) sends none.
 	req.TraceID, req.TraceSpan = "", 0
-	if s.ver >= 3 && s.c.obs != nil && s.c.obs.Trace != nil {
+	if s.c.obs != nil && s.c.obs.Trace != nil {
 		if p := obs.SpanFromContext(ctx); p.ID() != 0 {
 			req.TraceID = s.c.traceID
 			req.TraceSpan = p.ID()
 		}
-	}
-	if s.ver < 3 {
-		// A v2 peer must never see v3 fields — the downgrade strips the
-		// peer hint too, degrading agent spans to coordinator-local.
-		req.Peer = ""
 	}
 	if err := s.conn.SetWriteDeadline(time.Now().Add(s.timeout)); err != nil {
 		return nil, err
@@ -216,12 +146,14 @@ func (s *session) readWithin(ctx context.Context, d time.Duration) (*Response, e
 		s.m.fail(s.addr, failureCause(ctx, err, "io"))
 		return nil, fmt.Errorf("cluster: agent %s: %w", s.addr, ctxCause(ctx, err))
 	}
+	// The version comes first: an agent on another version refuses
+	// this build's requests, and the refusal is only actionable once it
+	// names both versions.
+	if v := protocolVersionOf(resp.V); v != ProtocolVersion {
+		s.m.fail(s.addr, "version-mismatch")
+		return nil, fmt.Errorf("cluster: agent %s speaks protocol v%d, need v%d; upgrade choreo-agent", s.addr, v, ProtocolVersion)
+	}
 	if resp.Error != "" {
-		if v := protocolVersionOf(resp.V); v >= MinProtocolVersion && v < s.ver {
-			// The agent refused our version and stamped its own lower
-			// one: that is the downgrade handshake, not a failure.
-			return nil, &downgradeError{to: v}
-		}
 		cause := "agent-error"
 		if resp.ErrCause != "" {
 			cause = "agent-" + resp.ErrCause
@@ -229,15 +161,11 @@ func (s *session) readWithin(ctx context.Context, d time.Duration) (*Response, e
 		s.m.fail(s.addr, cause)
 		return nil, fmt.Errorf("cluster: agent %s: %s", s.addr, resp.Error)
 	}
-	if v := protocolVersionOf(resp.V); v != s.ver {
-		s.m.fail(s.addr, "version-mismatch")
-		return nil, fmt.Errorf("cluster: agent %s speaks protocol v%d, need v%d; upgrade choreo-agent", s.addr, v, s.ver)
-	}
 	s.stitch(ctx, &resp)
 	return &resp, nil
 }
 
-// stitch replays agent-side spans from a v3 response into the
+// stitch replays agent-side spans from a response into the
 // coordinator's event log, re-parented under the span that issued the
 // request (the one propagated as TraceSpan, recovered from ctx).
 // Agent-local IDs are remapped to fresh tracer IDs as they are
@@ -272,16 +200,12 @@ func (s *session) close() { _ = s.conn.Close() }
 type AgentInfo struct {
 	// EchoAddr is the agent's UDP echo responder address.
 	EchoAddr string
-	// Version is the negotiated protocol version of the exchange — this
-	// build's version for a current agent, lower for a stale one.
-	Version int
-	// Uptime is how long the agent process has been running; zero when
-	// the agent predates v3 and does not report it.
+	// Uptime is how long the agent process has been running.
 	Uptime time.Duration
 }
 
-// Info runs the handshake against one agent: echo address, negotiated
-// protocol version, and (v3+) process uptime.
+// Info runs the handshake against one agent: echo address and process
+// uptime.
 func (c *Coordinator) Info(ctx context.Context, agent int) (AgentInfo, error) {
 	s, err := c.dial(ctx, c.agents[agent])
 	if err != nil {
@@ -298,7 +222,6 @@ func (c *Coordinator) Info(ctx context.Context, agent int) (AgentInfo, error) {
 	}
 	return AgentInfo{
 		EchoAddr: net.JoinHostPort(host, fmt.Sprint(resp.EchoPort)),
-		Version:  s.ver,
 		Uptime:   time.Duration(resp.UptimeMs) * time.Millisecond,
 	}, nil
 }
@@ -312,9 +235,8 @@ func (c *Coordinator) EchoAddr(ctx context.Context, agent int) (string, error) {
 	return info.EchoAddr, nil
 }
 
-// ScrapeMetrics fetches one agent's Prometheus exposition over the v3
-// "metrics" op. A v2 agent cannot serve it; the unknown-op refusal is
-// wrapped with the actionable upgrade hint.
+// ScrapeMetrics fetches one agent's Prometheus exposition over the
+// "metrics" op.
 func (c *Coordinator) ScrapeMetrics(ctx context.Context, agent int) (string, error) {
 	s, err := c.dial(ctx, c.agents[agent])
 	if err != nil {
@@ -323,9 +245,6 @@ func (c *Coordinator) ScrapeMetrics(ctx context.Context, agent int) (string, err
 	defer s.close()
 	resp, err := s.call(ctx, &Request{Op: "metrics"})
 	if err != nil {
-		if strings.Contains(err.Error(), "unknown op") {
-			return "", fmt.Errorf("cluster: agent %s speaks protocol v%d and cannot serve metrics; upgrade choreo-agent to v%d", c.agents[agent], s.ver, ProtocolVersion)
-		}
 		return "", err
 	}
 	return resp.Metrics, nil
@@ -342,7 +261,7 @@ func (c *Coordinator) MeasurePath(ctx context.Context, src, dst int, cfg probe.C
 		obs.String("srcAddr", c.agents[src]), obs.String("dstAddr", c.agents[dst]))
 	pairStart := time.Now()
 	// The pair span rides the context from here: sessions propagate it
-	// to v3 agents as trace context, and their returned spans stitch in
+	// to agents as trace context, and their returned spans stitch in
 	// under it.
 	obsn, err := c.measurePath(spanCtx(ctx, span), src, dst, cfg)
 	if err != nil {
@@ -536,8 +455,7 @@ func (c *Coordinator) bulkThroughput(ctx context.Context, src, dst int, duration
 // count. budget bounds the transfer itself (the caller derives it from
 // the predicted completion); control-protocol slack is added on top, so
 // a stalled flow fails with a deadline error instead of wedging the
-// placement. Requires v3 agents on both ends: a v2 peer is refused
-// rather than silently degraded to a duration-bounded send.
+// placement.
 func (c *Coordinator) BulkTransfer(ctx context.Context, src, dst int, n units.ByteSize, budget time.Duration) (units.Rate, units.ByteSize, error) {
 	if src == dst {
 		return 0, 0, fmt.Errorf("cluster: src == dst")

@@ -8,6 +8,7 @@ package cluster_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"choreo/internal/cluster"
+	"choreo/internal/obs"
 	"choreo/internal/sweep/backend/livetest"
 )
 
@@ -123,44 +125,78 @@ func TestSilentAgentTimesOut(t *testing.T) {
 	}
 }
 
-// TestStaleAgentVersionRefused runs the coordinator against a fake
-// agent speaking the pre-handshake v1 wire format (no "v" field): the
-// failure must say which version each side speaks, not a decode error.
+// TestStaleAgentVersionRefused runs the coordinator against fake agents
+// from other builds: a v1 agent that answers without a version field,
+// and a v2 agent that refuses the v3 request with a reply stamped "v":2.
+// Either way the coordinator must fail on the first exchange with an
+// error naming both versions, send nothing more, and count one
+// version-mismatch failure.
 func TestStaleAgentVersionRefused(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		dec := json.NewDecoder(bufio.NewReader(conn))
-		var req map[string]interface{}
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		// A v1 agent: answers happily, but without a version field.
-		fmt.Fprintf(conn, "{\"ok\":true,\"echoPort\":9}\n")
-	}()
+	for _, tc := range []struct {
+		name, reply string
+		v           int
+	}{
+		{"v1", `{"ok":true,"echoPort":9}`, 1},
+		{"v2", `{"v":2,"ok":false,"error":"cluster: choreo-agent speaks protocol v2, coordinator speaks v3; upgrade so both sides match"}`, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			// The stub answers every request line on its one connection
+			// and reports how many it saw once the coordinator hangs up.
+			requests := make(chan int, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					requests <- -1
+					return
+				}
+				defer conn.Close()
+				n := 0
+				for sc := bufio.NewScanner(conn); sc.Scan(); n++ {
+					fmt.Fprintf(conn, "%s\n", tc.reply)
+				}
+				requests <- n
+			}()
 
-	coord := cluster.NewCoordinator([]string{ln.Addr().String(), ln.Addr().String()}, 2*time.Second)
-	_, err = coord.EchoAddr(context.Background(), 0)
-	if err == nil {
-		t.Fatal("coordinator accepted a v1 response")
-	}
-	want := fmt.Sprintf("speaks protocol v1, need v%d", cluster.ProtocolVersion)
-	if !strings.Contains(err.Error(), want) {
-		t.Errorf("error = %v, want it to contain %q", err, want)
+			addr := ln.Addr().String()
+			o := &obs.Observer{Metrics: obs.NewRegistry()}
+			coord := cluster.NewCoordinator([]string{addr, addr}, 2*time.Second).Instrument(o)
+			_, err = coord.EchoAddr(context.Background(), 0)
+			if err == nil {
+				t.Fatalf("coordinator accepted a v%d response", tc.v)
+			}
+			want := fmt.Sprintf("speaks protocol v%d, need v%d", tc.v, cluster.ProtocolVersion)
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error = %v, want it to contain %q", err, want)
+			}
+			select {
+			case n := <-requests:
+				if n != 1 {
+					t.Errorf("coordinator sent %d requests, want exactly 1", n)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("coordinator kept the session open after the refusal")
+			}
+			var expo bytes.Buffer
+			if err := o.Metrics.WritePrometheus(&expo); err != nil {
+				t.Fatal(err)
+			}
+			wantMetric := `choreo_cluster_failures_total{agent="` + addr + `",cause="version-mismatch"} 1`
+			if !strings.Contains(expo.String(), wantMetric) {
+				t.Errorf("refusal not counted once as version-mismatch:\nwant %s\ngot:\n%s", wantMetric, expo.String())
+			}
+		})
 	}
 }
 
-// TestStaleCoordinatorVersionRefused sends a real agent a v1 request
-// (no "v" field): the agent must answer with a precise version error
-// instead of acting on a half-understood command.
+// TestStaleCoordinatorVersionRefused sends a real agent requests from
+// older coordinators — v1 (no "v" field) and v2: the agent must answer
+// with a proto refusal naming both versions instead of acting on a
+// half-understood command.
 func TestStaleCoordinatorVersionRefused(t *testing.T) {
 	mesh, err := livetest.Start(2)
 	if err != nil {
@@ -173,22 +209,31 @@ func TestStaleCoordinatorVersionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "{\"op\":\"info\"}\n"); err != nil {
-		t.Fatal(err)
-	}
-	var resp cluster.Response
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error == "" {
-		t.Fatal("agent accepted a versionless (v1) request")
-	}
-	want := fmt.Sprintf("speaks protocol v%d, coordinator speaks v1", cluster.ProtocolVersion)
-	if !strings.Contains(resp.Error, want) {
-		t.Errorf("agent error = %q, want it to contain %q", resp.Error, want)
-	}
-	if resp.V != cluster.ProtocolVersion {
-		t.Errorf("agent error response carries v%d, want v%d", resp.V, cluster.ProtocolVersion)
+	dec := json.NewDecoder(bufio.NewReader(conn))
+	for _, tc := range []struct {
+		v   int
+		req string
+	}{{1, `{"op":"info"}`}, {2, `{"v":2,"op":"info"}`}} {
+		if _, err := fmt.Fprintf(conn, "%s\n", tc.req); err != nil {
+			t.Fatal(err)
+		}
+		var resp cluster.Response
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Error == "" {
+			t.Fatalf("agent accepted a v%d request", tc.v)
+		}
+		want := fmt.Sprintf("speaks protocol v%d, coordinator speaks v%d", cluster.ProtocolVersion, tc.v)
+		if !strings.Contains(resp.Error, want) {
+			t.Errorf("agent error = %q, want it to contain %q", resp.Error, want)
+		}
+		if resp.ErrCause != "proto" {
+			t.Errorf("v%d refusal cause = %q, want proto", tc.v, resp.ErrCause)
+		}
+		if resp.V != cluster.ProtocolVersion {
+			t.Errorf("agent error response carries v%d, want v%d", resp.V, cluster.ProtocolVersion)
+		}
 	}
 }
 

@@ -7,9 +7,10 @@ import (
 
 // AgentHealth is one agent's preflight status: whether the control
 // socket answered the protocol handshake and how fast its UDP echo
-// responder replies. Err is nil only for a reachable, version-matched
-// agent — a stale agent surfaces the coordinator's precise
-// "speaks vN, need vM" error here, not a decode failure.
+// responder replies. Err is nil only for a reachable agent speaking
+// ProtocolVersion — an agent on another version surfaces the
+// coordinator's precise "speaks vN, need vM" error here, not a decode
+// failure.
 type AgentHealth struct {
 	// Index is the agent's position in the fleet (the VM slot it would
 	// be assigned).
@@ -19,12 +20,8 @@ type AgentHealth struct {
 	// RTT is the median round trip to the agent's echo responder; zero
 	// when the probe failed.
 	RTT time.Duration
-	// Version is the negotiated protocol version from the handshake —
-	// this build's version for a current agent, lower for a stale one
-	// the coordinator downgraded to; zero when the handshake failed.
-	Version int
-	// Uptime is the agent's self-reported process uptime (v3+); zero
-	// for agents that predate it.
+	// Uptime is the agent's self-reported process uptime; zero when the
+	// handshake failed.
 	Uptime time.Duration
 	// Err is the first failure encountered (dial, handshake, version
 	// mismatch or echo probe); nil for a healthy agent.
@@ -36,8 +33,8 @@ func (h AgentHealth) OK() bool { return h.Err == nil }
 
 // CheckAgent preflights one agent: dial the control socket, run the
 // version handshake (every response line carries the protocol version,
-// so the very first exchange catches a stale agent) and RTT-probe the
-// UDP echo responder the handshake advertised.
+// so the very first exchange catches an agent on another version) and
+// RTT-probe the UDP echo responder the handshake advertised.
 func (c *Coordinator) CheckAgent(ctx context.Context, agent int) AgentHealth {
 	h := AgentHealth{Index: agent, Addr: c.agents[agent]}
 	info, err := c.Info(ctx, agent)
@@ -45,7 +42,6 @@ func (c *Coordinator) CheckAgent(ctx context.Context, agent int) AgentHealth {
 		h.Err = err
 		return h
 	}
-	h.Version = info.Version
 	h.Uptime = info.Uptime
 	rtt, err := MeasureRTT(info.EchoAddr, 3, c.timeout)
 	if err != nil {

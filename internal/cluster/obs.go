@@ -59,7 +59,7 @@ func (c *Coordinator) Instrument(o *obs.Observer) *Coordinator {
 	}
 	c.obs = o
 	c.m = newClusterMetrics(o.Registry())
-	// The trace ID scopes every span ID this coordinator hands to v3
+	// The trace ID scopes every span ID this coordinator hands to
 	// agents; a stale agent response from another run fails the echo
 	// check and its spans are dropped instead of stitched under the
 	// wrong parent. Wall-clock uniqueness is plenty for that.

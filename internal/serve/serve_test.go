@@ -244,13 +244,17 @@ func TestLoopbackSnapshotIsolation(t *testing.T) {
 		epoch int64
 		hash  string
 	}
-	results := make(chan obs, 1024)
+	// Each client tallies the (epoch, hash) pairs it saw and sends the
+	// tally once on exit, so no send can block while epochs churn.
+	results := make(chan map[obs]int, clients)
 	errs := make(chan error, clients)
 	stop := make(chan struct{})
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			seen := make(map[obs]int)
+			defer func() { results <- seen }()
 			c := &api.Client{BaseURL: ts.URL, Tenant: "t"}
 			for {
 				select {
@@ -263,7 +267,7 @@ func TestLoopbackSnapshotIsolation(t *testing.T) {
 					errs <- err
 					return
 				}
-				results <- obs{resp.Epoch, resp.EnvHash}
+				seen[obs{resp.Epoch, resp.EnvHash}]++
 			}
 		}(i)
 	}
@@ -283,15 +287,17 @@ func TestLoopbackSnapshotIsolation(t *testing.T) {
 	// epoch seen must be one the server actually published.
 	hashOf := make(map[int64]string)
 	total := 0
-	for o := range results {
-		total++
-		if o.epoch < 1 || o.epoch > epochs+1 {
-			t.Fatalf("response epoch %d never published (1..%d)", o.epoch, epochs+1)
+	for seen := range results {
+		for o, n := range seen {
+			total += n
+			if o.epoch < 1 || o.epoch > epochs+1 {
+				t.Fatalf("response epoch %d never published (1..%d)", o.epoch, epochs+1)
+			}
+			if prev, ok := hashOf[o.epoch]; ok && prev != o.hash {
+				t.Fatalf("epoch %d served two environments: %s and %s — torn snapshot", o.epoch, prev, o.hash)
+			}
+			hashOf[o.epoch] = o.hash
 		}
-		if prev, ok := hashOf[o.epoch]; ok && prev != o.hash {
-			t.Fatalf("epoch %d served two environments: %s and %s — torn snapshot", o.epoch, prev, o.hash)
-		}
-		hashOf[o.epoch] = o.hash
 	}
 	if total == 0 {
 		t.Fatal("no placements completed during epoch churn")

@@ -21,24 +21,12 @@ type Mesh struct {
 
 // Start launches n agents on loopback ephemeral ports.
 func Start(n int) (*Mesh, error) {
-	versions := make([]int, n)
-	for i := range versions {
-		versions[i] = cluster.ProtocolVersion
-	}
-	return StartVersions(versions)
-}
-
-// StartVersions launches one agent per entry, each pinned to the given
-// protocol version (cluster.ProtocolVersion for a current agent) — the
-// mixed-fleet harness for rolling-upgrade tests, where a coordinator
-// must interoperate with agents running shipped older builds.
-func StartVersions(versions []int) (*Mesh, error) {
-	if len(versions) < 2 {
-		return nil, fmt.Errorf("livetest: a mesh needs at least 2 agents, got %d", len(versions))
+	if n < 2 {
+		return nil, fmt.Errorf("livetest: a mesh needs at least 2 agents, got %d", n)
 	}
 	m := &Mesh{}
-	for i, v := range versions {
-		a, err := cluster.StartAgentCompat("127.0.0.1:0", v)
+	for i := 0; i < n; i++ {
+		a, err := cluster.StartAgent("127.0.0.1:0")
 		if err != nil {
 			m.Close()
 			return nil, fmt.Errorf("livetest: starting agent %d: %w", i, err)
