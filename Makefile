@@ -16,7 +16,7 @@ build:
 	$(GO) build -o $(BIN)/choreo-agent ./cmd/choreo-agent
 
 test:
-	$(GO) test -race -timeout 120s ./...
+	$(GO) test -race -shuffle=on -timeout 120s ./...
 
 # One iteration of every benchmark plus the paper reproduction at quick
 # scale: catches perf-path regressions without CI-scale runtimes.
@@ -173,8 +173,10 @@ sweep-live-smoke: build
 # difference is a schema or determinism regression. The health endpoint
 # must agree on backend and epoch. The Prometheus endpoint must serve
 # valid text-format exposition (checked by the repo's own parser — no
-# promtool) covering the serve/epoch families, /v1/metrics must be
-# application/json, and an unknown /v1/ path must 404 with a JSON body.
+# promtool) covering the serve/epoch families; the retired /v1/metrics
+# and any unknown /v1/ path must 404 with a JSON body. The served
+# /v1/env is the offline `choreo place -rates` schema: the offline tool
+# must place on it, and must refuse a misspelled -model.
 serve-smoke: build
 	@set -e; \
 	printf '{"name":"smoke","cpu":[1,1,1,1],"transfersMB":[[0,2,200],[0,3,200],[1,2,200],[1,3,200]]}' \
@@ -197,11 +199,16 @@ serve-smoke: build
 	grep -q '^choreo_placements_total 2$$' $(BIN)/serve-metrics.prom; \
 	grep -q '^choreo_http_request_seconds_bucket' $(BIN)/serve-metrics.prom; \
 	grep -q '^choreo_snapshot_epoch 1$$' $(BIN)/serve-metrics.prom; \
-	curl -s -o /dev/null -w '%{content_type}' http://127.0.0.1:17180/v1/metrics \
-		| grep -q '^application/json'; \
+	test "$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:17180/v1/metrics)" = 404; \
+	curl -s http://127.0.0.1:17180/v1/metrics | grep -q '"error"'; \
+	curl -sf http://127.0.0.1:17180/v1/env > $(BIN)/serve-env.json; \
+	$(BIN)/choreo place -rates $(BIN)/serve-env.json -app $(BIN)/serve-app.json | grep -q '"machineOf"'; \
+	if $(BIN)/choreo place -model pipx -rates $(BIN)/serve-env.json -app $(BIN)/serve-app.json 2>/dev/null; then \
+		echo "choreo place accepted -model pipx" >&2; exit 1; \
+	fi; \
 	test "$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:17180/v1/nope)" = 404; \
 	curl -s http://127.0.0.1:17180/v1/nope | grep -q '"error"'
-	@echo "placement service responses are schema-stable and byte-identical on a pinned epoch; /metrics is valid Prometheus"
+	@echo "placement service responses are schema-stable and byte-identical on a pinned epoch; /metrics is valid Prometheus; /v1/env feeds offline place"
 
 # The placement-service load check (live backend): a loopback fleet of
 # real agents behind a server re-measuring every 2s, hammered by 6

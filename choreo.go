@@ -192,18 +192,9 @@ func NewSimulatedCloud(profile Profile, seed int64, nVMs int) (*Cloud, error) {
 // NewSimulatedCloudWithOptions is NewSimulatedCloud with explicit
 // orchestrator options.
 func NewSimulatedCloudWithOptions(profile Profile, seed int64, nVMs int, opts Options) (*Cloud, error) {
-	prov, err := topology.NewProvider(profile, seed)
+	orch, err := core.NewSimulated(profile, seed, nVMs, opts)
 	if err != nil {
 		return nil, err
 	}
-	vms, err := prov.AllocateVMs(nVMs)
-	if err != nil {
-		return nil, err
-	}
-	net := netsim.New(prov)
-	orch, err := core.New(net, vms, rand.New(rand.NewSource(seed+1)), opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Cloud{Choreo: orch, Net: net, Provider: prov}, nil
+	return &Cloud{Choreo: orch, Net: orch.Network(), Provider: orch.Network().Provider()}, nil
 }

@@ -6,18 +6,20 @@
 // Subcommands:
 //
 //	choreo simulate -profile ec2-2013 -vms 10 -apps 2 -seed 1
-//	    build a simulated cloud, generate applications, measure with
-//	    packet trains, place with every algorithm and execute; prints a
-//	    completion-time comparison.
+//	    build a simulated cloud, draw applications sized to its VMs
+//	    (as Fig 10(a) does), measure with packet trains, place with every
+//	    algorithm and execute; prints a completion-time comparison.
 //
 //	choreo measure -agents host1:7101,host2:7101[,...] [-bursts 10 -burstlen 200]
 //	    (the agent-fleet flag group is shared with sweep, serve and agents health)
 //	    measure every ordered pair of live agents with packet trains and
 //	    print the estimated rate matrix in Mbit/s.
 //
-//	choreo place -machines 4 -rates rates.json -app app.json [-model hose]
-//	    offline placement: read a measured rate matrix and an application
-//	    profile from JSON, print the task→machine assignment.
+//	choreo place -rates rates.json -app app.json [-model hose]
+//	    offline placement: read a measured rate matrix (the GET /v1/env
+//	    schema) and an application profile (the POST /v1/place "app"
+//	    schema) from JSON, validate both as the service does, and print
+//	    the task→machine assignment.
 //
 //	choreo place -server http://127.0.0.1:7180 -app app.json
 //	    post the same application to a running `choreo serve` and place
@@ -27,7 +29,8 @@
 //	choreo serve -backend sim -vms 8 -interval 5m -listen 127.0.0.1:7180
 //	    run the placement service: measure, then re-measure on an
 //	    interval, publishing each epoch as an immutable snapshot behind
-//	    POST /v1/place, /v1/migrate and GET /v1/health|metrics|env.
+//	    POST /v1/place, /v1/migrate and GET /v1/health|env, with
+//	    Prometheus counters on GET /metrics.
 //
 //	choreo load -server http://127.0.0.1:7180 -clients 8 -duration 10s
 //	    drive concurrent placements against a running service and report
@@ -87,14 +90,13 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"time"
 
 	"choreo"
 	"choreo/internal/api"
 	"choreo/internal/cluster"
+	"choreo/internal/experiments"
 	"choreo/internal/place"
-	"choreo/internal/profile"
-	"choreo/internal/units"
+	"choreo/internal/sweep"
 )
 
 func main() {
@@ -141,69 +143,43 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: choreo <simulate|measure|place|sweep|merge|serve|load|agents|bench|obs> [flags]")
 }
 
-func profileByName(name string) (choreo.Profile, error) {
-	switch name {
-	case "ec2-2013", "ec2":
-		return choreo.EC22013(), nil
-	case "ec2-2012":
-		return choreo.EC22012(0), nil
-	case "rackspace":
-		return choreo.Rackspace(), nil
-	case "private":
-		return choreo.PrivateCloud(), nil
-	}
-	return choreo.Profile{}, fmt.Errorf("unknown profile %q (ec2-2013, ec2-2012, rackspace, private)", name)
-}
-
 func runSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
-	profileName := fs.String("profile", "ec2-2013", "provider profile")
+	profileName := fs.String("profile", "ec2-2013", "provider profile (any sweep topology; see `choreo sweep -list`)")
 	vms := fs.Int("vms", 10, "tenant VMs to allocate")
 	nApps := fs.Int("apps", 2, "applications to combine and place")
 	seed := fs.Int64("seed", 1, "deterministic seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	prof, err := profileByName(*profileName)
+	tp, err := sweep.TopologyByName(*profileName)
 	if err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(*seed))
-	var apps []*choreo.Application
-	cfg := choreo.DefaultWorkload()
-	for i := 0; i < *nApps; i++ {
-		app, err := choreo.GenerateApplication(rng, cfg)
-		if err != nil {
-			return err
-		}
-		apps = append(apps, app)
+	if *nApps < 1 {
+		return fmt.Errorf("-apps must be at least 1, got %d", *nApps)
+	}
+	// The Fig 10(a) draw: applications sized to the VMs, redrawn (with
+	// the seed advanced) while some algorithm cannot place them.
+	algs := []choreo.Algorithm{choreo.AlgChoreo, choreo.AlgMinMachines, choreo.AlgRandom, choreo.AlgRoundRobin}
+	draw, err := experiments.DrawFeasible(tp.Profile, *vms, algs,
+		func(attempt int) int64 { return *seed + int64(attempt)*100003 },
+		func(*rand.Rand) int { return *nApps })
+	if err != nil {
+		return err
+	}
+	if draw.Seed != *seed {
+		fmt.Printf("seed %d drew an infeasible workload; redrawn with seed %d\n", *seed, draw.Seed)
+	}
+	for i, app := range draw.Apps {
 		fmt.Printf("application %d: %s, %d tasks, %s total traffic\n",
 			i, app.Name, app.Tasks(), app.TM.Total())
 	}
-	combined, _, err := choreo.CombineApplications(apps)
-	if err != nil {
-		return err
-	}
 
-	fmt.Printf("\nmeasuring %d VM pairs with packet trains...\n", (*vms)*(*vms-1))
-	results := make(map[choreo.Algorithm]time.Duration)
-	for _, alg := range []choreo.Algorithm{
-		choreo.AlgChoreo, choreo.AlgMinMachines, choreo.AlgRandom, choreo.AlgRoundRobin,
-	} {
-		cloud, err := choreo.NewSimulatedCloud(prof, *seed, *vms)
-		if err != nil {
-			return err
-		}
-		d, err := cloud.RunOnce(combined, alg)
-		if err != nil {
-			return err
-		}
-		results[alg] = d
-	}
+	fmt.Printf("\nmeasured %d VM pairs with packet trains; placed and executed with every algorithm\n", (*vms)*(*vms-1))
+	results := draw.Completion
 	fmt.Printf("\n%-14s %12s %10s\n", "algorithm", "completion", "vs choreo")
-	for _, alg := range []choreo.Algorithm{
-		choreo.AlgChoreo, choreo.AlgMinMachines, choreo.AlgRandom, choreo.AlgRoundRobin,
-	} {
+	for _, alg := range algs {
 		rel := ""
 		if alg != choreo.AlgChoreo && results[alg] > 0 {
 			speedup := (results[alg] - results[choreo.AlgChoreo]).Seconds() / results[alg].Seconds() * 100
@@ -249,22 +225,6 @@ func runMeasure(args []string) error {
 	return nil
 }
 
-// placeInput is the JSON schema for `choreo place`.
-type placeInput struct {
-	// RatesMbps[m][n] is the measured throughput m->n in Mbit/s.
-	RatesMbps [][]float64 `json:"ratesMbps"`
-	// CPUCap[m] is cores per machine (defaults to 4 each).
-	CPUCap []float64 `json:"cpuCap,omitempty"`
-}
-
-type appInput struct {
-	Name string `json:"name"`
-	// CPU[i] is cores demanded by task i.
-	CPU []float64 `json:"cpu"`
-	// TransfersMB is a list of [from, to, megabytes] triples.
-	TransfersMB [][3]float64 `json:"transfersMB"`
-}
-
 func runPlace(args []string) error {
 	fs := flag.NewFlagSet("place", flag.ExitOnError)
 	ratesPath := fs.String("rates", "", "JSON file with the measured rate matrix (offline mode)")
@@ -291,45 +251,25 @@ func runPlace(args []string) error {
 	if *ratesPath == "" || *appPath == "" {
 		return fmt.Errorf("both -rates and -app are required")
 	}
-	if *model == "" {
-		*model = "hose"
-	}
-	var pin placeInput
-	if err := readJSON(*ratesPath, &pin); err != nil {
+	mdl, err := api.ParseModel(*model, place.Hose)
+	if err != nil {
 		return err
 	}
-	var ain appInput
-	if err := readJSON(*appPath, &ain); err != nil {
+	var wenv api.Env
+	if err := readJSON(*ratesPath, &wenv); err != nil {
 		return err
 	}
-
-	m := len(pin.RatesMbps)
-	env := &place.Environment{Rates: make([][]units.Rate, m)}
-	for i := range pin.RatesMbps {
-		env.Rates[i] = make([]units.Rate, m)
-		for j, v := range pin.RatesMbps[i] {
-			env.Rates[i][j] = units.Mbps(v)
-		}
+	env, err := wenv.ToEnvironment()
+	if err != nil {
+		return fmt.Errorf("%s: %w", *ratesPath, err)
 	}
-	env.CPUCap = pin.CPUCap
-	if env.CPUCap == nil {
-		env.CPUCap = make([]float64, m)
-		for i := range env.CPUCap {
-			env.CPUCap[i] = 4
-		}
+	var spec api.AppSpec
+	if err := readJSON(*appPath, &spec); err != nil {
+		return err
 	}
-
-	tm := profile.NewTrafficMatrix(len(ain.CPU))
-	for _, tr := range ain.TransfersMB {
-		if err := tm.Add(int(tr[0]), int(tr[1]), units.ByteSize(tr[2]*1e6)); err != nil {
-			return err
-		}
-	}
-	app := &profile.Application{Name: ain.Name, CPU: ain.CPU, TM: tm}
-
-	mdl := place.Hose
-	if *model == "pipe" {
-		mdl = place.Pipe
+	app, err := spec.ToApplication()
+	if err != nil {
+		return fmt.Errorf("%s: %w", *appPath, err)
 	}
 	p, err := place.Greedy(app, env, mdl)
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"choreo/internal/obs"
 	"choreo/internal/place"
 	"choreo/internal/serve"
+	"choreo/internal/sweep"
 	"choreo/internal/sweep/backend"
 )
 
@@ -30,7 +31,7 @@ func runServe(args []string) (err error) {
 	listen := fs.String("listen", "127.0.0.1:7180", "HTTP listen address")
 	events := fs.String("events", "", "write a schema'd JSONL span log (serve.epoch, plus cluster.mesh/pair with -backend live) to this file; validate with `choreo obs validate-events`")
 	backendName := fs.String("backend", "sim", "measurement backend: sim (deterministic netsim cloud) or live (real choreo-agent mesh)")
-	profileName := fs.String("profile", "ec2-2013", "provider profile (sim backend)")
+	profileName := fs.String("profile", "ec2-2013", "provider profile (sim backend; any sweep topology, see `choreo sweep -list`)")
 	vms := fs.Int("vms", 8, "VM slots to measure and place onto (live default: the fleet size)")
 	seed := fs.Int64("seed", 1, "deterministic seed (sim cloud + random-baseline rng)")
 	model := fs.String("model", "hose", "default rate model: hose or pipe")
@@ -88,12 +89,12 @@ func runServe(args []string) (err error) {
 		if err := fleetFlagMisuse(set, "add -backend live"); err != nil {
 			return err
 		}
-		prof, err := profileByName(*profileName)
+		tp, err := sweep.TopologyByName(*profileName)
 		if err != nil {
 			return err
 		}
 		cfg.Backend = backend.NewSim()
-		cfg.Cell = backend.Cell{Topology: *profileName, Profile: prof, VMs: *vms, Seed: *seed}
+		cfg.Cell = backend.Cell{Topology: tp.Name, Profile: tp.Profile, VMs: *vms, Seed: *seed}
 	case "live":
 		if set["profile"] {
 			return fmt.Errorf("-profile selects the simulated cloud; a live server measures the real fleet")

@@ -173,13 +173,8 @@ func runSweep(args []string) (err error) {
 	for _, mb := range sizes {
 		g.MeanSizes = append(g.MeanSizes, units.ByteSize(mb*1e6))
 	}
-	switch *model {
-	case "hose":
-		g.Model = place.Hose
-	case "pipe":
-		g.Model = place.Pipe
-	default:
-		return fmt.Errorf("unknown -model %q (hose or pipe)", *model)
+	if g.Model, err = place.ParseModel(*model); err != nil {
+		return fmt.Errorf("-model: %w", err)
 	}
 	for _, name := range splitList(*topologies) {
 		tp, err := sweep.TopologyByName(name)
@@ -449,7 +444,7 @@ func printGridHelp(w io.Writer) {
 	fmt.Fprintf(w, "            (fattree-K takes any even K >= 2; jellyfish-N any N >= 4 switches)\n")
 	fmt.Fprintf(w, "workloads:  %s (or -trace file.json; traces are snapshot-only)\n", strings.Join(sweep.WorkloadNames(), ", "))
 	fmt.Fprintf(w, "algorithms: %s (ilp is snapshot-only)\n", strings.Join(sweep.AlgorithmNames(), ", "))
-	fmt.Fprintf(w, "models:     hose, pipe\n")
+	fmt.Fprintf(w, "models:     %v, %v\n", place.Hose, place.Pipe)
 	fmt.Fprintf(w, "dimensions: snapshot: -topologies x -workloads x -vms x -mean-mb x -algorithms x -seeds\n")
 	fmt.Fprintf(w, "            sequence: -topologies x -workloads x -vms x -mean-mb x -interarrival x -seq-apps x -reeval x -algorithms x -seeds\n")
 	fmt.Fprintf(w, "            (sequence scalar knobs, not swept: -migration-gain, -max-migrations;\n")

@@ -10,15 +10,16 @@
 // way in the other direction. The version is bumped only on incompatible
 // schema changes; additive fields do not bump it.
 //
-// The types deliberately wrap the same shapes the offline CLI already
-// speaks: AppSpec is the `choreo place -app` JSON schema, and
-// PlaceResponse carries the same machineOf / predictedCompletionSeconds
-// pair `choreo place` prints — a profile written for the offline tool
-// posts to the service unchanged.
+// The offline CLI speaks the same types: `choreo place` decodes -app as
+// an AppSpec and -rates as an Env (the body of GET /v1/env), and prints
+// the machineOf / predictedCompletionSeconds pair PlaceResponse carries
+// — a profile written for the offline tool posts to the service
+// unchanged, and a served snapshot feeds the offline tool.
 package api
 
 import (
 	"fmt"
+	"strings"
 
 	"choreo/internal/core"
 	"choreo/internal/place"
@@ -162,25 +163,49 @@ type HealthResponse struct {
 	VMs int `json:"vms"`
 }
 
-// MetricsResponse answers GET /v1/metrics.
-type MetricsResponse struct {
-	V int `json:"v"`
-	// Epoch is the current snapshot's epoch; Epochs counts completed
-	// measurement epochs (equal unless epochs failed).
-	Epoch  int64 `json:"epoch"`
-	Epochs int64 `json:"epochs"`
-	// EpochFailures counts re-measurement epochs that errored; the
-	// previous snapshot stays published across a failure.
-	EpochFailures int64 `json:"epochFailures"`
-	// Placements and Migrations count served requests; Rejected counts
-	// quota rejections (HTTP 429).
-	Placements int64 `json:"placements"`
-	Migrations int64 `json:"migrations"`
-	Rejected   int64 `json:"rejected"`
-	// MeasureSeconds is the wall-clock cost of the current snapshot's
-	// mesh measurement; AgeSeconds how long ago it was published.
-	MeasureSeconds float64 `json:"measureSeconds"`
-	AgeSeconds     float64 `json:"ageSeconds"`
+// Env is a measured environment on the wire: the body of GET /v1/env
+// and the `choreo place -rates` file share it, so a snapshot feeds the
+// offline tool directly.
+type Env struct {
+	// RatesMbps[m][n] is the measured throughput m->n in Mbit/s.
+	RatesMbps [][]float64 `json:"ratesMbps"`
+	// CPUCap[m] is cores on machine m; absent means 4 per machine.
+	CPUCap []float64 `json:"cpuCap"`
+}
+
+// EnvFrom converts a measured environment to its wire form.
+func EnvFrom(e *place.Environment) Env {
+	rates := make([][]float64, len(e.Rates))
+	for i, row := range e.Rates {
+		rates[i] = make([]float64, len(row))
+		for j, r := range row {
+			rates[i][j] = r.Mbps()
+		}
+	}
+	return Env{RatesMbps: rates, CPUCap: append([]float64(nil), e.CPUCap...)}
+}
+
+// ToEnvironment converts the wire form to a placement environment and
+// validates it: a ragged or non-positive rate matrix, or a CPU list of
+// the wrong length, is an error.
+func (e Env) ToEnvironment() (*place.Environment, error) {
+	env := &place.Environment{Rates: make([][]units.Rate, len(e.RatesMbps)), CPUCap: e.CPUCap}
+	for i, row := range e.RatesMbps {
+		env.Rates[i] = make([]units.Rate, len(row))
+		for j, v := range row {
+			env.Rates[i][j] = units.Mbps(v)
+		}
+	}
+	if env.CPUCap == nil {
+		env.CPUCap = make([]float64, len(env.Rates))
+		for i := range env.CPUCap {
+			env.CPUCap[i] = 4
+		}
+	}
+	if err := env.Validate(); err != nil {
+		return nil, err
+	}
+	return env, nil
 }
 
 // EnvResponse answers GET /v1/env: the current snapshot's measured
@@ -192,57 +217,30 @@ type EnvResponse struct {
 	// AgeSeconds is the snapshot's staleness: seconds since it was
 	// published.
 	AgeSeconds float64 `json:"ageSeconds"`
-	// RatesMbps[m][n] is the measured throughput m->n in Mbit/s — the
-	// `choreo place -rates` schema, so a snapshot feeds the offline
-	// tool directly.
-	RatesMbps [][]float64 `json:"ratesMbps"`
-	// CPUCap[m] is cores on machine m.
-	CPUCap []float64 `json:"cpuCap"`
+	Env
 }
 
-// ParseAlgorithm resolves a wire algorithm name to the core policy.
-// Empty means choreo, the paper's algorithm. The service intentionally
-// speaks only the online policies — ilp and optimal are offline sweep
-// baselines with exponential cost, not things to run per-request.
+// ParseAlgorithm resolves a wire algorithm name through the core name
+// table. Empty means choreo, the paper's algorithm. The service
+// intentionally speaks only the online policies — optimal (and the
+// sweep's ilp) are offline baselines with exponential cost, not things
+// to run per-request.
 func ParseAlgorithm(name string) (core.Algorithm, error) {
-	switch name {
-	case "", "choreo", "greedy":
+	if name == "" {
 		return core.AlgChoreo, nil
-	case "random":
-		return core.AlgRandom, nil
-	case "round-robin", "roundrobin":
-		return core.AlgRoundRobin, nil
-	case "min-machines", "minmachines":
-		return core.AlgMinMachines, nil
 	}
-	return 0, fmt.Errorf("api: unknown algorithm %q (valid: choreo, random, round-robin, min-machines)", name)
-}
-
-// AlgorithmName is the canonical wire name for a policy (the core
-// String() forms contain spaces; the wire names never do).
-func AlgorithmName(alg core.Algorithm) string {
-	switch alg {
-	case core.AlgRandom:
-		return "random"
-	case core.AlgRoundRobin:
-		return "round-robin"
-	case core.AlgMinMachines:
-		return "min-machines"
-	default:
-		return "choreo"
+	if alg, ok := core.ParseAlgorithm(name); ok && alg != core.AlgOptimal {
+		return alg, nil
 	}
+	online := core.AlgorithmNames()[:core.AlgOptimal] // every algorithm but optimal
+	return 0, fmt.Errorf("api: unknown algorithm %q (valid: %s)", name, strings.Join(online, ", "))
 }
 
 // ParseModel resolves a wire rate-model name; fallback is the server's
 // configured default for the empty string.
 func ParseModel(name string, fallback place.Model) (place.Model, error) {
-	switch name {
-	case "":
+	if name == "" {
 		return fallback, nil
-	case "hose":
-		return place.Hose, nil
-	case "pipe":
-		return place.Pipe, nil
 	}
-	return 0, fmt.Errorf("api: unknown model %q (valid: hose, pipe)", name)
+	return place.ParseModel(name)
 }

@@ -1,11 +1,13 @@
 package api
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"choreo/internal/core"
 	"choreo/internal/place"
+	"choreo/internal/units"
 )
 
 func TestVersionHandshake(t *testing.T) {
@@ -42,12 +44,51 @@ func TestAppSpecToApplication(t *testing.T) {
 		t.Errorf("total traffic = %v bytes, want 150e6", got)
 	}
 
-	if _, err := (AppSpec{Name: "empty"}).ToApplication(); err == nil {
-		t.Error("empty cpu array accepted")
+	// Rejected specs, decoded from the JSON a client or file carries.
+	for _, tc := range []struct{ name, json, want string }{
+		{"absent cpu", `{"name":"e"}`, "no tasks"},
+		{"empty cpu", `{"name":"e","cpu":[]}`, "no tasks"},
+		{"out-of-range endpoint", `{"name":"oob","cpu":[1],"transfersMB":[[0,5,1]]}`, "transfer [0 5 1]"},
+	} {
+		var spec AppSpec
+		if err := json.Unmarshal([]byte(tc.json), &spec); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := spec.ToApplication(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ToApplication error = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
-	bad := AppSpec{Name: "oob", CPU: []float64{1}, TransfersMB: [][3]float64{{0, 5, 1}}}
-	if _, err := bad.ToApplication(); err == nil {
-		t.Error("out-of-range transfer endpoint accepted")
+}
+
+// TestEnvToEnvironment pins the rate-matrix wire schema both `choreo
+// place -rates` and GET /v1/env speak: it round-trips, defaults an
+// absent cpuCap to 4 cores per machine, and rejects malformed matrices
+// with an error instead of a panic.
+func TestEnvToEnvironment(t *testing.T) {
+	env, err := Env{RatesMbps: [][]float64{{4000, 900}, {800, 4000}}}.ToEnvironment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Rates[1][0] != units.Mbps(800) || len(env.CPUCap) != 2 || env.CPUCap[1] != 4 {
+		t.Errorf("environment = %+v", env)
+	}
+	if back := EnvFrom(env); back.RatesMbps[0][1] != 900 || back.CPUCap[0] != 4 {
+		t.Errorf("round trip = %+v", back)
+	}
+	for _, tc := range []struct{ name, json, want string }{
+		{"no machines", `{"ratesMbps":[]}`, "no machines"},
+		{"ragged", `{"ratesMbps":[[4000,900,800],[900,4000],[700,800,4000]]}`, "row 1 has 2 entries, want 3"},
+		{"zero rate", `{"ratesMbps":[[4000,0],[900,4000]]}`, "must be positive"},
+		{"short cpuCap", `{"ratesMbps":[[4000,900],[900,4000]],"cpuCap":[4]}`, "CPUCap has 1 entries"},
+		{"empty cpuCap", `{"ratesMbps":[[4000,900],[900,4000]],"cpuCap":[]}`, "CPUCap has 0 entries"},
+	} {
+		var w Env
+		if err := json.Unmarshal([]byte(tc.json), &w); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := w.ToEnvironment(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ToEnvironment error = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -66,13 +107,15 @@ func TestParseAlgorithm(t *testing.T) {
 			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	if _, err := ParseAlgorithm("ilp"); err == nil {
-		t.Error("offline-only algorithm accepted by the service API")
+	for _, name := range []string{"ilp", "optimal", "round robin"} {
+		if _, err := ParseAlgorithm(name); err == nil {
+			t.Errorf("ParseAlgorithm(%q) accepted; the service speaks only online wire names", name)
+		}
 	}
 	for _, alg := range []core.Algorithm{core.AlgChoreo, core.AlgRandom, core.AlgRoundRobin, core.AlgMinMachines} {
-		rt, err := ParseAlgorithm(AlgorithmName(alg))
+		rt, err := ParseAlgorithm(alg.Name())
 		if err != nil || rt != alg {
-			t.Errorf("AlgorithmName round-trip for %v: got %v, %v", alg, rt, err)
+			t.Errorf("wire-name round-trip for %v: got %v, %v", alg, rt, err)
 		}
 	}
 }
@@ -84,7 +127,9 @@ func TestParseModel(t *testing.T) {
 	if m, err := ParseModel("hose", place.Pipe); err != nil || m != place.Hose {
 		t.Errorf("hose: %v, %v", m, err)
 	}
-	if _, err := ParseModel("bogus", place.Hose); err == nil {
-		t.Error("bogus model accepted")
+	for _, name := range []string{"bogus", "pipx", "Hose"} {
+		if _, err := ParseModel(name, place.Hose); err == nil {
+			t.Errorf("model %q accepted", name)
+		}
 	}
 }

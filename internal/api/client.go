@@ -132,15 +132,6 @@ func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 	return &out, nil
 }
 
-// Metrics fetches the service counters.
-func (c *Client) Metrics(ctx context.Context) (*MetricsResponse, error) {
-	var out MetricsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/metrics", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Env fetches the current mesh snapshot with epoch and staleness.
 func (c *Client) Env(ctx context.Context) (*EnvResponse, error) {
 	var out EnvResponse

@@ -52,6 +52,55 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("algorithm(%d)", int(a))
 }
 
+// algorithmNames is the one table of algorithm wire names: the service
+// API, the sweep grid and the CLIs all resolve names through it. The
+// first entry for an algorithm is its canonical name; the rest are
+// accepted aliases. Unlike String, wire names never contain spaces.
+var algorithmNames = []struct {
+	name string
+	alg  Algorithm
+}{
+	{"choreo", AlgChoreo},
+	{"greedy", AlgChoreo},
+	{"random", AlgRandom},
+	{"round-robin", AlgRoundRobin},
+	{"roundrobin", AlgRoundRobin},
+	{"min-machines", AlgMinMachines},
+	{"minmachines", AlgMinMachines},
+	{"optimal", AlgOptimal},
+}
+
+// ParseAlgorithm resolves a wire name (canonical or alias).
+func ParseAlgorithm(name string) (Algorithm, bool) {
+	for _, e := range algorithmNames {
+		if e.name == name {
+			return e.alg, true
+		}
+	}
+	return 0, false
+}
+
+// AlgorithmNames lists every algorithm's canonical wire name, in
+// Algorithm order.
+func AlgorithmNames() []string {
+	var names []string
+	for a := AlgChoreo; a <= AlgOptimal; a++ {
+		names = append(names, a.Name())
+	}
+	return names
+}
+
+// Name is the algorithm's canonical wire name ("round-robin" where
+// String says "round robin").
+func (a Algorithm) Name() string {
+	for _, e := range algorithmNames {
+		if e.alg == a {
+			return e.name
+		}
+	}
+	return a.String()
+}
+
 // Options configures an orchestrator.
 type Options struct {
 	// TrainConfig parameterizes measurement; zero value uses DefaultEC2.
@@ -94,6 +143,23 @@ func New(net *netsim.Network, vms []topology.VM, rng *rand.Rand, opts Options) (
 		rng:    rng,
 		opts:   opts,
 	}, nil
+}
+
+// NewSimulated builds a simulated cloud and its orchestrator: the
+// provider fabric from seed, vms tenant VMs allocated onto it, the flow
+// simulator, and an orchestrator whose rng is seeded with seed+1, so the
+// fabric and measurement streams never alias. The same arguments always
+// yield a bit-identical cloud.
+func NewSimulated(profile topology.Profile, seed int64, vms int, opts Options) (*Choreo, error) {
+	prov, err := topology.NewProvider(profile, seed)
+	if err != nil {
+		return nil, err
+	}
+	allocated, err := prov.AllocateVMs(vms)
+	if err != nil {
+		return nil, fmt.Errorf("core: allocating %d VMs: %w", vms, err)
+	}
+	return New(netsim.New(prov), allocated, rand.New(rand.NewSource(seed+1)), opts)
 }
 
 // Network exposes the underlying simulator.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -292,6 +293,51 @@ func TestAlgorithmString(t *testing.T) {
 		if got := a.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", a, got, want)
 		}
+	}
+}
+
+func TestAlgorithmWireNames(t *testing.T) {
+	want := []string{"choreo", "random", "round-robin", "min-machines", "optimal"}
+	if got := AlgorithmNames(); !reflect.DeepEqual(got, want) {
+		t.Errorf("AlgorithmNames() = %q, want %q", got, want)
+	}
+	for a := AlgChoreo; a <= AlgOptimal; a++ {
+		if got, ok := ParseAlgorithm(a.Name()); !ok || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", a.Name(), got, ok, a)
+		}
+	}
+	for alias, want := range map[string]Algorithm{"greedy": AlgChoreo, "roundrobin": AlgRoundRobin, "minmachines": AlgMinMachines} {
+		if got, ok := ParseAlgorithm(alias); !ok || got != want {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", alias, got, ok, want)
+		}
+	}
+	for _, bad := range []string{"", "round robin", "ilp", "Choreo"} {
+		if _, ok := ParseAlgorithm(bad); ok {
+			t.Errorf("ParseAlgorithm(%q) accepted", bad)
+		}
+	}
+}
+
+func TestNewSimulated(t *testing.T) {
+	measure := func() *place.Environment {
+		c, err := NewSimulated(topology.EC22013(), 5, 6, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := c.MeasureEnvironment()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	if a, b := measure(), measure(); !reflect.DeepEqual(a, b) {
+		t.Error("two clouds built from one seed measured differently")
+	}
+	if _, err := NewSimulated(topology.EC22013(), 5, 1, Options{}); err == nil {
+		t.Error("one VM should fail")
+	}
+	if _, err := NewSimulated(topology.EC22013(), 5, 1<<20, Options{}); err == nil {
+		t.Error("allocating beyond the fabric should fail")
 	}
 }
 

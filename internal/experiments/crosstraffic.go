@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"choreo/internal/bulk"
+	"choreo/internal/core"
 	"choreo/internal/crosstraffic"
 	"choreo/internal/netsim"
 	"choreo/internal/profile"
@@ -40,10 +41,11 @@ type Fig4Result struct {
 // every 10 ms.
 func Fig4a(cfg Config) (*Fig4Result, error) {
 	profile := topology.Dumbbell(10, units.Gbps(1), units.Gbps(1))
-	net, vms, err := newNetwork(profile, cfg.Seed+41, 20)
+	orch, err := core.NewSimulated(profile, cfg.Seed+41, 20, core.Options{})
 	if err != nil {
 		return nil, err
 	}
+	net, vms := orch.Network(), orch.VMs()
 	rng := cfg.rng("fig4a")
 	grp := netsim.NewOnOffGroup(net, rng)
 	for i := 1; i < 10; i++ {
@@ -66,10 +68,11 @@ func Fig4a(cfg Config) (*Fig4Result, error) {
 func Fig4b(cfg Config) (*Fig4Result, error) {
 	const hostsPerRack = 24
 	profile := topology.TwoRack(hostsPerRack, units.Gbps(1), units.Gbps(10))
-	net, vms, err := newNetwork(profile, cfg.Seed+43, 2*hostsPerRack)
+	orch, err := core.NewSimulated(profile, cfg.Seed+43, 2*hostsPerRack, core.Options{})
 	if err != nil {
 		return nil, err
 	}
+	net, vms := orch.Network(), orch.VMs()
 	rng := cfg.rng("fig4b")
 	grp := netsim.NewOnOffGroup(net, rng)
 	for i := 1; i < hostsPerRack; i++ {

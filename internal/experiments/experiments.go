@@ -14,9 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-
-	"choreo/internal/netsim"
-	"choreo/internal/topology"
 )
 
 // Config controls experiment scale and determinism.
@@ -43,19 +40,6 @@ func (c Config) rng(label string) *rand.Rand {
 		h = h*131 + int64(r)
 	}
 	return rand.New(rand.NewSource(c.Seed*1_000_003 + h))
-}
-
-// newNetwork builds a provider + simulator + VM allocation.
-func newNetwork(profile topology.Profile, seed int64, vms int) (*netsim.Network, []topology.VM, error) {
-	prov, err := topology.NewProvider(profile, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	allocated, err := prov.AllocateVMs(vms)
-	if err != nil {
-		return nil, nil, err
-	}
-	return netsim.New(prov), allocated, nil
 }
 
 // Named is one experiment in the registry.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"choreo/internal/bulk"
+	"choreo/internal/core"
 	"choreo/internal/netsim"
 	"choreo/internal/packetsim"
 	"choreo/internal/probe"
@@ -52,10 +53,11 @@ func Fig1(cfg Config) (*Fig1Result, error) {
 	rng := cfg.rng("fig1")
 	for zone := 0; zone < 4; zone++ {
 		profile := topology.EC22012(zone)
-		net, vms, err := newNetwork(profile, cfg.Seed+int64(zone)+1, 10)
+		orch, err := core.NewSimulated(profile, cfg.Seed+int64(zone)+1, 10, core.Options{})
 		if err != nil {
 			return nil, err
 		}
+		net, vms := orch.Network(), orch.VMs()
 		paths, err := net.Provider().AllPaths(vms)
 		if err != nil {
 			return nil, err
@@ -117,10 +119,11 @@ func fig2(cfg Config, v Variant, topologies int) (*Fig2Result, error) {
 	rng := cfg.rng("fig2" + v.String())
 	profile := v.profile()
 	for t := 0; t < topologies; t++ {
-		net, vms, err := newNetwork(profile, cfg.Seed+int64(t)*97+11, 10)
+		orch, err := core.NewSimulated(profile, cfg.Seed+int64(t)*97+11, 10, core.Options{})
 		if err != nil {
 			return nil, err
 		}
+		net, vms := orch.Network(), orch.VMs()
 		paths, err := net.Provider().AllPaths(vms)
 		if err != nil {
 			return nil, err
@@ -184,10 +187,11 @@ func Fig6(cfg Config, v Variant) (*Fig6Result, error) {
 		burstCounts = []int{10}
 	}
 	profile := v.profile()
-	net, vms, err := newNetwork(profile, cfg.Seed+5, 10)
+	orch, err := core.NewSimulated(profile, cfg.Seed+5, 10, core.Options{})
 	if err != nil {
 		return nil, err
 	}
+	net, vms := orch.Network(), orch.VMs()
 	paths, err := net.Provider().AllPaths(vms)
 	if err != nil {
 		return nil, err
@@ -281,10 +285,11 @@ func Fig7(cfg Config, v Variant) (*Fig7Result, error) {
 		duration = 10 * time.Minute
 	}
 	for t := 0; t < topologies; t++ {
-		net, vms, err := newNetwork(profile, cfg.Seed+int64(t)*131+17, 10)
+		orch, err := core.NewSimulated(profile, cfg.Seed+int64(t)*131+17, 10, core.Options{})
 		if err != nil {
 			return nil, err
 		}
+		net, vms := orch.Network(), orch.VMs()
 		// Low-intensity other-tenant churn (the paper found little).
 		bg, err := net.Provider().AllocateVMs(6)
 		if err != nil {
@@ -425,10 +430,11 @@ func TrainAccuracy(cfg Config) (*TrainAccuracyResult, error) {
 		res.RackspaceError = c.MeanError
 	}
 
-	net, vms, err := newNetwork(topology.EC22013(), cfg.Seed+23, 10)
+	orch, err := core.NewSimulated(topology.EC22013(), cfg.Seed+23, 10, core.Options{})
 	if err != nil {
 		return nil, err
 	}
+	net, vms := orch.Network(), orch.VMs()
 	medium := packetsim.NewMedium(net, cfg.rng("text-train"))
 	rates, elapsed, err := medium.MeasureMesh(vms, probe.DefaultEC2(), 1500*time.Millisecond)
 	if err != nil {
@@ -462,10 +468,11 @@ type HoseFairShareResult struct {
 // HoseFairShare measures one connection out of a VM, then the same
 // connection with a second one from the same source.
 func HoseFairShare(cfg Config) (*HoseFairShareResult, error) {
-	net, vms, err := newNetwork(topology.EC22013(), cfg.Seed+31, 10)
+	orch, err := core.NewSimulated(topology.EC22013(), cfg.Seed+31, 10, core.Options{})
 	if err != nil {
 		return nil, err
 	}
+	net, vms := orch.Network(), orch.VMs()
 	// Find three VMs on distinct hosts.
 	hostSeen := map[topology.NodeID]bool{}
 	var ids []topology.VMID

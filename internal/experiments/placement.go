@@ -115,7 +115,10 @@ type Fig10Result struct {
 	Baselines []BaselineStats
 }
 
-var fig10Baselines = []core.Algorithm{core.AlgMinMachines, core.AlgRandom, core.AlgRoundRobin}
+var (
+	fig10Baselines  = []core.Algorithm{core.AlgMinMachines, core.AlgRandom, core.AlgRoundRobin}
+	fig10Algorithms = append([]core.Algorithm{core.AlgChoreo}, fig10Baselines...)
+)
 
 // Fig10a models a tenant placing all applications at once: one to three
 // HP-like applications combined into one and placed on a ten-VM EC2-2013
@@ -128,54 +131,15 @@ func Fig10a(cfg Config) (*Fig10Result, error) {
 	for _, alg := range fig10Baselines {
 		acc[alg] = &BaselineStats{Baseline: alg}
 	}
-	wcfg := workload.Default()
 	for run := 0; run < runs; run++ {
-		// A workload draw can be CPU-fragmentation-infeasible for some
-		// algorithm; re-draw like a tenant sizing to its VMs (bounded).
-		var durations map[core.Algorithm]time.Duration
-		for attempt := 0; attempt < 8; attempt++ {
-			seed := cfg.Seed + int64(run)*613 + int64(attempt)*100003 + 7
-			rng := rand.New(rand.NewSource(seed))
-			nApps := 1 + rng.Intn(3)
-			// Ten 4-core VMs; keep headroom so every algorithm can pack.
-			budget := 32.0 / float64(nApps)
-			var apps []*profile.Application
-			genErr := error(nil)
-			for k := 0; k < nApps; k++ {
-				app, err := workload.GenerateFitting(rng, wcfg, budget)
-				if err != nil {
-					genErr = err
-					break
-				}
-				apps = append(apps, app)
-			}
-			if genErr != nil {
-				continue
-			}
-			combined, _, err := profile.Combine(apps)
-			if err != nil {
-				return nil, err
-			}
-			trial := map[core.Algorithm]time.Duration{}
-			failed := false
-			for _, alg := range append([]core.Algorithm{core.AlgChoreo}, fig10Baselines...) {
-				d, err := runOnFreshFabric(seed, combined, alg, nil)
-				if err != nil {
-					failed = true
-					break
-				}
-				trial[alg] = d
-			}
-			if !failed {
-				durations = trial
-				break
-			}
-		}
-		if durations == nil {
-			return nil, fmt.Errorf("experiments: fig10a run %d found no feasible workload", run)
+		draw, err := DrawFeasible(topology.EC22013(), 10, fig10Algorithms,
+			func(attempt int) int64 { return cfg.Seed + int64(run)*613 + int64(attempt)*100003 + 7 },
+			func(rng *rand.Rand) int { return 1 + rng.Intn(3) })
+		if err != nil {
+			return nil, fmt.Errorf("experiments: fig10a run %d: %w", run, err)
 		}
 		for _, alg := range fig10Baselines {
-			s := stats.RelativeSpeedup(durations[alg].Seconds(), durations[core.AlgChoreo].Seconds())
+			s := stats.RelativeSpeedup(draw.Completion[alg].Seconds(), draw.Completion[core.AlgChoreo].Seconds())
 			acc[alg].Speedups.Add(s)
 		}
 	}
@@ -184,6 +148,69 @@ func Fig10a(cfg Config) (*Fig10Result, error) {
 		res.Baselines = append(res.Baselines, *acc[alg])
 	}
 	return res, nil
+}
+
+// maxDraws bounds how often DrawFeasible redraws a workload.
+const maxDraws = 8
+
+// FeasibleDraw is a workload every compared algorithm could place, with
+// each algorithm's completion time on it.
+type FeasibleDraw struct {
+	// Seed drove both the workload draw and the cloud.
+	Seed int64
+	// Apps are the drawn applications; they ran combined into one.
+	Apps       []*profile.Application
+	Completion map[core.Algorithm]time.Duration
+}
+
+// DrawFeasible is the §6.2 workload draw behind Fig 10(a): a tenant
+// sizing its applications to its VMs. It draws applications (how many,
+// count picks from the draw's rng) that each fit an even share of 80% of
+// the VMs' 4 cores, combines them, and measures, places and executes the
+// combination with every algorithm in algs on its own fresh cloud of
+// prof rebuilt from the draw's seed (hose model). A draw that cannot be
+// generated, or that some algorithm cannot place — CPU fragmentation —
+// is redrawn, at most maxDraws times; seedOf gives each attempt's seed.
+func DrawFeasible(prof topology.Profile, vms int, algs []core.Algorithm,
+	seedOf func(attempt int) int64, count func(*rand.Rand) int) (*FeasibleDraw, error) {
+	var err error
+	for attempt := 0; attempt < maxDraws; attempt++ {
+		var draw *FeasibleDraw
+		if draw, err = drawOnce(prof, vms, algs, seedOf(attempt), count); err == nil {
+			return draw, nil
+		}
+	}
+	return nil, fmt.Errorf("no feasible workload in %d draws; last: %w", maxDraws, err)
+}
+
+// drawOnce is one DrawFeasible attempt.
+func drawOnce(prof topology.Profile, vms int, algs []core.Algorithm, seed int64, count func(*rand.Rand) int) (*FeasibleDraw, error) {
+	draw := &FeasibleDraw{Seed: seed, Completion: make(map[core.Algorithm]time.Duration, len(algs))}
+	rng := rand.New(rand.NewSource(seed))
+	n := count(rng)
+	budget := float64(4*vms) * 0.8 / float64(n)
+	wcfg := workload.Default()
+	for k := 0; k < n; k++ {
+		app, err := workload.GenerateFitting(rng, wcfg, budget)
+		if err != nil {
+			return nil, err
+		}
+		draw.Apps = append(draw.Apps, app)
+	}
+	combined, _, err := profile.Combine(draw.Apps)
+	if err != nil {
+		return nil, err
+	}
+	for _, alg := range algs {
+		orch, err := core.NewSimulated(prof, seed, vms, core.Options{Model: place.Hose})
+		if err != nil {
+			return nil, err
+		}
+		if draw.Completion[alg], err = orch.RunOnce(combined, alg); err != nil {
+			return nil, fmt.Errorf("%v: %w", alg, err)
+		}
+	}
+	return draw, nil
 }
 
 // Fig10b models applications arriving in real time (§6.3): two to four
@@ -222,7 +249,7 @@ func Fig10b(cfg Config) (*Fig10Result, error) {
 			}
 			trial := map[core.Algorithm]time.Duration{}
 			failed := false
-			for _, alg := range append([]core.Algorithm{core.AlgChoreo}, fig10Baselines...) {
+			for _, alg := range fig10Algorithms {
 				t, err := runSequenceOnFreshFabric(seed, apps, alg)
 				if err != nil {
 					failed = true
@@ -250,30 +277,10 @@ func Fig10b(cfg Config) (*Fig10Result, error) {
 	return res, nil
 }
 
-// runOnFreshFabric rebuilds the identical fabric (same seed) so every
-// algorithm faces the same network, then measures, places and executes.
-func runOnFreshFabric(seed int64, app *profile.Application, alg core.Algorithm, opts *core.Options) (time.Duration, error) {
-	net, vms, err := newNetwork(topology.EC22013(), seed, 10)
-	if err != nil {
-		return 0, err
-	}
-	o := core.Options{Model: place.Hose}
-	if opts != nil {
-		o = *opts
-	}
-	c, err := core.New(net, vms, rand.New(rand.NewSource(seed+1)), o)
-	if err != nil {
-		return 0, err
-	}
-	return c.RunOnce(app, alg)
-}
-
+// runSequenceOnFreshFabric plays the arrivals with one algorithm on a
+// fresh ten-VM EC2-2013 cloud rebuilt from seed.
 func runSequenceOnFreshFabric(seed int64, apps []*profile.Application, alg core.Algorithm) (time.Duration, error) {
-	net, vms, err := newNetwork(topology.EC22013(), seed, 10)
-	if err != nil {
-		return 0, err
-	}
-	c, err := core.New(net, vms, rand.New(rand.NewSource(seed+1)), core.Options{Model: place.Hose})
+	c, err := core.NewSimulated(topology.EC22013(), seed, 10, core.Options{Model: place.Hose})
 	if err != nil {
 		return 0, err
 	}
@@ -447,10 +454,11 @@ type BottleneckSurveyResult struct {
 // concurrent-connection trials on an EC2-2013 fabric, plus the hose
 // detection probe.
 func BottleneckSurvey(cfg Config) (*BottleneckSurveyResult, error) {
-	net, vms, err := newNetwork(topology.EC22013(), cfg.Seed+53, 12)
+	orch, err := core.NewSimulated(topology.EC22013(), cfg.Seed+53, 12, core.Options{})
 	if err != nil {
 		return nil, err
 	}
+	net, vms := orch.Network(), orch.VMs()
 	// Use VMs on distinct hosts, as the paper's four VMs were.
 	hostSeen := map[topology.NodeID]bool{}
 	var subset []topology.VM

@@ -368,8 +368,8 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 }
 
 // CounterFunc registers a counter whose value is read from fn at
-// exposition time — the bridge for pre-existing atomic counters that
-// must stay the single source of truth (the serve plane's JSON metrics).
+// exposition time — the bridge for an atomic that is already the
+// single source of truth (the serve plane's epoch sequence number).
 // Re-registering replaces the function.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	if r == nil {

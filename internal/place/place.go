@@ -44,6 +44,17 @@ func (m Model) String() string {
 	return fmt.Sprintf("model(%d)", int(m))
 }
 
+// ParseModel resolves a rate-model name ("hose" or "pipe") — the one
+// parser every flag and wire field goes through.
+func ParseModel(name string) (Model, error) {
+	for _, m := range []Model{Hose, Pipe} {
+		if name == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("place: unknown model %q (valid: %v, %v)", name, Hose, Pipe)
+}
+
 // Environment is the measured cloud: pairwise path rates, optional hose
 // rates and cross-traffic estimates, and CPU capacities.
 type Environment struct {

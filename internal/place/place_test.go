@@ -376,6 +376,25 @@ func TestModelString(t *testing.T) {
 	}
 }
 
+func TestParseModel(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Model
+		ok   bool
+	}{
+		{"hose", Hose, true},
+		{"pipe", Pipe, true},
+		{"pipx", 0, false}, // a typo must not silently mean hose
+		{"", 0, false},
+		{"HOSE", 0, false},
+	} {
+		got, err := ParseModel(tc.name)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("ParseModel(%q) = %v, %v; want %v (ok=%v)", tc.name, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestOptimalNodeBudget(t *testing.T) {
 	env := uniformEnv(6, units.Gbps(1), 4)
 	app := randomApp(rand.New(rand.NewSource(3)), 8)

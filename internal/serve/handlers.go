@@ -18,9 +18,8 @@ import (
 //	POST /v1/place    place an application on the current snapshot
 //	POST /v1/migrate  should an existing placement move?
 //	GET  /v1/health   liveness + current epoch
-//	GET  /v1/metrics  counters (JSON)
 //	GET  /v1/env      the current snapshot's environment
-//	GET  /metrics     Prometheus text exposition
+//	GET  /metrics     Prometheus text exposition (every counter)
 //
 // Every endpoint is wrapped in the request-latency/status-code
 // instrumentation; unknown /v1/* paths get a JSON 404 (and known paths
@@ -31,7 +30,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/place", s.instrument("place", s.handlePlace))
 	mux.HandleFunc("POST /v1/migrate", s.instrument("migrate", s.handleMigrate))
 	mux.HandleFunc("GET /v1/health", s.instrument("health", s.handleHealth))
-	mux.HandleFunc("GET /v1/metrics", s.instrument("metrics", s.handleMetrics))
 	mux.HandleFunc("GET /v1/env", s.instrument("env", s.handleEnv))
 	mux.HandleFunc("GET /metrics", s.instrument("prom", s.handlePromMetrics))
 	mux.HandleFunc("/v1/", s.instrument("unknown", s.handleV1Fallback))
@@ -54,7 +52,6 @@ var v1Methods = map[string]string{
 	"/v1/place":   http.MethodPost,
 	"/v1/migrate": http.MethodPost,
 	"/v1/health":  http.MethodGet,
-	"/v1/metrics": http.MethodGet,
 	"/v1/env":     http.MethodGet,
 }
 
@@ -93,7 +90,6 @@ func tenantOf(r *http.Request) string {
 // current snapshot, or nil after writing the rejection.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, v int) *Snapshot {
 	if tenant := tenantOf(r); !s.quota.allow(tenant) {
-		s.rejected.Add(1)
 		s.metrics.quotaRejected.With(tenant).Inc()
 		writeErr(w, http.StatusTooManyRequests, "tenant %q over quota", tenant)
 		return nil
@@ -146,14 +142,14 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnprocessableEntity, "completion time: %v", err)
 		return
 	}
-	s.placements.Add(1)
+	s.metrics.placements.Inc()
 	writeJSON(w, http.StatusOK, api.PlaceResponse{
 		V:                          api.Version,
 		Epoch:                      snap.Epoch,
 		EnvHash:                    snap.Hash,
 		MachineOf:                  p.MachineOf,
 		PredictedCompletionSeconds: ct.Seconds(),
-		Algorithm:                  api.AlgorithmName(alg),
+		Algorithm:                  alg.Name(),
 		Model:                      model.String(),
 	})
 }
@@ -212,7 +208,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		gain := (cur - propCT).Seconds() / cur.Seconds()
 		migrate = gain >= req.MinGain
 	}
-	s.migrations.Add(1)
+	s.metrics.migrations.Inc()
 	writeJSON(w, http.StatusOK, api.MigrateResponse{
 		V:               api.Version,
 		Epoch:           snap.Epoch,
@@ -242,43 +238,17 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	resp := api.MetricsResponse{
-		V:             api.Version,
-		Epochs:        s.epochSeq.Load(),
-		EpochFailures: s.epochFailures.Load(),
-		Placements:    s.placements.Load(),
-		Migrations:    s.migrations.Load(),
-		Rejected:      s.rejected.Load(),
-	}
-	if snap := s.store.Current(); snap != nil {
-		resp.Epoch = snap.Epoch
-		resp.MeasureSeconds = snap.Elapsed.Seconds()
-		resp.AgeSeconds = snap.Age(time.Now()).Seconds()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleEnv(w http.ResponseWriter, r *http.Request) {
 	snap := s.store.Current()
 	if snap == nil {
 		writeErr(w, http.StatusServiceUnavailable, "no measurement epoch published yet")
 		return
 	}
-	m := snap.Env.Machines()
-	rates := make([][]float64, m)
-	for i := range rates {
-		rates[i] = make([]float64, m)
-		for j := range rates[i] {
-			rates[i][j] = snap.Env.Rates[i][j].Mbps()
-		}
-	}
 	writeJSON(w, http.StatusOK, api.EnvResponse{
 		V:          api.Version,
 		Epoch:      snap.Epoch,
 		EnvHash:    snap.Hash,
 		AgeSeconds: snap.Age(time.Now()).Seconds(),
-		RatesMbps:  rates,
-		CPUCap:     append([]float64(nil), snap.Env.CPUCap...),
+		Env:        api.EnvFrom(snap.Env),
 	})
 }

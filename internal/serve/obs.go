@@ -7,11 +7,11 @@ import (
 	"choreo/internal/obs"
 )
 
-// serveMetrics holds the server's obs handles. The JSON /v1/metrics
-// counters (placements, rejected, ...) remain the atomics on Server —
-// they are bridged into the registry as CounterFuncs so both endpoints
-// read the same source of truth and can never disagree.
+// serveMetrics holds the server's obs handles — the service's only
+// counters, all scraped from GET /metrics.
 type serveMetrics struct {
+	placements    *obs.Counter      // choreo_placements_total
+	migrations    *obs.Counter      // choreo_migrations_total
 	httpSeconds   *obs.HistogramVec // choreo_http_request_seconds{endpoint}
 	httpRequests  *obs.CounterVec   // choreo_http_requests_total{endpoint,code}
 	quotaRejected *obs.CounterVec   // choreo_quota_rejected_total{tenant}
@@ -23,6 +23,8 @@ type serveMetrics struct {
 func (s *Server) initObs() {
 	r := s.obs.Registry()
 	s.metrics = serveMetrics{
+		placements: r.Counter("choreo_placements_total", "Placements computed."),
+		migrations: r.Counter("choreo_migrations_total", "Migration evaluations computed."),
 		httpSeconds: r.HistogramVec("choreo_http_request_seconds",
 			"HTTP request latency by endpoint.", obs.DurationBuckets(), "endpoint"),
 		httpRequests: r.CounterVec("choreo_http_requests_total",
@@ -38,12 +40,6 @@ func (s *Server) initObs() {
 	r.CounterFunc("choreo_epochs_total",
 		"Measurement epochs published.",
 		func() float64 { return float64(s.epochSeq.Load()) })
-	r.CounterFunc("choreo_placements_total",
-		"Placements computed.",
-		func() float64 { return float64(s.placements.Load()) })
-	r.CounterFunc("choreo_migrations_total",
-		"Migration evaluations computed.",
-		func() float64 { return float64(s.migrations.Load()) })
 	r.GaugeFunc("choreo_snapshot_age_seconds",
 		"Age of the published snapshot (0 before the first epoch).",
 		func() float64 {
@@ -111,7 +107,7 @@ func httpCodeLabel(code int) string {
 }
 
 // handlePromMetrics serves the registry in Prometheus text exposition
-// format — the scrape endpoint, alongside the JSON /v1/metrics.
+// format — the scrape endpoint.
 func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.obs.Registry().WritePrometheus(w)

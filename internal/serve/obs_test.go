@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ import (
 
 // TestPromMetricsEndpoint pins the scrape contract: GET /metrics serves
 // valid Prometheus text exposition with the serve-plane families, and
-// its numbers agree with the JSON /v1/metrics counters.
+// its counters count the requests served.
 func TestPromMetricsEndpoint(t *testing.T) {
 	_, ts := simServer(t, serve.Config{})
 	c := &api.Client{BaseURL: ts.URL}
@@ -134,7 +135,9 @@ func TestV1JSONErrors(t *testing.T) {
 	}
 }
 
-// TestMetricsContentType pins the satellite fix on the JSON endpoint.
+// TestMetricsContentType pins that the retired JSON counters endpoint
+// answers like any unknown /v1 path — a JSON 404 — now that /metrics is
+// the only metrics surface.
 func TestMetricsContentType(t *testing.T) {
 	_, ts := simServer(t, serve.Config{})
 	resp, err := http.Get(ts.URL + "/v1/metrics")
@@ -142,14 +145,17 @@ func TestMetricsContentType(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/v1/metrics status = %v, want 404", resp.Status)
+	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("/v1/metrics Content-Type = %q, want application/json", ct)
 	}
 }
 
 // TestQuota429Observability drives a tenant over quota and checks the
-// rejection is visible on every surface: the 429 QuotaError, the JSON
-// rejected counter, and the per-tenant Prometheus counter.
+// rejection is visible on both surfaces: the 429 QuotaError and the
+// per-tenant Prometheus counter.
 func TestQuota429Observability(t *testing.T) {
 	_, ts := simServer(t, serve.Config{QuotaRate: 0.001, QuotaBurst: 1})
 	ctx := context.Background()
@@ -176,23 +182,43 @@ func TestQuota429Observability(t *testing.T) {
 	if !strings.Contains(string(body), `choreo_http_requests_total{endpoint="place",code="429"} 2`) {
 		t.Errorf("429 status counter missing:\n%s", body)
 	}
-	m, err := (&api.Client{BaseURL: ts.URL}).Metrics(ctx)
+}
+
+// scrapeCounters reads the unlabeled sample values of a /metrics scrape.
+func scrapeCounters(url string) (map[string]float64, error) {
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if m.Rejected != 2 {
-		t.Errorf("JSON rejected = %d, want 2", m.Rejected)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
 	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			return nil, fmt.Errorf("sample %q: %w", line, err)
+		}
+		out[name] = v
+	}
+	return out, nil
 }
 
 // TestMetricsMonotonicUnderConcurrency hammers /v1/place from several
-// goroutines while others poll /v1/metrics, asserting every poller sees
+// goroutines while others scrape /metrics, asserting every poller sees
 // a non-decreasing counter sequence — the counters are atomics, never
 // locked, so this doubles as the -race exercise for the metrics path.
 func TestMetricsMonotonicUnderConcurrency(t *testing.T) {
 	_, ts := simServer(t, serve.Config{})
 	ctx := context.Background()
 	const placers, pollers, perPlacer = 4, 3, 25
+	counters := []string{"choreo_placements_total", "choreo_epochs_total", "choreo_migrations_total"}
 
 	var wg, placerWG sync.WaitGroup
 	errs := make(chan error, placers+pollers)
@@ -216,25 +242,25 @@ func TestMetricsMonotonicUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c := &api.Client{BaseURL: ts.URL}
-			var prev api.MetricsResponse
+			prev := map[string]float64{}
 			for {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				m, err := c.Metrics(ctx)
+				m, err := scrapeCounters(ts.URL)
 				if err != nil {
 					errs <- fmt.Errorf("poller %d: %w", id, err)
 					return
 				}
-				if m.Placements < prev.Placements || m.Epochs < prev.Epochs ||
-					m.Rejected < prev.Rejected || m.Migrations < prev.Migrations {
-					errs <- fmt.Errorf("poller %d: counters went backwards: %+v then %+v", id, prev, m)
-					return
+				for _, name := range counters {
+					if m[name] < prev[name] {
+						errs <- fmt.Errorf("poller %d: %s went backwards: %v then %v", id, name, prev[name], m[name])
+						return
+					}
 				}
-				prev = *m
+				prev = m
 			}
 		}(i)
 	}
@@ -248,11 +274,11 @@ func TestMetricsMonotonicUnderConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := (&api.Client{BaseURL: ts.URL}).Metrics(ctx)
+	m, err := scrapeCounters(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Placements != placers*perPlacer {
-		t.Errorf("placements = %d, want %d", m.Placements, placers*perPlacer)
+	if m["choreo_placements_total"] != placers*perPlacer {
+		t.Errorf("placements = %v, want %d", m["choreo_placements_total"], placers*perPlacer)
 	}
 }

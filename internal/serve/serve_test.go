@@ -42,7 +42,7 @@ var testApp = api.AppSpec{
 }
 
 func TestPlaceSim(t *testing.T) {
-	_, ts := simServer(t, serve.Config{})
+	s, ts := simServer(t, serve.Config{})
 	c := &api.Client{BaseURL: ts.URL}
 	resp, err := c.Place(context.Background(), api.PlaceRequest{App: testApp})
 	if err != nil {
@@ -64,7 +64,7 @@ func TestPlaceSim(t *testing.T) {
 		t.Error("response carries no env hash")
 	}
 
-	// Health, metrics and env agree on the snapshot.
+	// Health, counters and env agree on the snapshot.
 	h, err := c.Health(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -72,12 +72,8 @@ func TestPlaceSim(t *testing.T) {
 	if h.Status != "ok" || h.Epoch != 1 || h.VMs != 8 || h.Backend != "sim" {
 		t.Errorf("health = %+v", h)
 	}
-	m, err := c.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Placements != 1 || m.Epochs != 1 || m.Rejected != 0 {
-		t.Errorf("metrics = %+v", m)
+	if n := s.Obs().Registry().Counter("choreo_placements_total", "").Value(); n != 1 {
+		t.Errorf("choreo_placements_total = %d, want 1", n)
 	}
 	env, err := c.Env(context.Background())
 	if err != nil {
@@ -156,7 +152,7 @@ func TestVersionMismatchBothDirections(t *testing.T) {
 func TestQuota(t *testing.T) {
 	// 1 token/sec, burst 2: the third immediate request from one tenant
 	// must be rejected with 429; a different tenant has its own bucket.
-	_, ts := simServer(t, serve.Config{QuotaRate: 1, QuotaBurst: 2})
+	s, ts := simServer(t, serve.Config{QuotaRate: 1, QuotaBurst: 2})
 	a := &api.Client{BaseURL: ts.URL, Tenant: "alice"}
 	b := &api.Client{BaseURL: ts.URL, Tenant: "bob"}
 	ctx := context.Background()
@@ -174,12 +170,12 @@ func TestQuota(t *testing.T) {
 		t.Errorf("tenant bob caught alice's rejection: %v", err)
 	}
 	// Read-only endpoints stay exempt for the throttled tenant.
-	if _, err := a.Metrics(ctx); err != nil {
-		t.Errorf("metrics throttled: %v", err)
+	if _, err := a.Health(ctx); err != nil {
+		t.Errorf("health throttled: %v", err)
 	}
-	m, _ := a.Metrics(ctx)
-	if m.Rejected != 1 {
-		t.Errorf("rejected counter = %d, want 1", m.Rejected)
+	rejected := s.Obs().Registry().CounterVec("choreo_quota_rejected_total", "", "tenant")
+	if n := rejected.With("alice").Value(); n != 1 {
+		t.Errorf("rejected counter = %d, want 1", n)
 	}
 }
 

@@ -69,12 +69,8 @@ type Server struct {
 	obs     *obs.Observer
 	metrics serveMetrics
 
-	epochSeq      atomic.Int64 // next epoch number - published count on success
-	epochFailures atomic.Int64
-	placements    atomic.Int64
-	migrations    atomic.Int64
-	rejected      atomic.Int64
-	placeSeq      atomic.Int64
+	epochSeq atomic.Int64 // numbers epochs: the published count
+	placeSeq atomic.Int64
 }
 
 // New builds a server. Call Refresh once before serving: handlers
@@ -118,7 +114,6 @@ func (s *Server) Refresh(ctx context.Context) error {
 	start := time.Now()
 	env, err := s.cfg.Backend.Measure(ctx, s.cfg.Cell)
 	if err != nil {
-		s.epochFailures.Add(1)
 		s.metrics.epochFailures.With("measure").Inc()
 		span.End(obs.String("outcome", "error"), obs.String("cause", "measure"))
 		return fmt.Errorf("serve: epoch measurement: %w", err)
@@ -127,7 +122,6 @@ func (s *Server) Refresh(ctx context.Context) error {
 	// returned environment, and a published snapshot must be immutable.
 	env = env.Clone()
 	if err := env.Validate(); err != nil {
-		s.epochFailures.Add(1)
 		s.metrics.epochFailures.With("invalid-env").Inc()
 		span.End(obs.String("outcome", "error"), obs.String("cause", "invalid-env"))
 		return fmt.Errorf("serve: epoch produced invalid environment: %w", err)

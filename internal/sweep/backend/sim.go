@@ -3,13 +3,10 @@ package backend
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"choreo/internal/core"
-	"choreo/internal/netsim"
 	"choreo/internal/place"
 	"choreo/internal/profile"
-	"choreo/internal/topology"
 )
 
 // Sim is the simulated measurement backend: every cell gets a fresh
@@ -40,20 +37,13 @@ func (s *Sim) CheckCapacity(ctx context.Context, maxVMs int) error { return nil 
 // there is no separate measured-vs-predicted observation to make.
 func (s *Sim) Executes() bool { return false }
 
-// orchestrator rebuilds the cell's simulated cloud: provider fabric, VM
-// allocation and orchestrator, all derived from the cell seed exactly as
-// the sweep engine always has (provider from seed, orchestrator rng from
-// seed+1, so the two streams never alias).
+// orchestrator rebuilds the cell's simulated cloud from the cell seed.
 func (s *Sim) orchestrator(c Cell) (*core.Choreo, error) {
-	prov, err := topology.NewProvider(c.Profile, c.Seed)
+	orch, err := core.NewSimulated(c.Profile, c.Seed, c.VMs, core.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("backend: %s: %w", c.Topology, err)
 	}
-	vms, err := prov.AllocateVMs(c.VMs)
-	if err != nil {
-		return nil, fmt.Errorf("backend: %s: allocating %d VMs: %w", c.Topology, c.VMs, err)
-	}
-	return core.New(netsim.New(prov), vms, rand.New(rand.NewSource(c.Seed+1)), core.Options{})
+	return orch, nil
 }
 
 // Measure builds the cell's cloud and runs the full-mesh packet-train

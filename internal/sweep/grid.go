@@ -172,26 +172,20 @@ type Algorithm struct {
 	ILP bool
 }
 
-// AlgorithmNames lists the policies AlgorithmByName accepts.
+// AlgorithmNames lists the policies AlgorithmByName accepts: the core
+// algorithms' canonical names plus the Appendix ILP.
 func AlgorithmNames() []string {
-	return []string{"choreo", "random", "round-robin", "min-machines", "optimal", "ilp"}
+	return append(core.AlgorithmNames(), "ilp")
 }
 
-// AlgorithmByName resolves a placement policy.
+// AlgorithmByName resolves a placement policy: any core algorithm name
+// or alias, or "ilp".
 func AlgorithmByName(name string) (Algorithm, error) {
-	switch name {
-	case "choreo", "greedy":
-		return Algorithm{Name: "choreo", Core: core.AlgChoreo}, nil
-	case "random":
-		return Algorithm{Name: "random", Core: core.AlgRandom}, nil
-	case "round-robin", "roundrobin":
-		return Algorithm{Name: "round-robin", Core: core.AlgRoundRobin}, nil
-	case "min-machines", "minmachines":
-		return Algorithm{Name: "min-machines", Core: core.AlgMinMachines}, nil
-	case "optimal":
-		return Algorithm{Name: "optimal", Core: core.AlgOptimal}, nil
-	case "ilp":
+	if name == "ilp" {
 		return Algorithm{Name: "ilp", ILP: true}, nil
+	}
+	if alg, ok := core.ParseAlgorithm(name); ok {
+		return Algorithm{Name: alg.Name(), Core: alg}, nil
 	}
 	return Algorithm{}, fmt.Errorf("sweep: unknown algorithm %q (valid: %s)",
 		name, strings.Join(AlgorithmNames(), ", "))

@@ -11,14 +11,12 @@ import (
 
 	"choreo/internal/core"
 	"choreo/internal/ilp"
-	"choreo/internal/netsim"
 	"choreo/internal/obs"
 	"choreo/internal/place"
 	"choreo/internal/profile"
 	"choreo/internal/sweep/backend"
 	"choreo/internal/sweep/envcache"
 	"choreo/internal/sweep/sequence"
-	"choreo/internal/topology"
 	"choreo/internal/workload"
 )
 
@@ -128,24 +126,6 @@ func (g *Grid) backendCell(sc Scenario) backend.Cell {
 		VMs:      sc.VMs,
 		Seed:     sc.cloudSeed(),
 	}
-}
-
-// newOrchestrator builds a fresh simulated cloud from the deterministic
-// cell seed: provider fabric, VM allocation and orchestrator. Rebuilding
-// from the same seed yields a bit-identical cloud, which is what lets
-// the cached measurement be reused while every execution still gets a
-// pristine simulator. Sequence cells (which are sim-only) run on it
-// directly; snapshot cells measure and execute through the backend.
-func (g *Grid) newOrchestrator(sc Scenario, seed int64) (*core.Choreo, error) {
-	prov, err := topology.NewProvider(sc.Topology.Profile, seed)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: %s: %w", sc.Topology.Name, err)
-	}
-	vms, err := prov.AllocateVMs(sc.VMs)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: %s: allocating %d VMs: %w", sc.Topology.Name, sc.VMs, err)
-	}
-	return core.New(netsim.New(prov), vms, rand.New(rand.NewSource(seed+1)), core.Options{Model: g.Model})
 }
 
 // buildCell constructs and measures the scenario's environment: the
@@ -322,9 +302,9 @@ func (g *Grid) buildSequenceCell(sc Scenario, cache *envcache.Cache) (*envcache.
 		return nil, fmt.Errorf("sweep: generating %s sequence: %w", sc.Workload.Name, err)
 	}
 	env, err := cache.GetMeasurement(g.CellKey(sc).MeasurementKey(), func() (*place.Environment, error) {
-		orch, err := g.newOrchestrator(sc, seed)
+		orch, err := core.NewSimulated(sc.Topology.Profile, seed, sc.VMs, core.Options{Model: g.Model})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("sweep: %s: %w", sc.Topology.Name, err)
 		}
 		env, err := orch.MeasureEnvironment()
 		if err != nil {
@@ -355,9 +335,11 @@ func (g *Grid) runSequenceScenario(ctx context.Context, sc Scenario, cache *envc
 	}
 	bspan.End(obs.String("outcome", "ok"))
 	ro.phase("build", buildStart)
-	exec, err := g.newOrchestrator(sc, sc.cloudSeed())
+	// A fresh cloud rebuilt from the cell seed: bit-identical to the one
+	// the cached measurement came from, but with a pristine simulator.
+	exec, err := core.NewSimulated(sc.Topology.Profile, sc.cloudSeed(), sc.VMs, core.Options{Model: g.Model})
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("sweep: %s: %w", sc.Topology.Name, err)
 	}
 	execStart := time.Now()
 	cres, err := sequence.Run(exec, cell.Seq, sc.Algorithm.Core, cell.CloneEnv(), g.sequenceParams(sc))

@@ -7,23 +7,14 @@ import (
 	"time"
 
 	"choreo/internal/core"
-	"choreo/internal/netsim"
 	"choreo/internal/place"
 	"choreo/internal/topology"
 	"choreo/internal/workload"
 )
 
-func newOrchestrator(t *testing.T, seed int64, vms int) *core.Choreo {
+func simCloud(t *testing.T, seed int64, vms int) *core.Choreo {
 	t.Helper()
-	prov, err := topology.NewProvider(topology.EC22013(), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocated, err := prov.AllocateVMs(vms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := core.New(netsim.New(prov), allocated, rand.New(rand.NewSource(seed+1)), core.Options{Model: place.Hose})
+	c, err := core.NewSimulated(topology.EC22013(), seed, vms, core.Options{Model: place.Hose})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +53,12 @@ func TestRunEventRecords(t *testing.T) {
 		t.Fatalf("generated %d apps, want 4", len(seq))
 	}
 
-	measured := newOrchestrator(t, 17, 6)
+	measured := simCloud(t, 17, 6)
 	env, err := measured.MeasureEnvironment()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(newOrchestrator(t, 17, 6), seq, core.AlgChoreo, env.Clone(), p)
+	res, err := Run(simCloud(t, 17, 6), seq, core.AlgChoreo, env.Clone(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +92,7 @@ func TestRunEventRecords(t *testing.T) {
 
 	// Re-evaluation disabled: never migrates.
 	p.Reeval = 0
-	still, err := Run(newOrchestrator(t, 17, 6), seq, core.AlgChoreo, env.Clone(), p)
+	still, err := Run(simCloud(t, 17, 6), seq, core.AlgChoreo, env.Clone(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
