@@ -169,8 +169,9 @@ func (c *Choreo) Network() *netsim.Network { return c.net }
 func (c *Choreo) VMs() []topology.VM { return c.vms }
 
 // MeasureEnvironment builds the placement environment: the full-mesh rate
-// matrix via packet trains (one train per ordered pair, §3.1), hose rates
-// as the per-source maximum, and the per-VM CPU capacity. Path states for
+// matrix via packet trains (one train per ordered pair, §3.1) and the
+// per-VM CPU capacity. It leaves HoseRates nil: placement derives each
+// machine's hose rate from the matrix once per call. Path states for
 // the whole mesh are snapshotted in one batched pass (trains that share
 // no constraints with live traffic skip the per-pair allocator probes;
 // see packetsim.StatesOf), then the trains themselves run sequentially in
@@ -260,7 +261,7 @@ func (c *Choreo) Place(app *profile.Application, env *place.Environment, alg Alg
 // PlaceWith is the algorithm dispatcher behind Place, with the rate
 // model and rng explicit — for callers (the sweep engine) that place
 // against a measured environment without an orchestrator. rng drives
-// only the Random baseline.
+// only the Random baseline and may be nil for every other algorithm.
 func PlaceWith(app *profile.Application, env *place.Environment, alg Algorithm, model place.Model, rng *rand.Rand) (place.Placement, error) {
 	switch alg {
 	case AlgChoreo:

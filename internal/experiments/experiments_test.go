@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"choreo/internal/stats"
 )
 
 // quickCfg runs every experiment at reduced scale; the assertions below
@@ -168,6 +171,26 @@ func TestFig7Stability(t *testing.T) {
 		if p95 > 1.5 {
 			t.Errorf("Rackspace tau=%v p95 error %.2f%%, want < 1.5%%", tau, p95)
 		}
+	}
+}
+
+func TestFig7EmptyCDFPrintsNoData(t *testing.T) {
+	r := &Fig7Result{
+		Variant: EC2Variant,
+		Taus:    []time.Duration{time.Minute, 30 * time.Minute},
+		CDFs:    make([]stats.CDF, 2),
+	}
+	r.CDFs[0].Add(1)
+	r.CDFs[0].Add(3)
+	out := r.String()
+	if !strings.Contains(out, "tau=30m0s  n/a (0 samples)\n") {
+		t.Errorf("empty CDF row not marked n/a:\n%s", out)
+	}
+	if !strings.Contains(out, "tau=1m0s  median=") {
+		t.Errorf("non-empty CDF row lost its statistics:\n%s", out)
+	}
+	if strings.Count(out, "0.00%") != 0 {
+		t.Errorf("output reports a statistic of an empty CDF:\n%s", out)
 	}
 }
 

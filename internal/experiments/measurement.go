@@ -147,6 +147,8 @@ func fig2(cfg Config, v Variant, topologies int) (*Fig2Result, error) {
 		lo, hi = 290, 310
 	}
 	res.InBand = res.CDF.FractionBetween(lo, hi)
+	// Every topology adds one sample per directed path of its ten VMs, so
+	// the CDF is non-empty and neither accessor can fail.
 	res.Mean, _ = res.CDF.Mean()
 	res.Median, _ = res.CDF.Median()
 	return res, nil
@@ -334,6 +336,12 @@ func (r *Fig7Result) String() string {
 	var b strings.Builder
 	b.WriteString(header(fmt.Sprintf("Figure 7 (%s): %% error predicting current bandwidth from τ ago (%d paths)", r.Variant, r.Paths)))
 	for i, tau := range r.Taus {
+		// A lag longer than the series has no samples; say so rather than
+		// print zeros that read as perfect stability.
+		if r.CDFs[i].Len() == 0 {
+			fmt.Fprintf(&b, "tau=%-4s  n/a (0 samples)\n", tau)
+			continue
+		}
 		med, _ := r.CDFs[i].Median()
 		p95, _ := r.CDFs[i].Percentile(95)
 		mean, _ := r.CDFs[i].Mean()

@@ -63,7 +63,9 @@ type Environment struct {
 	// effectively infinite; ~4 Gbit/s memory-bus values work the same).
 	Rates [][]units.Rate
 	// HoseRates[m], if non-nil, is machine m's egress limit. When nil
-	// under the Hose model, max_n Rates[m][n] is used.
+	// under the Hose model, max over n≠m of Rates[m][n] is used: Greedy,
+	// CompletionTime and Optimal each derive those row maxima once per
+	// call.
 	HoseRates []units.Rate
 	// Cross[m][n], if non-nil, is the estimated cross-traffic level c on
 	// the path (equivalent background bulk connections, §3.2).
@@ -183,37 +185,56 @@ func (p Placement) Validate(app *profile.Application, env *Environment) error {
 	return nil
 }
 
-// loadState tracks the connection counts Algorithm 1 consults.
+// loadState tracks the connection counts Algorithm 1 consults and
+// predicts, from them, the rate a new transfer would see.
 type loadState struct {
-	pipe map[[2]int]int // transfers placed per directed machine pair
-	out  []int          // transfers leaving each machine
+	env  *Environment
+	hose []units.Rate // Hose only: each machine's egress limit
+	pipe []int        // Pipe only: transfers placed per directed pair, at m*M+n
+	out  []int        // transfers leaving each machine
 }
 
-func newLoadState(m int) *loadState {
-	return &loadState{pipe: make(map[[2]int]int), out: make([]int, m)}
+// newLoadState derives the hose rates once (O(M²) when env.HoseRates is
+// nil) so that every later rate prediction is O(1). Only the pipe model
+// reads the per-pair counts, so only it allocates them.
+func newLoadState(env *Environment, model Model) *loadState {
+	M := env.Machines()
+	l := &loadState{env: env, out: make([]int, M)}
+	if model == Hose {
+		l.hose = env.HoseRates
+		if l.hose == nil {
+			l.hose = make([]units.Rate, M)
+			for m := range l.hose {
+				l.hose[m] = env.hoseRate(m)
+			}
+		}
+	} else {
+		l.pipe = make([]int, M*M)
+	}
+	return l
 }
 
 func (l *loadState) add(m, n int) {
 	if m == n {
 		return // intra-machine transfers load neither pipes nor hoses
 	}
-	l.pipe[[2]int{m, n}]++
+	if l.pipe != nil {
+		l.pipe[m*len(l.out)+n]++
+	}
 	l.out[m]++
 }
 
 // rate predicts what a new transfer placed on m→n would see (Algorithm 1
 // line 13), accounting for placed transfers and measured cross traffic.
-func (e *Environment) rate(m, n int, model Model, load *loadState) units.Rate {
+func (l *loadState) rate(m, n int) units.Rate {
 	if m == n {
-		return e.Rates[m][m]
+		return l.env.Rates[m][m]
 	}
-	switch model {
-	case Hose:
-		return units.Rate(float64(e.hoseRate(m)) / float64(load.out[m]+1))
-	default:
-		k := load.pipe[[2]int{m, n}]
-		return units.Rate(float64(e.Rates[m][n]) / (e.cross(m, n) + float64(k) + 1))
+	if l.hose != nil {
+		return units.Rate(float64(l.hose[m]) / float64(l.out[m]+1))
 	}
+	k := l.pipe[m*len(l.out)+n]
+	return units.Rate(float64(l.env.Rates[m][n]) / (l.env.cross(m, n) + float64(k) + 1))
 }
 
 // Greedy is Algorithm 1: walk transfers in descending byte order, placing
@@ -227,6 +248,17 @@ func Greedy(app *profile.Application, env *Environment, model Model) (Placement,
 // GreedyWithTransfers is Greedy with an explicit transfer order, used by
 // the ordering ablation (the paper's Algorithm 1 line 1 prescribes
 // descending byte order; passing nil uses it).
+//
+// A call costs O(M² + T·M) under Hose and O(M² + T·M²) under Pipe. When
+// both endpoints of a transfer are unplaced, the pair (m, n) with the
+// highest predicted rate wins, the first in row-major scan order on ties.
+// Under Hose an off-diagonal pair's rate depends on its source m only, so
+// among the n ≠ m only the first CPU-feasible one can win that scan; for
+// each m two candidates suffice: colocation on m, and the first feasible
+// n ≠ m. CPU does not change during the scan, so that n is one of the
+// first two machines with room for the destination task. Trying the two
+// in scan order with the same strict comparison keeps every tie-break of
+// the full M×M scan.
 func GreedyWithTransfers(app *profile.Application, env *Environment, model Model, transfers []profile.Transfer) (Placement, error) {
 	if err := app.Validate(); err != nil {
 		return Placement{}, err
@@ -243,7 +275,7 @@ func GreedyWithTransfers(app *profile.Application, env *Environment, model Model
 		machineOf[i] = -1
 	}
 	cpuLeft := append([]float64(nil), env.CPUCap...)
-	load := newLoadState(M)
+	load := newLoadState(env, model)
 
 	fits := func(task, m int) bool { return cpuLeft[m]+1e-9 >= app.CPU[task] }
 	placeTask := func(task, m int) {
@@ -263,7 +295,7 @@ func GreedyWithTransfers(app *profile.Application, env *Environment, model Model
 				if !fits(j, n) {
 					continue
 				}
-				if r := env.rate(mi, n, model, load); r > bestRate {
+				if r := load.rate(mi, n); r > bestRate {
 					best, bestRate = n, r
 				}
 			}
@@ -277,7 +309,7 @@ func GreedyWithTransfers(app *profile.Application, env *Environment, model Model
 				if !fits(i, m) {
 					continue
 				}
-				if r := env.rate(m, mj, model, load); r > bestRate {
+				if r := load.rate(m, mj); r > bestRate {
 					best, bestRate = m, r
 				}
 			}
@@ -287,21 +319,56 @@ func GreedyWithTransfers(app *profile.Application, env *Environment, model Model
 			placeTask(i, best)
 		default:
 			bestM, bestN, bestRate := -1, -1, units.Rate(-1)
-			for m := 0; m < M; m++ {
-				if !fits(i, m) {
-					continue
+			try := func(m, n int) {
+				if r := load.rate(m, n); r > bestRate {
+					bestM, bestN, bestRate = m, n, r
 				}
-				for n := 0; n < M; n++ {
-					if m == n {
-						// Colocation requires room for both tasks.
-						if cpuLeft[m]+1e-9 < app.CPU[i]+app.CPU[j] {
-							continue
+			}
+			// Colocation requires room for both tasks.
+			colocates := func(m int) bool { return !(cpuLeft[m]+1e-9 < app.CPU[i]+app.CPU[j]) }
+			if load.hose != nil {
+				first, second := -1, -1 // the first two machines with room for j
+				for n := 0; n < M && second < 0; n++ {
+					if fits(j, n) {
+						if first < 0 {
+							first = n
+						} else {
+							second = n
 						}
-					} else if !fits(j, n) {
+					}
+				}
+				for m := 0; m < M; m++ {
+					if !fits(i, m) {
 						continue
 					}
-					if r := env.rate(m, n, model, load); r > bestRate {
-						bestM, bestN, bestRate = m, n, r
+					n := first
+					if n == m {
+						n = second
+					}
+					if n >= 0 && n < m {
+						try(m, n)
+					}
+					if colocates(m) {
+						try(m, m)
+					}
+					if n > m {
+						try(m, n)
+					}
+				}
+			} else {
+				for m := 0; m < M; m++ {
+					if !fits(i, m) {
+						continue
+					}
+					for n := 0; n < M; n++ {
+						if m == n {
+							if !colocates(m) {
+								continue
+							}
+						} else if !fits(j, n) {
+							continue
+						}
+						try(m, n)
 					}
 				}
 			}

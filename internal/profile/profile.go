@@ -11,8 +11,9 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"choreo/internal/units"
@@ -105,14 +106,16 @@ func (m *TrafficMatrix) Transfers() []Transfer {
 			}
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Bytes != out[b].Bytes {
-			return out[a].Bytes > out[b].Bytes
+	// (From, To) is unique, so this is a total order and any sort gives
+	// the same sequence.
+	slices.SortFunc(out, func(a, b Transfer) int {
+		if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
+			return c
 		}
-		if out[a].From != out[b].From {
-			return out[a].From < out[b].From
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		return out[a].To < out[b].To
+		return cmp.Compare(a.To, b.To)
 	})
 	return out
 }

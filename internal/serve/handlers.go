@@ -131,7 +131,14 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	rng := rand.New(rand.NewSource(s.cfg.Seed + s.placeSeq.Add(1)))
+	// Every request takes a sequence number, so a random placement's seed
+	// does not depend on which algorithms earlier requests used; only
+	// random placement pays for building the generator.
+	seq := s.placeSeq.Add(1)
+	var rng *rand.Rand
+	if alg == core.AlgRandom {
+		rng = rand.New(rand.NewSource(s.cfg.Seed + seq))
+	}
 	p, err := core.PlaceWith(app, snap.Env, alg, model, rng)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, "placement failed: %v", err)

@@ -1,0 +1,10 @@
+package backend_test
+
+import (
+	"testing"
+
+	"choreo/internal/leakcheck"
+)
+
+// TestMain fails the package if a test leaves goroutines behind.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
