@@ -135,13 +135,26 @@ type Agent struct {
 	echo  *EchoServer
 	ip    string
 	start time.Time
+	idle  time.Duration // sessionIdleTimeout; shorter only in tests
 	met   *agentMetrics
 	wg    sync.WaitGroup
 }
 
+// sessionIdleTimeout bounds the wait for a session's next request line,
+// so a peer that connects and stays silent cannot hold a goroutine
+// forever. The coordinator's longest pause between two requests on one
+// session is a few of its per-operation timeouts (30 s by default):
+// the source session waits out a dial and a call to the receiver
+// between its RTT probe and its send. Ten minutes is far beyond that.
+const sessionIdleTimeout = 10 * time.Minute
+
 // StartAgent binds the control listener on addr (e.g. "127.0.0.1:0") and
 // serves until Close.
 func StartAgent(addr string) (*Agent, error) {
+	return startAgent(addr, sessionIdleTimeout)
+}
+
+func startAgent(addr string, idle time.Duration) (*Agent, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: bind agent control: %w", err)
@@ -155,7 +168,7 @@ func StartAgent(addr string) (*Agent, error) {
 		ln.Close()
 		return nil, err
 	}
-	a := &Agent{ln: ln, echo: echo, ip: host, start: time.Now()}
+	a := &Agent{ln: ln, echo: echo, ip: host, start: time.Now(), idle: idle}
 	a.met = newAgentMetrics(echo)
 	a.wg.Add(1)
 	go a.serve()
@@ -203,7 +216,7 @@ func (a *Agent) handle(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(nil, maxRequestLine)
 	enc := json.NewEncoder(conn)
-	for sc.Scan() {
+	for a.nextRequest(conn, sc) {
 		var req Request
 		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
 			a.met.failure("", "proto")
@@ -216,11 +229,24 @@ func (a *Agent) handle(conn net.Conn) {
 			_ = reply(enc, Response{Error: err.Error(), ErrCause: cause})
 		}
 	}
-	if errors.Is(sc.Err(), bufio.ErrTooLong) {
-		// The rest of the line is still unread, so the session cannot
-		// resynchronise on the next request: it ends here.
+	// An over-long line leaves the rest of it unread, so the session
+	// cannot resynchronise on the next request; a timeout means the peer
+	// sent no request within the idle deadline. Either ends the session.
+	var ne net.Error
+	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) || errors.As(err, &ne) && ne.Timeout() {
 		a.met.failure("", "proto")
 	}
+}
+
+// nextRequest scans the session's next request line, waiting at most
+// the agent's idle deadline for it. The deadline covers only this wait:
+// an operation in progress (a long bulk receive) is bounded by its own
+// timeout, and the next wait starts afresh.
+func (a *Agent) nextRequest(conn net.Conn, sc *bufio.Scanner) bool {
+	if err := conn.SetReadDeadline(time.Now().Add(a.idle)); err != nil {
+		return false
+	}
+	return sc.Scan()
 }
 
 // reply stamps the protocol version on a response and encodes it; every

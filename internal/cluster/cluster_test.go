@@ -272,6 +272,47 @@ func TestAgentRefusesOverlongRequest(t *testing.T) {
 	}
 }
 
+// TestAgentClosesIdleSession holds two sessions open without a
+// request: one silent from the start, one silent after its first
+// request. The agent must hang up on each once the idle deadline
+// passes, count each as one proto failure, and keep serving.
+func TestAgentClosesIdleSession(t *testing.T) {
+	a, err := startAgent("127.0.0.1:0", 100*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	for _, first := range []string{"", `{"v":3,"op":"info"}` + "\n"} {
+		conn, err := net.Dial("tcp", a.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, first); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		// The reply to the first request, if any, then EOF.
+		if _, err := io.ReadAll(conn); err != nil {
+			t.Fatalf("agent kept an idle session open: %v", err)
+		}
+	}
+	var expo bytes.Buffer
+	if err := a.met.write(&expo); err != nil {
+		t.Fatal(err)
+	}
+	if want := `choreo_agent_failures_total{op="unknown",cause="proto"} 2`; !strings.Contains(expo.String(), want) {
+		t.Errorf("idle sessions not counted as %s:\n%s", want, expo.String())
+	}
+
+	c := NewCoordinator([]string{a.Addr()}, time.Second)
+	if _, err := c.Info(context.Background(), 0); err != nil {
+		t.Errorf("session after the idle ones: %v", err)
+	}
+}
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"

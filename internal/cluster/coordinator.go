@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"sync"
 	"time"
 
 	"choreo/internal/obs"
@@ -250,12 +253,153 @@ func (c *Coordinator) ScrapeMetrics(ctx context.Context, agent int) (string, err
 	return resp.Metrics, nil
 }
 
-// MeasurePath runs one packet train from agent src to agent dst and
-// returns the resulting observation (RTT included).
-func (c *Coordinator) MeasurePath(ctx context.Context, src, dst int, cfg probe.Config) (probe.Observation, error) {
-	if src == dst {
-		return probe.Observation{}, fmt.Errorf("cluster: src == dst")
+// MeshResult is the outcome of measuring every ordered agent pair.
+type MeshResult struct {
+	// Rates[src][dst] is the estimated TCP throughput; zero on the
+	// diagonal.
+	Rates [][]units.Rate
+	// Elapsed is the wall-clock cost of the whole mesh.
+	Elapsed time.Duration
+}
+
+// meshPair is one ordered measurement: a train from src to dst.
+type meshPair struct{ src, dst int }
+
+// meshRounds schedules the n(n−1) ordered pairs of n agents into rounds
+// in which no agent appears twice, by the circle method of a
+// round-robin tournament: agent 0 stays put while the others rotate one
+// seat per round, and seat i faces seat m−1−i. An odd fleet gets a
+// phantom seat, and the agent facing it sits the round out. The m−1
+// rotations give each unordered pair one round; a second pass replays
+// them reversed, so every ordered pair runs exactly once over 2(n−1)
+// rounds for even n and 2n for odd n, each of ⌊n/2⌋ pairs.
+func meshRounds(n int) [][]meshPair {
+	m := n + n%2
+	seat := make([]int, m)
+	for i := range seat {
+		seat[i] = i
 	}
+	rounds := make([][]meshPair, 0, 2*(m-1))
+	for r := 0; r < m-1; r++ {
+		var round []meshPair
+		for i := 0; i < m/2; i++ {
+			a, b := seat[i], seat[m-1-i]
+			if a < n && b < n {
+				round = append(round, meshPair{a, b})
+			}
+		}
+		rounds = append(rounds, round)
+		last := seat[m-1]
+		copy(seat[2:], seat[1:m-1])
+		seat[1] = last
+	}
+	for _, round := range rounds[:m-1] {
+		rev := make([]meshPair, len(round))
+		for i, p := range round {
+			rev[i] = meshPair{p.dst, p.src}
+		}
+		rounds = append(rounds, rev)
+	}
+	return rounds
+}
+
+// MeasureMesh measures every ordered pair, in the rounds of meshRounds:
+// the pairs of a round run concurrently, and the rounds run one after
+// another. Overlapping only trains that share no agent follows the
+// paper's finding that a tenant's bottlenecks sit at the VM endpoints
+// (the hose model): two trains with disjoint endpoints do not contend,
+// so a round costs about one train instead of ⌊n/2⌋. Under a
+// pipe-model fabric, concurrent pairs of a round can share a core link
+// and read each other as cross traffic.
+//
+// Each agent's echo address is resolved once per mesh, by the first
+// pair that targets it. A failing pair aborts the mesh with the pair's
+// coordinates, both agents' addresses and how far the mesh had got (the
+// pairs of the rounds completed before it) — the partial-mesh report
+// that tells an operator exactly which path (and which agent) to look
+// at. The first failure in a round cancels its siblings, and the pair
+// reported is the first in round order that failed on its own, never
+// one of those cancellations. A canceled context aborts
+// between rounds — and interrupts the in-flight pairs' sockets — with
+// the same progress report.
+func (c *Coordinator) MeasureMesh(ctx context.Context, cfg probe.Config) (*MeshResult, error) {
+	n := len(c.agents)
+	if n < 2 {
+		return nil, fmt.Errorf("cluster: mesh needs at least 2 agents, got %d", n)
+	}
+	res := &MeshResult{Rates: make([][]units.Rate, n)}
+	for i := range res.Rates {
+		res.Rates[i] = make([]units.Rate, n)
+	}
+	start := time.Now()
+	done, total := 0, n*(n-1)
+	meshSpan := c.obs.StartSpan(obs.SpanFromContext(ctx), "cluster.mesh",
+		obs.Int("agents", int64(n)), obs.Int("pairs", int64(total)))
+	ctx = spanCtx(ctx, meshSpan)
+	// An agent is in at most one pair of a round, and rounds are
+	// separated by a Wait, so pairs never touch the same echo entry or
+	// rate cell at once: the schedule needs no lock.
+	echo := make([]string, n)
+	for _, round := range meshRounds(n) {
+		p, err := meshPair{}, ctx.Err()
+		if err == nil {
+			p, err = c.measureRound(ctx, round, echo, cfg, res.Rates)
+		}
+		if err == nil {
+			done += len(round)
+			continue
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			meshSpan.End(obs.String("outcome", "canceled"), obs.Int("done", int64(done)))
+			return nil, fmt.Errorf("cluster: mesh canceled after %d of %d pairs: %w", done, total, cerr)
+		}
+		meshSpan.End(obs.String("outcome", "error"), obs.Int("done", int64(done)))
+		return nil, fmt.Errorf("cluster: mesh pair %d->%d (%s -> %s) failed after %d of %d pairs: %w",
+			p.src, p.dst, c.agents[p.src], c.agents[p.dst], done, total, err)
+	}
+	res.Elapsed = time.Since(start)
+	meshSpan.End(obs.String("outcome", "ok"), obs.Int("done", int64(done)))
+	return res, nil
+}
+
+// measureRound measures the pairs of one round concurrently into rates.
+// The first failure cancels its siblings; the pair returned with the
+// error is the first in round order whose failure was its own rather
+// than a sibling's cancellation.
+func (c *Coordinator) measureRound(ctx context.Context, round []meshPair, echo []string, cfg probe.Config, rates [][]units.Rate) (meshPair, error) {
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errs := make([]error, len(round))
+	var wg sync.WaitGroup
+	for i, p := range round {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rate, err := c.measurePair(runCtx, p.src, p.dst, &echo[p.dst], cfg)
+			if err != nil {
+				errs[i] = err
+				cancel() // abandon sibling pairs promptly
+				return
+			}
+			rates[p.src][p.dst] = rate
+		}()
+	}
+	wg.Wait()
+	i := slices.IndexFunc(errs, func(err error) bool { return err != nil && !errors.Is(err, context.Canceled) })
+	if i < 0 {
+		// Only cancellations: the caller's context ended the round.
+		i = slices.IndexFunc(errs, func(err error) bool { return err != nil })
+	}
+	if i < 0 {
+		return meshPair{}, nil
+	}
+	return round[i], errs[i]
+}
+
+// measurePair runs one packet train from agent src to agent dst under a
+// cluster.pair span and returns the estimated throughput. *echo holds
+// dst's echo address; the first pair to find it empty resolves it.
+func (c *Coordinator) measurePair(ctx context.Context, src, dst int, echo *string, cfg probe.Config) (units.Rate, error) {
 	span := c.obs.StartSpan(obs.SpanFromContext(ctx), "cluster.pair",
 		obs.Int("src", int64(src)), obs.Int("dst", int64(dst)),
 		obs.String("srcAddr", c.agents[src]), obs.String("dstAddr", c.agents[dst]))
@@ -263,36 +407,43 @@ func (c *Coordinator) MeasurePath(ctx context.Context, src, dst int, cfg probe.C
 	// The pair span rides the context from here: sessions propagate it
 	// to agents as trace context, and their returned spans stitch in
 	// under it.
-	obsn, err := c.measurePath(spanCtx(ctx, span), src, dst, cfg)
+	ctx = spanCtx(ctx, span)
+	if *echo == "" {
+		addr, err := c.EchoAddr(ctx, dst)
+		if err != nil {
+			span.End(obs.String("outcome", "error"))
+			return 0, err
+		}
+		*echo = addr
+	}
+	rate, rtt, err := c.measurePath(ctx, src, dst, *echo, cfg)
 	if err != nil {
 		span.End(obs.String("outcome", "error"))
-		return obsn, err
+		return 0, err
 	}
-	c.m.pairDone(time.Since(pairStart).Seconds(), obsn.RTT.Seconds())
-	span.End(obs.String("outcome", "ok"), obs.Int("rttNs", obsn.RTT.Nanoseconds()))
-	return obsn, nil
+	c.m.pairDone(time.Since(pairStart).Seconds(), rtt.Seconds())
+	span.End(obs.String("outcome", "ok"), obs.Int("rttNs", rtt.Nanoseconds()))
+	return rate, nil
 }
 
-func (c *Coordinator) measurePath(ctx context.Context, src, dst int, cfg probe.Config) (probe.Observation, error) {
-	echoAddr, err := c.EchoAddr(ctx, dst)
-	if err != nil {
-		return probe.Observation{}, err
-	}
-
+// measurePath runs the RTT probe and the packet train from src to dst,
+// whose echo responder is at echoAddr, over one control session to each
+// agent, and returns the estimated throughput and the RTT.
+func (c *Coordinator) measurePath(ctx context.Context, src, dst int, echoAddr string, cfg probe.Config) (units.Rate, time.Duration, error) {
 	srcSess, err := c.dial(ctx, c.agents[src])
 	if err != nil {
-		return probe.Observation{}, err
+		return 0, 0, err
 	}
 	defer srcSess.close()
 
 	rttResp, err := srcSess.call(ctx, &Request{Op: "rtt", Target: echoAddr, Count: 5, TimeoutMs: 1000, Peer: c.agents[dst]})
 	if err != nil {
-		return probe.Observation{}, fmt.Errorf("cluster: rtt %d->%d: %w", src, dst, err)
+		return 0, 0, fmt.Errorf("cluster: rtt %d->%d: %w", src, dst, err)
 	}
 
 	dstSess, err := c.dial(ctx, c.agents[dst])
 	if err != nil {
-		return probe.Observation{}, err
+		return 0, 0, err
 	}
 	defer dstSess.close()
 
@@ -308,11 +459,11 @@ func (c *Coordinator) measurePath(ctx context.Context, src, dst int, cfg probe.C
 	}
 	ready, err := dstSess.call(ctx, req)
 	if err != nil {
-		return probe.Observation{}, fmt.Errorf("cluster: arm receiver %d: %w", dst, err)
+		return 0, 0, fmt.Errorf("cluster: arm receiver %d: %w", dst, err)
 	}
 	host, _, err := net.SplitHostPort(c.agents[dst])
 	if err != nil {
-		return probe.Observation{}, err
+		return 0, 0, err
 	}
 	target := net.JoinHostPort(host, fmt.Sprint(ready.Port))
 
@@ -321,83 +472,28 @@ func (c *Coordinator) measurePath(ctx context.Context, src, dst int, cfg probe.C
 	sendReq.Target = target
 	sendReq.Peer = c.agents[dst]
 	if _, err := srcSess.call(ctx, &sendReq); err != nil {
-		return probe.Observation{}, fmt.Errorf("cluster: send train %d->%d: %w", src, dst, err)
+		return 0, 0, fmt.Errorf("cluster: send train %d->%d: %w", src, dst, err)
 	}
 
 	// The result line lands once the receiver finishes or its own
 	// timeout (TimeoutMs above) fires, so allow that plus slack.
 	result, err := dstSess.readWithin(ctx, c.timeout+5*time.Second)
 	if err != nil {
-		return probe.Observation{}, fmt.Errorf("cluster: train result %d->%d: %w", src, dst, err)
+		return 0, 0, fmt.Errorf("cluster: train result %d->%d: %w", src, dst, err)
 	}
-	obs := probe.Observation{Config: cfg, RTT: time.Duration(rttResp.RTTNs)}
+	o := probe.Observation{Config: cfg, RTT: time.Duration(rttResp.RTTNs)}
 	for _, b := range result.Bursts {
-		obs.Bursts = append(obs.Bursts, probe.BurstObservation{
+		o.Bursts = append(o.Bursts, probe.BurstObservation{
 			Sent: b.Sent, Received: b.Received,
 			HeadLost: b.HeadLost, TailLost: b.TailLost,
 			Span: time.Duration(b.SpanNs),
 		})
 	}
-	return obs, nil
-}
-
-// MeshResult is the outcome of measuring every ordered agent pair.
-type MeshResult struct {
-	// Rates[src][dst] is the estimated TCP throughput; zero on the
-	// diagonal.
-	Rates [][]units.Rate
-	// Elapsed is the wall-clock cost of the whole mesh.
-	Elapsed time.Duration
-}
-
-// MeasureMesh measures all ordered pairs sequentially, as Choreo does.
-// A failing pair aborts the mesh with the pair's coordinates, both
-// agents' addresses and how far the mesh had got — the partial-mesh
-// report that tells an operator exactly which path (and which agent)
-// to look at. A canceled context aborts between pairs — and interrupts
-// the in-flight pair's sockets — with the same progress report.
-func (c *Coordinator) MeasureMesh(ctx context.Context, cfg probe.Config) (*MeshResult, error) {
-	n := len(c.agents)
-	if n < 2 {
-		return nil, fmt.Errorf("cluster: mesh needs at least 2 agents, got %d", n)
+	rate, err := o.EstimateThroughput()
+	if err != nil {
+		return 0, 0, fmt.Errorf("cluster: estimate %d->%d: %w", src, dst, err)
 	}
-	res := &MeshResult{Rates: make([][]units.Rate, n)}
-	for i := range res.Rates {
-		res.Rates[i] = make([]units.Rate, n)
-	}
-	start := time.Now()
-	done, total := 0, n*(n-1)
-	meshSpan := c.obs.StartSpan(obs.SpanFromContext(ctx), "cluster.mesh",
-		obs.Int("agents", int64(n)), obs.Int("pairs", int64(total)))
-	ctx = spanCtx(ctx, meshSpan)
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				meshSpan.End(obs.String("outcome", "canceled"), obs.Int("done", int64(done)))
-				return nil, fmt.Errorf("cluster: mesh canceled after %d of %d pairs: %w", done, total, err)
-			}
-			o, err := c.MeasurePath(ctx, src, dst, cfg)
-			if err != nil {
-				meshSpan.End(obs.String("outcome", "error"), obs.Int("done", int64(done)))
-				return nil, fmt.Errorf("cluster: mesh pair %d->%d (%s -> %s) failed after %d of %d pairs: %w",
-					src, dst, c.agents[src], c.agents[dst], done, total, err)
-			}
-			est, err := o.EstimateThroughput()
-			if err != nil {
-				meshSpan.End(obs.String("outcome", "error"), obs.Int("done", int64(done)))
-				return nil, fmt.Errorf("cluster: estimate %d->%d (%s -> %s): %w",
-					src, dst, c.agents[src], c.agents[dst], err)
-			}
-			res.Rates[src][dst] = est
-			done++
-		}
-	}
-	res.Elapsed = time.Since(start)
-	meshSpan.End(obs.String("outcome", "ok"), obs.Int("done", int64(done)))
-	return res, nil
+	return rate, o.RTT, nil
 }
 
 // BulkThroughput runs a netperf-style transfer from src to dst for the

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -33,9 +34,8 @@ func TestMeshAgentDiesMidMeasurement(t *testing.T) {
 	}
 	defer mesh.Close()
 	addrs := mesh.Addrs()
-	// Agents 0 and 1 keep serving, so pair 0->1 completes; the next pair
-	// in mesh order, 0->2, touches the dead agent and must fail with its
-	// coordinates.
+	// Agents 0 and 1 keep serving; the first round that pairs agent 2
+	// must fail with the coordinates of a pair touching it.
 	if err := mesh.Kill(2); err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +46,50 @@ func TestMeshAgentDiesMidMeasurement(t *testing.T) {
 		t.Fatal("MeasureMesh succeeded with a dead agent")
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, "mesh pair 0->2") {
-		t.Errorf("error does not name the failing pair 0->2: %v", err)
+	if !regexp.MustCompile(`mesh pair (\d->2|2->\d) `).MatchString(msg) {
+		t.Errorf("error does not name a failing pair touching agent 2: %v", err)
 	}
 	if !strings.Contains(msg, addrs[2]) {
 		t.Errorf("error does not name the dead agent's address %s: %v", addrs[2], err)
 	}
-	if !strings.Contains(msg, "after 1 of 6 pairs") {
-		t.Errorf("error does not report partial-mesh progress (want \"after 1 of 6 pairs\"): %v", err)
+	if !regexp.MustCompile(`after \d+ of 6 pairs`).MatchString(msg) {
+		t.Errorf("error does not report partial-mesh progress (want \"after k of 6 pairs\"): %v", err)
+	}
+}
+
+// TestMeshReportsOwnFailureNotSiblingCancel kills one agent of a
+// six-agent mesh, so the round that first pairs it also holds two
+// healthy pairs that the failure cancels mid-train. The error must name
+// the pair that failed on its own, never a canceled sibling. Each agent
+// takes a turn as the dead one, so the failing pair sits at every
+// position of its round.
+func TestMeshReportsOwnFailureNotSiblingCancel(t *testing.T) {
+	for dead := 0; dead < 6; dead++ {
+		mesh, err := livetest.Start(6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs := mesh.Addrs()
+		if err := mesh.Kill(dead); err != nil {
+			mesh.Close()
+			t.Fatal(err)
+		}
+		coord := cluster.NewCoordinator(addrs, 2*time.Second)
+		_, err = coord.MeasureMesh(context.Background(), livetest.QuickTrain())
+		mesh.Close()
+		if err == nil {
+			t.Fatalf("MeasureMesh succeeded with dead agent %d", dead)
+		}
+		if errors.Is(err, context.Canceled) {
+			t.Errorf("agent %d dead: error reports a sibling's cancellation: %v", dead, err)
+		}
+		touches := regexp.MustCompile(fmt.Sprintf(`mesh pair (\d->%d|%d->\d) `, dead, dead))
+		if !touches.MatchString(err.Error()) || !strings.Contains(err.Error(), addrs[dead]) {
+			t.Errorf("error does not name a pair touching the dead agent %d (%s): %v", dead, addrs[dead], err)
+		}
+		if !regexp.MustCompile(`after \d+ of 30 pairs`).MatchString(err.Error()) {
+			t.Errorf("error does not report partial-mesh progress: %v", err)
+		}
 	}
 }
 
@@ -269,7 +305,7 @@ func TestMeasureMeshCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error does not wrap context.Canceled: %v", err)
 	}
-	if !strings.Contains(err.Error(), "of 6 pairs") {
+	if !regexp.MustCompile(`mesh canceled after \d+ of 6 pairs`).MatchString(err.Error()) {
 		t.Errorf("error does not report partial-mesh progress: %v", err)
 	}
 	if elapsed > 5*time.Second {

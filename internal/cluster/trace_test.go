@@ -97,6 +97,87 @@ func TestCrossProcessSpanStitching(t *testing.T) {
 	}
 }
 
+// TestMeshRoundsTraceDisjointAndStitched measures a 6-agent mesh and
+// reads the concurrency back from the event log: pair spans do overlap,
+// no two that are open at once share an agent, all 30 end ok, and every
+// agent span is stitched under the pair that issued it rather than
+// under a sibling running at the same time. Overlap is judged by event
+// order, which the tracer serializes, not by clock readings.
+func TestMeshRoundsTraceDisjointAndStitched(t *testing.T) {
+	mesh, err := livetest.Start(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Close()
+	_, evs := measureInstrumented(t, mesh)
+
+	type pairSpan struct{ src, dst, srcAddr, dstAddr string }
+	pairs := make(map[int64]pairSpan)
+	open := make(map[int64]bool)
+	maxOpen := 0
+	for _, e := range evs {
+		if e.Name != "cluster.pair" {
+			continue
+		}
+		if e.Ev == "end" {
+			delete(open, e.Span)
+			if e.Attrs["outcome"] != "ok" {
+				t.Errorf("pair span %d ended %v", e.Span, e.Attrs)
+			}
+			continue
+		}
+		p := pairSpan{e.Attrs["src"], e.Attrs["dst"], e.Attrs["srcAddr"], e.Attrs["dstAddr"]}
+		for id := range open {
+			q := pairs[id]
+			if p.src == q.src || p.src == q.dst || p.dst == q.src || p.dst == q.dst {
+				t.Errorf("pair %s->%s started while pair %s->%s was running", p.src, p.dst, q.src, q.dst)
+			}
+		}
+		pairs[e.Span] = p
+		open[e.Span] = true
+		maxOpen = max(maxOpen, len(open))
+	}
+	if len(pairs) != 30 {
+		t.Fatalf("pair spans = %d, want 30", len(pairs))
+	}
+	if maxOpen < 2 {
+		t.Errorf("at most %d pair span open at once; the rounds did not run concurrently", maxOpen)
+	}
+
+	// The source runs the RTT probe and sends the train, both naming the
+	// destination as peer; the destination receives, naming the source.
+	perPair := make(map[int64]map[string]int)
+	for _, e := range evs {
+		if e.Ev != "start" || (e.Name != "agent.rtt" && e.Name != "agent.train") {
+			continue
+		}
+		p, ok := pairs[e.Parent]
+		if !ok {
+			t.Errorf("%s span %d parented under %d, not a cluster.pair span", e.Name, e.Span, e.Parent)
+			continue
+		}
+		kind, want := "rtt", p.dstAddr
+		if e.Name == "agent.train" {
+			kind = e.Attrs["role"]
+			if kind == "recv" {
+				want = p.srcAddr
+			}
+		}
+		if peer := e.Attrs["peer"]; peer != want {
+			t.Errorf("%s (%s) span under pair %s->%s has peer %s, want %s", e.Name, kind, p.src, p.dst, peer, want)
+		}
+		if perPair[e.Parent] == nil {
+			perPair[e.Parent] = make(map[string]int)
+		}
+		perPair[e.Parent][kind]++
+	}
+	for id, p := range pairs {
+		if got := perPair[id]; got["rtt"] != 1 || got["send"] != 1 || got["recv"] != 1 {
+			t.Errorf("pair %s->%s stitched %v, want one rtt, send and recv", p.src, p.dst, got)
+		}
+	}
+}
+
 func TestMixedFleetHealthAndMetricsScrape(t *testing.T) {
 	mesh, err := livetest.Start(2)
 	if err != nil {

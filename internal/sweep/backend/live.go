@@ -59,9 +59,12 @@ type Live struct {
 	// worker pool builds cells concurrently, but overlapping packet
 	// trains (or executed bulk flows) through the same agent NICs would
 	// see each other as cross traffic and corrupt both observations.
-	// Trains run one at a time within a mesh by design (§3.1); the
-	// address-set lock keeps that true across cells while letting cells
-	// whose agent subsets are disjoint measure and execute concurrently.
+	// Within a mesh, cluster.MeasureMesh runs only trains that share no
+	// agent at once; the address-set lock keeps that true across cells
+	// while letting cells whose agent subsets are disjoint measure and
+	// execute concurrently. Both rest on the paper's finding that tenant
+	// bottlenecks sit at the VM endpoints (the hose model); on a
+	// pipe-model fabric, disjoint trains can still share a core link.
 	fleet fleetLock
 	// acc records per-pair rate-error gauges for executed flows into the
 	// observer's registry (nil-safe when uninstrumented).
