@@ -8,10 +8,11 @@
 package place
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"choreo/internal/profile"
@@ -414,30 +415,34 @@ func CompletionTime(app *profile.Application, env *Environment, p Placement, mod
 		return 0, err
 	}
 	M := env.Machines()
-	bytesOn := make(map[[2]int]units.ByteSize)
-	egress := make([]units.ByteSize, M)
-	for _, tr := range app.TM.Transfers() {
-		m, n := p.MachineOf[tr.From], p.MachineOf[tr.To]
-		bytesOn[[2]int{m, n}] += tr.Bytes
-		if m != n {
-			egress[m] += tr.Bytes
-		}
-	}
 	worst := 0.0
-	switch model {
-	case Hose:
+	if model == Hose {
+		egress := make([]units.ByteSize, M)
+		intra := make([]units.ByteSize, M)
+		for _, tr := range app.TM.Transfers() {
+			m, n := p.MachineOf[tr.From], p.MachineOf[tr.To]
+			if m == n {
+				intra[m] += tr.Bytes
+			} else {
+				egress[m] += tr.Bytes
+			}
+		}
 		for m := 0; m < M; m++ {
 			if egress[m] > 0 {
 				worst = math.Max(worst, egress[m].Bits()/float64(e2hose(env, m)))
 			}
-			if b := bytesOn[[2]int{m, m}]; b > 0 {
-				worst = math.Max(worst, b.Bits()/float64(env.Rates[m][m]))
+			if intra[m] > 0 {
+				worst = math.Max(worst, intra[m].Bits()/float64(env.Rates[m][m]))
 			}
 		}
-	default:
-		for pair, b := range bytesOn {
-			worst = math.Max(worst, b.Bits()/float64(env.Rates[pair[0]][pair[1]]))
-		}
+		return units.Seconds(worst), nil
+	}
+	bytesOn := make(map[[2]int]units.ByteSize)
+	for _, tr := range app.TM.Transfers() {
+		bytesOn[[2]int{p.MachineOf[tr.From], p.MachineOf[tr.To]}] += tr.Bytes
+	}
+	for pair, b := range bytesOn {
+		worst = math.Max(worst, b.Bits()/float64(env.Rates[pair[0]][pair[1]]))
 	}
 	return units.Seconds(worst), nil
 }
@@ -534,20 +539,23 @@ func MinMachines(app *profile.Application, env *Environment) (Placement, error) 
 	machineOf := make([]int, app.Tasks())
 	cpuLeft := append([]float64(nil), env.CPUCap...)
 	used := make([]bool, M)
+	// Prefer used machines, fullest first (best fit).
+	byFit := func(a, b int) int {
+		if used[a] != used[b] {
+			if used[a] {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(cpuLeft[a], cpuLeft[b])
+	}
+	order := make([]int, M)
 	for task := range machineOf {
 		placed := -1
-		// Prefer used machines, fullest first (best fit).
-		order := make([]int, M)
 		for i := range order {
 			order[i] = i
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			ua, ub := used[order[a]], used[order[b]]
-			if ua != ub {
-				return ua
-			}
-			return cpuLeft[order[a]] < cpuLeft[order[b]]
-		})
+		slices.SortStableFunc(order, byFit)
 		for _, m := range order {
 			if cpuLeft[m]+1e-9 >= app.CPU[task] {
 				placed = m
