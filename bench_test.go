@@ -495,18 +495,19 @@ func BenchmarkMaxMinAllocation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// AvailableRate forces two allocations over ~60 flows.
+		// AvailableRate runs one filling pass over ~60 flows.
 		if _, err := net.AvailableRate(0, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkAllocate measures repeated max-min re-allocations over a
-// stable population of flows — the settle pattern the sweep engine's
-// execution phase hammers. StartFlow/StopFlow of a probe dirties the
-// allocation twice per iteration, so the benchmark pins the win from
-// hoisting per-flow constraint-slot construction out of allocate().
+// BenchmarkAllocate measures one what-if availability read over a stable
+// population of 200 flows. AvailableRate runs the max-min filling pass
+// allocate() runs over the active set and resolves the probe's rate
+// alongside it, without starting or stopping a flow, so this times that
+// filling loop, which the sweep engine's execution phase hammers, once
+// per iteration.
 func BenchmarkAllocate(b *testing.B) {
 	prov, err := topology.NewProvider(topology.EC22013(), 1)
 	if err != nil {
@@ -567,8 +568,8 @@ func BenchmarkPacketTrain(b *testing.B) {
 // and the expensive half of every sweep cell build. Path states for the
 // whole mesh are snapshotted in one batched pass (netsim's
 // BatchAvailability reads uncontended pairs off cached constraint
-// capacities instead of running four allocator probes per pair), so
-// this pins the mesh-measurement hot path the ROADMAP named.
+// capacities and resolves contended ones in one what-if filling pass),
+// so this pins the mesh-measurement hot path the ROADMAP named.
 func BenchmarkMeasureMesh(b *testing.B) {
 	prov, err := topology.NewProvider(topology.EC22013(), 1)
 	if err != nil {

@@ -20,6 +20,10 @@ import (
 	"choreo/internal/sweep/backend"
 )
 
+// readHeaderTimeout bounds how long the service waits for a request's
+// headers.
+const readHeaderTimeout = 10 * time.Second
+
 // runServe starts the placement service: measure the cloud once
 // synchronously (the server never answers from an unmeasured mesh),
 // then listen, re-measuring in the background every -interval and
@@ -133,7 +137,9 @@ func runServe(args []string) (err error) {
 	}
 	fmt.Fprintf(os.Stderr, "serve: listening on http://%s (re-measure every %s)\n", ln.Addr(), *interval)
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// A client that trickles its request headers must not hold a
+	// connection open forever.
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go func() { _ = srv.Run(ctx) }() // epoch loop; exits on ctx cancel
 	go func() {
 		<-ctx.Done()

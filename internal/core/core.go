@@ -172,8 +172,8 @@ func (c *Choreo) VMs() []topology.VM { return c.vms }
 // matrix via packet trains (one train per ordered pair, §3.1) and the
 // per-VM CPU capacity. It leaves HoseRates nil: placement derives each
 // machine's hose rate from the matrix once per call. Path states for
-// the whole mesh are snapshotted in one batched pass (trains that share
-// no constraints with live traffic skip the per-pair allocator probes;
+// the whole mesh are snapshotted in one batched pass (uncontended pairs
+// read cached capacities, contended ones share one what-if filling pass;
 // see packetsim.StatesOf), then the trains themselves run sequentially in
 // pair order, so the measurement noise stream — and hence every measured
 // rate — is bit-identical to the strictly sequential implementation.

@@ -356,3 +356,25 @@ func TestRunOnce(t *testing.T) {
 		t.Errorf("completion = %v", d)
 	}
 }
+
+// TestPlaceWithEmptyApplication pins one answer for an application with
+// no tasks: every algorithm returns an empty placement, not an error.
+func TestPlaceWithEmptyApplication(t *testing.T) {
+	app := &profile.Application{Name: "empty", TM: profile.NewTrafficMatrix(0)}
+	env := &place.Environment{
+		Rates:  [][]units.Rate{{units.Gbps(10), units.Gbps(1)}, {units.Gbps(1), units.Gbps(10)}},
+		CPUCap: []float64{1, 1},
+	}
+	for a := AlgChoreo; a <= AlgOptimal; a++ {
+		for _, model := range []place.Model{place.Hose, place.Pipe} {
+			p, err := PlaceWith(app, env, a, model, rand.New(rand.NewSource(1)))
+			if err != nil {
+				t.Errorf("%v/%v: %v", a, model, err)
+				continue
+			}
+			if len(p.MachineOf) != 0 {
+				t.Errorf("%v/%v: placement %v, want empty", a, model, p.MachineOf)
+			}
+		}
+	}
+}

@@ -7,14 +7,13 @@ import (
 	"choreo/internal/units"
 )
 
-// TestBatchAvailabilityContendedMatchesPerPair pins the grouped
-// contended-probe path: under live cross-traffic — where most mesh pairs
-// share constraints with active flows and BatchAvailability groups their
-// probes by contention territory instead of falling back to four
-// allocator passes per pair — every pair's availability must still be
-// bit-identical to a per-pair Availability call, and the active flows
-// must end on exactly the rates they held before the batch (the shared
-// restore pass must leave the network undisturbed).
+// TestBatchAvailabilityContendedMatchesPerPair pins the contended path
+// under live cross-traffic, where most mesh pairs share constraints with
+// active flows and BatchAvailability resolves their share and physical
+// probes in the what-if kernel's one filling pass: every pair's
+// availability must be bit-identical to availabilityReference, the
+// probe-flow measurement the kernel replaced, and the active flows must
+// end on exactly the rates they held before the batch.
 func TestBatchAvailabilityContendedMatchesPerPair(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -23,8 +22,8 @@ func TestBatchAvailabilityContendedMatchesPerPair(t *testing.T) {
 		flows [][2]int
 	}{
 		{
-			// Heavy mesh cross-traffic: most pairs contend, territories
-			// overlap, groups of several probes form and dissolve.
+			// Heavy mesh cross-traffic: most pairs contend, and probes
+			// freeze at different iterations of the filling pass.
 			name: "ec2-heavy",
 			prov: func(t *testing.T) *topology.Provider {
 				p, err := topology.NewProvider(topology.EC22013(), 7)
@@ -37,9 +36,8 @@ func TestBatchAvailabilityContendedMatchesPerPair(t *testing.T) {
 			flows: [][2]int{{0, 1}, {1, 2}, {2, 5}, {7, 3}, {4, 6}, {5, 0}},
 		},
 		{
-			// Two racks with traffic pinned inside each: two disjoint
-			// contention territories, so probes from both racks batch into
-			// one shared allocator pass.
+			// Two racks with traffic pinned inside each: contended and
+			// uncontended probes mix in one batch.
 			name: "tworack-disjoint",
 			prov: func(t *testing.T) *topology.Provider {
 				p, err := topology.NewProvider(topology.TwoRack(4, units.Gbps(1), units.Gbps(4)), 9)
@@ -98,12 +96,12 @@ func TestBatchAvailabilityContendedMatchesPerPair(t *testing.T) {
 
 			contended := 0
 			for i, pr := range pairs {
-				want, err := net.Availability(pr[0], pr[1])
+				want, err := availabilityReference(net, pr[0], pr[1])
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got[i] != want {
-					t.Errorf("pair %v->%v: batch %+v != per-pair %+v", pr[0], pr[1], got[i], want)
+					t.Errorf("pair %v->%v: batch %+v != reference %+v", pr[0], pr[1], got[i], want)
 				}
 				if want.Share != want.PhysicalShare || want.PhysicalShare != want.LineRate {
 					contended++ // heuristic: capacity-limited pairs have all three equal on idle paths

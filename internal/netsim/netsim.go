@@ -57,10 +57,9 @@ type Flow struct {
 
 	// remaining bytes; <0 means backlogged.
 	remaining float64
-	keys      []constraintKey
-	// slots are the network-wide slot indices of keys, resolved once at
-	// StartFlow so every later allocate reuses the mapping instead of
-	// re-deriving the constraint index from scratch.
+	// slots are the network-wide slot indices of the flow's constraints,
+	// resolved once per pair so every allocate reuses the mapping instead
+	// of re-deriving the constraint index from scratch.
 	slots    []int32
 	started  time.Duration
 	finished time.Duration
@@ -135,13 +134,15 @@ type Network struct {
 	slotIndex map[constraintKey]int32
 	slotCap   []float64
 	// Per-allocation scratch, epoch-stamped so only slots touched by the
-	// current active set are reset.
+	// current active set are reset. slotPos is a slot's index in touched.
 	slotRem   []float64
 	slotAlive []int32
+	slotPos   []int32
 	slotSeen  []int64
 	slotEpoch int64
 	touched   []int32
 	frozen    []bool
+	probes    []whatIf // BatchAvailabilityRefs' probe list, reused
 
 	// Per-pair probe ingredients, all static for the network's lifetime
 	// (routes are deterministic and capacities are cached at slot
@@ -152,12 +153,12 @@ type Network struct {
 }
 
 // pairInfo caches what every flow or probe between one ordered VM pair
-// reuses verbatim: the route, its constraint keys and slots (flows only
-// ever re-slice these, never write them), and the pair's availability on
-// an uncontended path, which is a pure function of static capacities.
+// reuses verbatim: the route, its constraint slots (hose first, then the
+// physical links; never written after construction), and the pair's
+// availability on an uncontended path, which is a pure function of
+// static capacities.
 type pairInfo struct {
 	path  *topology.Path
-	keys  []constraintKey
 	slots []int32
 	idle  PathAvailability
 }
@@ -173,8 +174,7 @@ func (n *Network) pairInfoFor(src, dst topology.VMID) (*pairInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys := n.constraintsFor(path)
-	pi := &pairInfo{path: path, keys: keys, slots: n.slotsFor(keys)}
+	pi := &pairInfo{path: path, slots: n.slotsFor(n.constraintsFor(path))}
 	if path.SameHost {
 		bus := pi.slots[0] // the memory-bus constraint
 		pi.idle = PathAvailability{
@@ -257,7 +257,6 @@ func (n *Network) StartFlow(src, dst topology.VMID, size units.ByteSize, tag str
 	} else {
 		f.remaining = float64(size)
 	}
-	f.keys = pi.keys
 	f.slots = pi.slots
 	n.flows[f.ID] = f
 	n.active = append(n.active, f)
@@ -325,6 +324,7 @@ func (n *Network) slotsFor(keys []constraintKey) []int32 {
 			n.slotCap = append(n.slotCap, n.capacityOf(k))
 			n.slotRem = append(n.slotRem, 0)
 			n.slotAlive = append(n.slotAlive, 0)
+			n.slotPos = append(n.slotPos, 0)
 			n.slotSeen = append(n.slotSeen, 0)
 		}
 		slots[i] = si
@@ -335,15 +335,18 @@ func (n *Network) slotsFor(keys []constraintKey) []int32 {
 // allocate computes max-min fair rates for all active flows via
 // progressive filling: repeatedly find the constraint with the smallest
 // fair share, freeze its flows at that share, and remove their demand.
-// Flow→slot mappings were resolved at StartFlow, so each call only resets
-// the slots the active set touches (epoch-stamped) rather than rebuilding
-// a constraint index from scratch.
 func (n *Network) allocate() {
-	n.dirty = false
-	if len(n.active) == 0 {
-		return
-	}
+	n.stamp()
+	n.fill(nil)
+}
 
+// stamp records the active set's slot demand for one filling pass. Each
+// flow's slots were resolved at StartFlow, so only the slots the active
+// set touches are reset (epoch-stamped) rather than a constraint index
+// rebuilt: each gets its full capacity, its count of crossing flows and
+// its position in touched, which lists the slots in first-encounter
+// order over the active flows.
+func (n *Network) stamp() {
 	n.slotEpoch++
 	epoch := n.slotEpoch
 	touched := n.touched[:0]
@@ -353,14 +356,39 @@ func (n *Network) allocate() {
 				n.slotSeen[si] = epoch
 				n.slotRem[si] = n.slotCap[si]
 				n.slotAlive[si] = 0
+				n.slotPos[si] = int32(len(touched))
 				touched = append(touched, si)
 			}
 			n.slotAlive[si]++
 		}
-		f.Rate = 0
 	}
 	n.touched = touched
+}
 
+// whatIf is one probe of the what-if kernel: a backlogged flow over
+// slots, resolved to the rate it would get if it joined the active set.
+type whatIf struct {
+	slots []int32
+	rate  float64
+	done  bool
+	out   int  // index of the pair the probe answers for
+	phys  bool // the hose-less physical probe rather than the share probe
+}
+
+// fill runs progressive filling over the active set from a fresh stamp,
+// setting every active flow's rate, and resolves each probe on the way.
+//
+// A probe is the what-if of one more backlogged flow appended last to the
+// active set. Until the iteration that would freeze it, such a flow only
+// raises the crossing counts of its own slots — it subtracts nothing — so
+// the filling with the probe runs exactly the probe-less iterations, slot
+// values included, up to that point. resolve spots that iteration from
+// the probe-less state alone, and the probe's rate is the share that
+// iteration would freeze it at: the same float operations, in the same
+// order, as a pass with the probe started as a real flow, so the result
+// is bit-identical without the probe ever touching the active set.
+func (n *Network) fill(probes []whatIf) {
+	n.dirty = false
 	if cap(n.frozen) < len(n.active) {
 		n.frozen = make([]bool, len(n.active))
 	}
@@ -368,15 +396,17 @@ func (n *Network) allocate() {
 	for i := range frozen {
 		frozen[i] = false
 	}
+	for _, f := range n.active {
+		f.Rate = 0
+	}
 
 	remaining := len(n.active)
 	for remaining > 0 {
-		// Find the tightest constraint. touched is in first-encounter
-		// order over the active flows, matching the per-call index the
-		// previous implementation built, so tie-breaks are unchanged.
+		// Find the tightest constraint; touched's first-encounter order
+		// fixes the tie-breaks.
 		best := int32(-1)
 		bestShare := math.Inf(1)
-		for _, si := range touched {
+		for _, si := range n.touched {
 			if n.slotAlive[si] == 0 {
 				continue
 			}
@@ -386,9 +416,12 @@ func (n *Network) allocate() {
 				best = si
 			}
 		}
+		if len(probes) > 0 {
+			n.resolve(probes, best, bestShare)
+		}
 		if best < 0 {
-			// No live constraints left (cannot happen while flows remain,
-			// since every flow has at least one constraint).
+			// No live constraints left (cannot happen while flows remain
+			// on finite capacities, since every flow has a constraint).
 			break
 		}
 		if bestShare < 0 {
@@ -419,6 +452,46 @@ func (n *Network) allocate() {
 					n.slotRem[si] = 0
 				}
 			}
+		}
+	}
+	// No live slot is left, so an open probe is alone on its slots.
+	n.resolve(probes, -1, math.Inf(1))
+}
+
+// resolve freezes each open probe that the current filling iteration
+// would freeze were the probe an active flow appended last. The
+// probe-less pass is about to freeze the flows on slot best at bestShare
+// (best < 0: no live slot is left). With the probe added, each of its
+// slots carries one more flow — a slot the active set never touched sits
+// after all of touched, at its full capacity — and every other slot's
+// share is unchanged. That pass therefore picks a probe slot, and freezes
+// the probe at that slot's share, exactly when the smallest probe-slot
+// share undercuts bestShare or ties it no later in touched than best. (If
+// best is itself a probe slot it ties or undercuts, since remainders are
+// never negative and one more flow only lowers a share.) Otherwise it
+// picks best too, and the probe stays open.
+func (n *Network) resolve(probes []whatIf, best int32, bestShare float64) {
+	epoch := n.slotEpoch
+	for i := range probes {
+		p := &probes[i]
+		if p.done {
+			continue
+		}
+		share, pos := math.Inf(1), int32(math.MaxInt32)
+		for _, si := range p.slots {
+			rem, alive, at := n.slotCap[si], int32(0), int32(math.MaxInt32)
+			if n.slotSeen[si] == epoch {
+				rem, alive, at = n.slotRem[si], n.slotAlive[si], n.slotPos[si]
+			}
+			if s := rem / float64(alive+1); s < share || (s == share && at < pos) {
+				share, pos = s, at
+			}
+		}
+		if share < bestShare || (best >= 0 && share == bestShare && pos <= n.slotPos[best]) {
+			if share < 0 {
+				share = 0
+			}
+			p.rate, p.done = share, true
 		}
 	}
 }
@@ -455,15 +528,11 @@ func (n *Network) CurrentRate(id FlowID) (units.Rate, error) {
 // would receive right now, without disturbing the network. This is what a
 // netperf run (or an ideal packet train) measures.
 func (n *Network) AvailableRate(src, dst topology.VMID) (units.Rate, error) {
-	f, err := n.StartFlow(src, dst, Backlogged, "probe", nil)
-	if err != nil {
-		return 0, err
+	if src == dst {
+		return 0, fmt.Errorf("netsim: flow from %d to itself", src)
 	}
-	n.allocate()
-	rate := f.Rate
-	n.StopFlow(f.ID)
-	n.allocate()
-	return rate, nil
+	av, err := n.Availability(src, dst)
+	return av.Share, err
 }
 
 // Schedule runs fn at the given absolute simulation time. Times in the
@@ -650,67 +719,36 @@ type PathAvailability struct {
 }
 
 // Availability computes the three-way decomposition above without
-// disturbing existing flows.
+// disturbing existing flows. It leaves the network allocated.
 func (n *Network) Availability(src, dst topology.VMID) (PathAvailability, error) {
 	pi, err := n.pairInfoFor(src, dst)
 	if err != nil {
 		return PathAvailability{}, err
 	}
-	full, err := n.AvailableRate(src, dst)
-	if err != nil {
-		return PathAvailability{}, err
+	var out [1]PathAvailability
+	n.BatchAvailabilityRefs([]PairRef{pi}, out[:])
+	if n.dirty {
+		n.allocate()
 	}
-	av := PathAvailability{Share: full}
-
-	if pi.path.SameHost {
-		av.PhysicalShare = full
-		av.LineRate = n.prov.Profile.MemBusRate
-		return av, nil
-	}
-
-	// Raw line rate: the smallest capacity along the physical links.
-	av.LineRate = pi.idle.LineRate
-
-	// Physical-only share: allocate with a probe flow whose constraint set
-	// omits the source hose.
-	f, err := n.StartFlow(src, dst, Backlogged, "probe-phys", nil)
-	if err != nil {
-		return PathAvailability{}, err
-	}
-	f.keys = f.keys[1:] // drop the hose constraint (always first)
-	f.slots = f.slots[1:]
-	n.dirty = true
-	n.allocate()
-	av.PhysicalShare = f.Rate
-	n.StopFlow(f.ID)
-	n.allocate()
-	return av, nil
+	return out[0], nil
 }
 
 // BatchAvailability computes Availability for every ordered pair in one
 // pass — the mesh-measurement fast path. Trains run one at a time in
 // the measurement protocol, so each pair's availability is its
-// *isolated* share; the per-pair allocator probes (four allocator runs
-// and two flow-list mutations per pair) are only needed when live flows
-// contend for the pair's constraints. Pairs that share no links — or
-// hoses or memory buses — with any active flow are batched: their
-// shares are read directly off the cached constraint capacities, which
-// is exactly what progressive filling computes for a lone flow
-// (bestShare = capacity/1, an exact float identity), so results are
-// bit-identical to per-pair Availability calls.
+// *isolated* share: the rate a lone backlogged flow would get if it
+// joined the active set. Pairs that share no links — or hoses or memory
+// buses — with any active flow read their shares directly off the cached
+// constraint capacities, which is exactly what progressive filling
+// computes for a lone flow (bestShare = capacity/1, an exact float
+// identity).
 //
-// Contended pairs are batched too, by contention territory: slots that
-// appear in a common active flow are unioned, and a probe's territory
-// is the set of union roots its slots land in. Probes whose territories
-// are pairwise disjoint cannot influence each other through progressive
-// filling — freezing a flow only mutates slots in its own component —
-// so one allocate() pass over a whole group yields each member the
-// bit-identical rate a lone probe would get (the within-component
-// sequence of freeze events, and hence every float subtraction, is
-// unchanged; concurrent probes only interleave *other* components'
-// events between them). Each group costs two allocator passes (share
-// probes, then hose-less physical probes) plus one shared restore pass,
-// instead of four passes per pair.
+// Contended pairs go to the what-if kernel (see fill): one progressive
+// filling pass over the active set resolves every contended pair's share
+// probe and hose-less physical probe at the iteration that would freeze
+// it, with the float operations of a pass that started the probe as a
+// real flow. Results are therefore bit-identical to per-pair probes, and
+// no flow is started, stopped or given a FlowID.
 func (n *Network) BatchAvailability(pairs [][2]topology.VMID) ([]PathAvailability, error) {
 	refs := make([]PairRef, len(pairs))
 	for i, pr := range pairs {
@@ -721,9 +759,7 @@ func (n *Network) BatchAvailability(pairs [][2]topology.VMID) ([]PathAvailabilit
 		refs[i] = pi
 	}
 	out := make([]PathAvailability, len(pairs))
-	if err := n.BatchAvailabilityRefs(pairs, refs, out); err != nil {
-		return nil, err
-	}
+	n.BatchAvailabilityRefs(refs, out)
 	return out, nil
 }
 
@@ -742,196 +778,46 @@ func (n *Network) PairRefFor(src, dst topology.VMID) (PairRef, error) {
 
 // BatchAvailabilityRefs is BatchAvailability over pre-resolved pair
 // handles, writing into a caller-owned buffer: out[i] receives the
-// availability for pairs[i] (refs[i] must be PairRefFor of pairs[i]).
-// pairs is still needed because contended probes start real allocator
-// flows, which are addressed by VM ID.
-func (n *Network) BatchAvailabilityRefs(pairs [][2]topology.VMID, refs []PairRef, out []PathAvailability) error {
-	// Slots held by the active set: a probe touching any of them needs
-	// the real allocator.
-	var busy map[int32]bool
-	if len(n.active) > 0 {
-		busy = make(map[int32]bool)
-		for _, f := range n.active {
-			for _, si := range f.slots {
-				busy[si] = true
-			}
-		}
-	}
-	var contendedProbes []batchProbe
+// availability for refs[i]. If any pair is contended, the kernel's
+// filling pass leaves the network allocated.
+func (n *Network) BatchAvailabilityRefs(refs []PairRef, out []PathAvailability) {
+	n.stamp()
+	epoch := n.slotEpoch
+	probes := n.probes[:0]
 	for i, pi := range refs {
+		out[i] = pi.idle
 		contended := false
 		for _, si := range pi.slots {
-			if busy[si] {
+			if n.slotSeen[si] == epoch {
 				contended = true
 				break
 			}
 		}
-		if contended {
-			contendedProbes = append(contendedProbes, batchProbe{idx: i, path: pi.path, slots: pi.slots})
+		if !contended {
 			continue
 		}
-		out[i] = pi.idle
-	}
-	if len(contendedProbes) > 0 {
-		return n.contendedAvailability(pairs, contendedProbes, out)
-	}
-	return nil
-}
-
-// batchProbe is one contended pair awaiting a grouped allocator probe.
-type batchProbe struct {
-	idx   int // index into the pairs / out slices
-	path  *topology.Path
-	slots []int32
-	roots []int32 // union roots of slots — the probe's contention territory
-}
-
-// contendedAvailability resolves the contended pairs of a
-// BatchAvailability call with grouped allocator probes (see the method
-// comment there for the equivalence argument).
-func (n *Network) contendedAvailability(pairs [][2]topology.VMID, probes []batchProbe, out []PathAvailability) error {
-	// Union-find over constraint slots: slots sharing an active flow are
-	// merged, so a root identifies one component of mutually-influencing
-	// constraints. Every probe slot is already registered (slotsFor ran
-	// for all pairs), so the parent array covers them.
-	parent := make([]int32, len(n.slotCap))
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, f := range n.active {
-		for _, si := range f.slots[1:] {
-			ra, rb := find(f.slots[0]), find(si)
-			if ra != rb {
-				parent[rb] = ra
-			}
+		probes = append(probes, whatIf{slots: pi.slots, out: i})
+		if !pi.path.SameHost {
+			// The physical probe drops the hose (always the first slot).
+			probes = append(probes, whatIf{slots: pi.slots[1:], out: i, phys: true})
 		}
 	}
-	for pi := range probes {
-		p := &probes[pi]
-		p.roots = p.roots[:0]
-		for _, si := range p.slots {
-			r := find(si)
-			dup := false
-			for _, have := range p.roots {
-				if have == r {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				p.roots = append(p.roots, r)
-			}
+	n.probes = probes
+	if len(probes) == 0 {
+		return
+	}
+	n.fill(probes)
+	for _, p := range probes {
+		av := &out[p.out]
+		if p.phys {
+			av.PhysicalShare = units.Rate(p.rate)
+			continue
+		}
+		av.Share = units.Rate(p.rate)
+		if refs[p.out].path.SameHost {
+			av.PhysicalShare = av.Share
 		}
 	}
-
-	// Greedy first-fit grouping: probes go into the first group whose
-	// members' territories they don't intersect. Deterministic (input
-	// order), and on typical meshes — a few flows pinning a few
-	// components — most probes share a territory and group sizes stay
-	// small, while sparse contention collapses to one group.
-	type group struct {
-		members []int // indices into probes
-		roots   map[int32]bool
-	}
-	var groups []*group
-assign:
-	for pi := range probes {
-		for _, g := range groups {
-			clash := false
-			for _, r := range probes[pi].roots {
-				if g.roots[r] {
-					clash = true
-					break
-				}
-			}
-			if !clash {
-				g.members = append(g.members, pi)
-				for _, r := range probes[pi].roots {
-					g.roots[r] = true
-				}
-				continue assign
-			}
-		}
-		g := &group{members: []int{pi}, roots: make(map[int32]bool, len(probes[pi].roots))}
-		for _, r := range probes[pi].roots {
-			g.roots[r] = true
-		}
-		groups = append(groups, g)
-	}
-
-	flows := make([]*Flow, 0, len(probes))
-	for _, g := range groups {
-		// Share phase: one backlogged probe per member, one allocation.
-		flows = flows[:0]
-		for _, pi := range g.members {
-			pr := pairs[probes[pi].idx]
-			f, err := n.StartFlow(pr[0], pr[1], Backlogged, "probe", nil)
-			if err != nil {
-				return err
-			}
-			flows = append(flows, f)
-		}
-		n.allocate()
-		for i, pi := range g.members {
-			p := &probes[pi]
-			av := PathAvailability{Share: flows[i].Rate}
-			if p.path.SameHost {
-				av.PhysicalShare = av.Share
-				av.LineRate = n.prov.Profile.MemBusRate
-			}
-			out[p.idx] = av
-			n.StopFlow(flows[i].ID)
-		}
-
-		// Physical phase: hose-less probes for the non-colocated members.
-		flows = flows[:0]
-		for _, pi := range g.members {
-			p := &probes[pi]
-			if p.path.SameHost {
-				continue
-			}
-			pr := pairs[p.idx]
-			f, err := n.StartFlow(pr[0], pr[1], Backlogged, "probe-phys", nil)
-			if err != nil {
-				return err
-			}
-			f.keys = f.keys[1:] // drop the hose constraint (always first)
-			f.slots = f.slots[1:]
-			flows = append(flows, f)
-		}
-		n.dirty = true
-		n.allocate()
-		fi := 0
-		for _, pi := range g.members {
-			p := &probes[pi]
-			if p.path.SameHost {
-				continue
-			}
-			out[p.idx].PhysicalShare = flows[fi].Rate
-			line := math.Inf(1)
-			for _, l := range p.path.Links {
-				if c := float64(n.prov.Topo.Links[l].Capacity); c < line {
-					line = c
-				}
-			}
-			out[p.idx].LineRate = units.Rate(line)
-			n.StopFlow(flows[fi].ID)
-			fi++
-		}
-	}
-	// One restore pass for the whole batch: allocate() recomputes from
-	// scratch, so the active flows end on exactly the rates the per-pair
-	// probe sequence would have left them.
-	n.allocate()
-	return nil
 }
 
 // RunUntil advances the simulation until pred() reports true or maxTime

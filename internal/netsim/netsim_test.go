@@ -333,7 +333,7 @@ func TestConservationProperty(t *testing.T) {
 	// Recompute per-constraint usage and check capacity.
 	usage := map[constraintKey]float64{}
 	for _, f := range net.active {
-		for _, k := range f.keys {
+		for _, k := range net.constraintsFor(f.Path) {
 			usage[k] += float64(f.Rate)
 		}
 	}
@@ -346,7 +346,7 @@ func TestConservationProperty(t *testing.T) {
 	// Bottleneck property: every flow crosses a saturated constraint.
 	for _, f := range net.active {
 		saturated := false
-		for _, k := range f.keys {
+		for _, k := range net.constraintsFor(f.Path) {
 			if usage[k] >= net.capacityOf(k)*(1-1e-6) {
 				saturated = true
 				break

@@ -175,7 +175,7 @@ func TestMaxMinPropertyRandomFabrics(t *testing.T) {
 			if f.Rate <= 0 {
 				t.Fatalf("trial %d: flow %d has rate %v", trial, f.ID, f.Rate)
 			}
-			for _, k := range f.keys {
+			for _, k := range net.constraintsFor(f.Path) {
 				usage[k] += float64(f.Rate)
 			}
 		}
@@ -186,7 +186,7 @@ func TestMaxMinPropertyRandomFabrics(t *testing.T) {
 		}
 		for _, f := range net.active {
 			saturated := false
-			for _, k := range f.keys {
+			for _, k := range net.constraintsFor(f.Path) {
 				if usage[k] >= net.capacityOf(k)*(1-1e-6) {
 					saturated = true
 					break

@@ -79,7 +79,6 @@ type Medium struct {
 // availability scratch, and the PairState slice handed to callers.
 type meshPlan struct {
 	ids    []topology.VMID
-	pairs  [][2]topology.VMID
 	tmpl   []PathState // static fields only; availability fields zero
 	refs   []netsim.PairRef
 	avs    []netsim.PathAvailability
@@ -131,10 +130,11 @@ func (m *Medium) stateFrom(src, dst topology.VMID, av netsim.PathAvailability) (
 }
 
 // StatesOf snapshots every ordered pair among vms in one pass, batching
-// the underlying availability computation: pairs whose constraints no
-// active flow touches — on the pristine pre-measurement cloud, all of
-// them — are read off cached capacities instead of running four
-// allocator probes each (see netsim.BatchAvailability). The returned
+// the underlying availability computation (see netsim.BatchAvailability):
+// pairs whose constraints no active flow touches — on the pristine
+// pre-measurement cloud, all of them — are read off cached capacities,
+// and the rest are resolved together by netsim's what-if kernel in one
+// max-min filling pass, without starting a probe flow. The returned
 // states are bit-identical to per-pair StateOf calls; trains still run
 // one at a time against them, so measured observations are unchanged.
 func (m *Medium) StatesOf(vms []topology.VM) (map[[2]topology.VMID]PathState, error) {
@@ -183,9 +183,7 @@ func (m *Medium) PairStates(vms []topology.VM) ([]PairState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.net.BatchAvailabilityRefs(plan.pairs, plan.refs, plan.avs); err != nil {
-		return nil, err
-	}
+	m.net.BatchAvailabilityRefs(plan.refs, plan.avs)
 	states := plan.states
 	for i := range states {
 		s := &states[i]
@@ -212,25 +210,23 @@ func (m *Medium) planFor(vms []topology.VM) (*meshPlan, error) {
 			return p, nil
 		}
 	}
-	p := &meshPlan{
-		ids:   make([]topology.VMID, len(vms)),
-		pairs: make([][2]topology.VMID, 0, len(vms)*(len(vms)-1)),
-	}
+	p := &meshPlan{ids: make([]topology.VMID, len(vms))}
 	for i, vm := range vms {
 		p.ids[i] = vm.ID
 	}
+	pairs := make([][2]topology.VMID, 0, len(vms)*(len(vms)-1))
 	for _, a := range vms {
 		for _, b := range vms {
 			if a.ID != b.ID {
-				p.pairs = append(p.pairs, [2]topology.VMID{a.ID, b.ID})
+				pairs = append(pairs, [2]topology.VMID{a.ID, b.ID})
 			}
 		}
 	}
-	p.tmpl = make([]PathState, len(p.pairs))
-	p.refs = make([]netsim.PairRef, len(p.pairs))
-	p.avs = make([]netsim.PathAvailability, len(p.pairs))
-	p.states = make([]PairState, len(p.pairs))
-	for i, pr := range p.pairs {
+	p.tmpl = make([]PathState, len(pairs))
+	p.refs = make([]netsim.PairRef, len(pairs))
+	p.avs = make([]netsim.PathAvailability, len(pairs))
+	p.states = make([]PairState, len(pairs))
+	for i, pr := range pairs {
 		st, err := m.stateFrom(pr[0], pr[1], netsim.PathAvailability{})
 		if err != nil {
 			return nil, err

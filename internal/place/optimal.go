@@ -53,7 +53,7 @@ func Optimal(app *profile.Application, env *Environment, model Model, maxNodes i
 	}
 	J := app.Tasks()
 	if J == 0 {
-		return Placement{}, errNoFeasible
+		return Placement{MachineOf: []int{}}, nil
 	}
 	s := newSearch(app, env, model)
 	M, at, cpu, cpuLeft := s.M, s.at, s.cpu, s.cpuLeft

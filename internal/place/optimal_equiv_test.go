@@ -30,6 +30,9 @@ func optimalReference(app *profile.Application, env *Environment, model Model, m
 	}
 	J := app.Tasks()
 	M := env.Machines()
+	if J == 0 {
+		return Placement{MachineOf: []int{}}, nil
+	}
 
 	// Order tasks by total traffic descending so heavy tasks are fixed
 	// early and bounds bite sooner.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -78,6 +79,29 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...interfac
 	writeJSON(w, status, api.ErrorResponse{V: api.Version, Error: fmt.Sprintf(format, args...)})
 }
 
+// MaxRequestBytes caps a /v1/place or /v1/migrate request body. An
+// application is a CPU vector and a transfer list, so a mebibyte holds
+// tens of thousands of transfers; a larger body is refused with 413
+// before it is buffered.
+const MaxRequestBytes = 1 << 20
+
+// decodeBody decodes a compute endpoint's request body, of at most
+// MaxRequestBytes, into v. On failure it writes the rejection — 413 for
+// an oversize body, 400 for anything else — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	default:
+		writeErr(w, http.StatusBadRequest, "decode request: %v", err)
+	}
+	return false
+}
+
 func tenantOf(r *http.Request) string {
 	if t := r.Header.Get("X-Choreo-Tenant"); t != "" {
 		return t
@@ -108,8 +132,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, v int) *Snapshot 
 
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	var req api.PlaceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decode request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	snap := s.admit(w, r, req.V)
@@ -163,8 +186,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	var req api.MigrateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decode request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	snap := s.admit(w, r, req.V)

@@ -346,3 +346,49 @@ func TestRefreshCanceled(t *testing.T) {
 		t.Error("failed boot epoch published a snapshot")
 	}
 }
+
+// TestRequestBodyLimit pins the body cap on both compute endpoints: a
+// body of exactly serve.MaxRequestBytes is decoded and served, one byte
+// more is refused with 413 and the JSON error shape.
+func TestRequestBodyLimit(t *testing.T) {
+	_, ts := simServer(t, serve.Config{})
+	for _, ep := range []struct {
+		path string
+		req  interface{}
+	}{
+		{"/v1/place", api.PlaceRequest{V: api.Version, App: testApp}},
+		{"/v1/migrate", api.MigrateRequest{V: api.Version, App: testApp, Current: []int{0, 0, 0, 0}}},
+	} {
+		t.Run(ep.path, func(t *testing.T) {
+			body, err := json.Marshal(ep.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Leading whitespace pads the request to the size under test
+			// and must all be read before the request decodes.
+			post := func(size int) *http.Response {
+				padded := strings.Repeat(" ", size-len(body)) + string(body)
+				resp, err := http.Post(ts.URL+ep.path, "application/json", strings.NewReader(padded))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { resp.Body.Close() })
+				return resp
+			}
+			if resp := post(serve.MaxRequestBytes); resp.StatusCode != http.StatusOK {
+				t.Errorf("body of exactly the limit: status %v, want 200", resp.Status)
+			}
+			resp := post(serve.MaxRequestBytes + 1)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("oversize body: status %v, want 413", resp.Status)
+			}
+			var apiErr api.ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+				t.Fatal(err)
+			}
+			if apiErr.V != api.Version || !strings.Contains(apiErr.Error, "exceeds") {
+				t.Errorf("oversize rejection = %+v", apiErr)
+			}
+		})
+	}
+}
