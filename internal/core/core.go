@@ -151,15 +151,33 @@ func New(net *netsim.Network, vms []topology.VM, rng *rand.Rand, opts Options) (
 // fabric and measurement streams never alias. The same arguments always
 // yield a bit-identical cloud.
 func NewSimulated(profile topology.Profile, seed int64, vms int, opts Options) (*Choreo, error) {
+	cloud, err := NewCloud(profile, seed, vms)
+	if err != nil {
+		return nil, err
+	}
+	return NewOnCloud(cloud, seed, opts)
+}
+
+// NewCloud builds a simulated cloud without a simulator: the provider
+// from seed with vms tenant VMs allocated and every route between them
+// derived. The result is read-only, so one cloud can back any number of
+// simulators (NewOnCloud, Execute), concurrently.
+func NewCloud(profile topology.Profile, seed int64, vms int) (*topology.Provider, error) {
 	prov, err := topology.NewProvider(profile, seed)
 	if err != nil {
 		return nil, err
 	}
-	allocated, err := prov.AllocateVMs(vms)
-	if err != nil {
+	if _, err := prov.AllocateVMs(vms); err != nil {
 		return nil, fmt.Errorf("core: allocating %d VMs: %w", vms, err)
 	}
-	return New(netsim.New(prov), allocated, rand.New(rand.NewSource(seed+1)), opts)
+	return prov, nil
+}
+
+// NewOnCloud builds an orchestrator over a fresh simulator on a cloud
+// from NewCloud(profile, seed, ...), its rng seeded with seed+1 as
+// NewSimulated's is. Orchestrators on one cloud share nothing mutable.
+func NewOnCloud(cloud *topology.Provider, seed int64, opts Options) (*Choreo, error) {
+	return New(netsim.New(cloud), cloud.VMs(), rand.New(rand.NewSource(seed+1)), opts)
 }
 
 // Network exposes the underlying simulator.
@@ -284,20 +302,27 @@ func PlaceWith(app *profile.Application, env *place.Environment, alg Algorithm, 
 // "avoiding any network transmission time"). It returns the application's
 // completion time (not counting measurement, matching §6.2).
 func (c *Choreo) Execute(app *profile.Application, p place.Placement) (time.Duration, error) {
+	return Execute(c.net, c.vms, app, p)
+}
+
+// Execute is Choreo.Execute on a bare simulator: machine m of the
+// placement is vms[m]. It draws no randomness, so executing needs no
+// orchestrator or rng — only a simulator over the cloud.
+func Execute(net *netsim.Network, vms []topology.VM, app *profile.Application, p place.Placement) (time.Duration, error) {
 	if len(p.MachineOf) != app.Tasks() {
 		return 0, fmt.Errorf("core: placement covers %d tasks, app has %d", len(p.MachineOf), app.Tasks())
 	}
-	start := c.net.Now()
+	start := net.Now()
 	outstanding := 0
 	var lastFinish time.Duration
 	for _, tr := range app.TM.Transfers() {
-		srcVM := c.vms[p.MachineOf[tr.From]]
-		dstVM := c.vms[p.MachineOf[tr.To]]
+		srcVM := vms[p.MachineOf[tr.From]]
+		dstVM := vms[p.MachineOf[tr.To]]
 		if srcVM.ID == dstVM.ID {
 			continue // intra-VM: no network transfer
 		}
 		outstanding++
-		_, err := c.net.StartFlow(srcVM.ID, dstVM.ID, tr.Bytes, app.Name, func(f *netsim.Flow) {
+		_, err := net.StartFlow(srcVM.ID, dstVM.ID, tr.Bytes, app.Name, func(f *netsim.Flow) {
 			outstanding--
 			if f.Finished() > lastFinish {
 				lastFinish = f.Finished()
@@ -310,8 +335,8 @@ func (c *Choreo) Execute(app *profile.Application, p place.Placement) (time.Dura
 	if outstanding == 0 {
 		return 0, nil
 	}
-	maxSim := c.net.Now() + 1000*time.Hour
-	c.net.RunUntil(func() bool { return outstanding == 0 }, maxSim)
+	maxSim := net.Now() + 1000*time.Hour
+	net.RunUntil(func() bool { return outstanding == 0 }, maxSim)
 	if outstanding > 0 {
 		return 0, fmt.Errorf("core: application %q did not finish within %v", app.Name, maxSim)
 	}

@@ -364,19 +364,19 @@ func GreedyVsOptimal(cfg Config) (*GreedyVsOptimalResult, error) {
 	// Scarce CPU keeps tasks from simply colocating, so placement quality
 	// is decided on the network — where greedy's myopia is visible.
 	wcfg.CPUChoices = []float64{0.5, 1, 1.5, 2}
-	var overheads []float64
-	for k := 0; k < apps; k++ {
-		// Five small machines: keep demand within reach of every solver.
+	// Five small machines: keep demand within reach of every solver.
+	draw := func() (*profile.Application, *place.Environment, error) {
 		app, err := workload.GenerateFitting(rng, wcfg, 11)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		env := randomMeasuredEnv(rng, 5)
-		g, err := place.Greedy(app, env, place.Hose)
+		return app, randomMeasuredEnv(rng, 5), nil
+	}
+	var overheads []float64
+	for k := 0; k < apps; k++ {
+		app, env, g, err := drawGreedyPlaceable(draw)
 		if err != nil {
-			// Fragmentation made this draw greedy-infeasible; skip it.
-			k--
-			continue
+			return nil, err
 		}
 		gt, err := place.CompletionTime(app, env, g, place.Hose)
 		if err != nil {
@@ -402,6 +402,33 @@ func GreedyVsOptimal(cfg Config) (*GreedyVsOptimalResult, error) {
 		MeanOverhead:   sum.Mean,
 		WorstOverhead:  sum.Max,
 	}, nil
+}
+
+// maxSkippedDraws bounds how many draws in a row GreedyVsOptimal skips
+// because greedy finds no placement for them. At the calibrated workload
+// a skip is rare, so hitting the bound means the draws cannot be placed
+// at all, and spinning on would never end.
+const maxSkippedDraws = 100
+
+// drawGreedyPlaceable calls draw until greedy places the drawn
+// application on the drawn environment, and returns that draw with
+// greedy's placement. A draw greedy cannot place (fragmentation left no
+// CPU-feasible machine) is skipped; after maxSkippedDraws skips in a row
+// it fails with greedy's last error.
+func drawGreedyPlaceable(draw func() (*profile.Application, *place.Environment, error)) (*profile.Application, *place.Environment, place.Placement, error) {
+	for skipped := 0; ; skipped++ {
+		app, env, err := draw()
+		if err != nil {
+			return nil, nil, place.Placement{}, err
+		}
+		g, err := place.Greedy(app, env, place.Hose)
+		if err == nil {
+			return app, env, g, nil
+		}
+		if skipped == maxSkippedDraws {
+			return nil, nil, place.Placement{}, fmt.Errorf("experiments: greedy placed none of %d draws in a row: %w", maxSkippedDraws+1, err)
+		}
+	}
 }
 
 // randomMeasuredEnv draws an EC2-2013-like measured rate matrix.

@@ -7,11 +7,12 @@
 // engine grew up against the simulated cloud only; this package makes
 // the measurement plane pluggable:
 //
-//   - Sim (the default) builds a deterministic netsim cloud from the
-//     cell seed, measures it with simulated packet trains, and executes
-//     placements by actually transferring the profiled bytes on the
-//     simulated fabric — bit-identical to the engine's pre-backend
-//     behaviour, so golden reports are unchanged.
+//   - Sim (the default) measures the cell's simulated cloud — built once
+//     per cell from the cell seed — with simulated packet trains, and
+//     executes placements by actually transferring the profiled bytes
+//     on a fresh flow simulator over that same cloud — bit-identical to
+//     the engine's pre-backend behaviour, so golden reports are
+//     unchanged.
 //   - Live maps a cell's VM slots onto real choreo-agent addresses,
 //     drives a cluster.Coordinator through MeasureMesh (packet trains +
 //     RTT probes over real sockets), and assembles the placement
@@ -59,6 +60,11 @@ type Cell struct {
 	VMs int
 	// Seed is the deterministic cell seed (sweep.Scenario.cloudSeed).
 	Seed int64
+	// Cloud, when set, is the cell's pristine simulated cloud, built by
+	// core.NewCloud(Profile, Seed, VMs): the sim backend measures and
+	// executes on it instead of building its own. Ignored by live
+	// backends.
+	Cloud *topology.Provider
 }
 
 // PairFlow is one aggregated inter-machine flow of an executed

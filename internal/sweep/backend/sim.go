@@ -5,17 +5,20 @@ import (
 	"fmt"
 
 	"choreo/internal/core"
+	"choreo/internal/netsim"
 	"choreo/internal/place"
 	"choreo/internal/profile"
+	"choreo/internal/topology"
 )
 
-// Sim is the simulated measurement backend: every cell gets a fresh
-// netsim cloud rebuilt from the deterministic cell seed, measured with
-// simulated packet trains and executed by draining the profiled bytes
-// through the flow-level simulator. Rebuilding from the same seed yields
-// a bit-identical cloud, which is what lets the environment cache reuse
-// one measurement across a cell group while every execution still gets a
-// pristine simulator.
+// Sim is the simulated measurement backend. A cell's cloud is its
+// Cell.Cloud when the caller built one (the sweep builds one per cell and
+// keeps it in the cell's cache entry), and is otherwise built from the
+// deterministic cell seed. Measure runs simulated packet trains on it;
+// Execute drains the profiled bytes through a fresh flow simulator over
+// it. A cloud is read-only once built and a simulator starts pristine,
+// so every execution of a cell sees the cloud its measurement saw, and
+// the executions of a cell group may run concurrently on one cloud.
 type Sim struct{}
 
 // NewSim returns the simulated backend.
@@ -37,34 +40,43 @@ func (s *Sim) CheckCapacity(ctx context.Context, maxVMs int) error { return nil 
 // there is no separate measured-vs-predicted observation to make.
 func (s *Sim) Executes() bool { return false }
 
-// orchestrator rebuilds the cell's simulated cloud from the cell seed.
-func (s *Sim) orchestrator(c Cell) (*core.Choreo, error) {
-	orch, err := core.NewSimulated(c.Profile, c.Seed, c.VMs, core.Options{})
+// cloud returns the cell's cloud: c.Cloud, or one built from the cell
+// seed.
+func (s *Sim) cloud(c Cell) (*topology.Provider, error) {
+	if c.Cloud != nil {
+		return c.Cloud, nil
+	}
+	cloud, err := core.NewCloud(c.Profile, c.Seed, c.VMs)
 	if err != nil {
 		return nil, fmt.Errorf("backend: %s: %w", c.Topology, err)
 	}
-	return orch, nil
+	return cloud, nil
 }
 
-// Measure builds the cell's cloud and runs the full-mesh packet-train
-// measurement on it.
+// Measure runs the full-mesh packet-train measurement on the cell's
+// cloud.
 func (s *Sim) Measure(ctx context.Context, c Cell) (*place.Environment, error) {
-	orch, err := s.orchestrator(c)
+	cloud, err := s.cloud(c)
 	if err != nil {
 		return nil, err
+	}
+	orch, err := core.NewOnCloud(cloud, c.Seed, core.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("backend: %s: %w", c.Topology, err)
 	}
 	return orch.MeasureEnvironment()
 }
 
-// Execute runs the placement on a freshly rebuilt cloud — one flow per
-// task-pair transfer, simulated until the last byte drains. env and
-// model are unused: the simulator is its own ground truth.
+// Execute runs the placement on a fresh simulator over the cell's cloud
+// — one flow per task-pair transfer, simulated until the last byte
+// drains. env and model are unused: the simulator is its own ground
+// truth.
 func (s *Sim) Execute(ctx context.Context, c Cell, app *profile.Application, env *place.Environment, p place.Placement, model place.Model) (Execution, error) {
-	orch, err := s.orchestrator(c)
+	cloud, err := s.cloud(c)
 	if err != nil {
 		return Execution{}, err
 	}
-	d, err := orch.Execute(app, p)
+	d, err := core.Execute(netsim.New(cloud), cloud.VMs(), app, p)
 	if err != nil {
 		return Execution{}, err
 	}

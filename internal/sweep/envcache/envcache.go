@@ -7,7 +7,11 @@
 // Caching them turns N+1 expensive build-and-measure passes per cell into
 // one, without touching the determinism guarantee: a cache hit returns
 // bit-identical data to what a rebuild would produce, so reports are
-// byte-identical with the cache on or off.
+// byte-identical with the cache on or off. On the sim backend the entry
+// also holds the cell's pristine cloud: measurement ran on it, and every
+// execution of the cell runs a fresh simulator over it, so no cell
+// rebuilds its cloud — and the entry's eviction bounds the clouds alive
+// to the in-flight working set.
 //
 // The cache is content-keyed (Key carries every input that shapes the
 // cloud or the application), singleflight (concurrent workers asking for
@@ -31,6 +35,7 @@ import (
 
 	"choreo/internal/place"
 	"choreo/internal/profile"
+	"choreo/internal/topology"
 )
 
 // Key identifies one unique scenario environment: the deterministic cell
@@ -68,8 +73,8 @@ type Key struct {
 // MeasurementKey derives the key of the cell's cloud measurement — the
 // expensive packet-train half of a cell build. Simulated sequence cells
 // that differ only in their arrival process (interarrival, sequence
-// length) rebuild a bit-identical cloud, so their measurement is shared
-// by dropping those coordinates from the key. Live measurements are
+// length) have a bit-identical cloud, so the cloud and its measurement
+// are shared by dropping those coordinates from the key. Live measurements are
 // never shared across cells: the real cloud drifts, so the full cell
 // key (epoch included) stays the measurement's identity.
 func (k Key) MeasurementKey() Key {
@@ -81,17 +86,22 @@ func (k Key) MeasurementKey() Key {
 }
 
 // Cell is one built-and-measured scenario environment: the measured rate
-// matrix and the placement problem — a single application for snapshot
-// cells, a Start-ordered arrival sequence for sequence cells. Env and the
+// matrix, the cloud it was measured on (sim backend only), and the
+// placement problem — a single application for snapshot cells, a
+// Start-ordered arrival sequence for sequence cells. Env, Cloud and the
 // applications are treated as immutable by snapshot consumers (placement
-// algorithms read them; execution happens on a freshly rebuilt cloud);
+// algorithms read them; executions run fresh simulators over Cloud);
 // sequence consumers re-measure mid-run, so they take a mutable CloneEnv
 // instead of aliasing the shared entry. The exact-optimum reference
 // completion is memoized here too, so the N algorithms of a cell group
 // compute it once.
 type Cell struct {
 	Env *place.Environment
-	App *profile.Application
+	// Cloud is the cell's pristine simulated cloud (nil on live
+	// backends). Every route in it was derived when it was built, so it
+	// is read-only and the cell group's executions share it.
+	Cloud *topology.Provider
+	App   *profile.Application
 	// Seq holds a sequence cell's generated applications in arrival
 	// order (nil for snapshot cells). Consumers must not mutate them.
 	Seq []*profile.Application
@@ -114,7 +124,7 @@ func (c *Cell) CloneEnv() *place.Environment {
 // OptimalReference returns the memoized exact-optimum reference,
 // computing it with compute on first call. compute's result must be a
 // pure function of the cell (it is: the reference minimizes the predicted
-// objective over Env and executes on a cloud rebuilt from the cell seed),
+// objective over Env and executes on a fresh simulator over Cloud),
 // so whichever scenario gets here first stores what every other scenario
 // would have computed.
 func (c *Cell) OptimalReference(compute func() (float64, bool, error)) (float64, bool, error) {
@@ -160,16 +170,6 @@ type entry struct {
 	remaining int
 }
 
-// measEntry is one cached cloud measurement with its build-once latch
-// and remaining-use count — the measurement sub-layer's analogue of
-// entry.
-type measEntry struct {
-	once      sync.Once
-	env       *place.Environment
-	err       error
-	remaining int
-}
-
 // Cache is a concurrency-safe, content-keyed cell cache.
 type Cache struct {
 	mu      sync.Mutex
@@ -183,7 +183,7 @@ type Cache struct {
 	// build, shared across cell keys whose MeasurementKey agrees (see
 	// Key.MeasurementKey). Populated only when PlanMeasurements declared
 	// a plan; unplanned measurement keys build on every fetch.
-	measEntries map[Key]*measEntry
+	measEntries map[Key]*entry
 	measPlanned map[Key]int
 	measHits    atomic.Int64
 	measMisses  atomic.Int64
@@ -273,7 +273,7 @@ func (c *Cache) PlanMeasurements(uses map[Key]int) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.measEntries = make(map[Key]*measEntry)
+	c.measEntries = make(map[Key]*entry)
 	c.measPlanned = make(map[Key]int, len(uses))
 	for k, n := range uses {
 		c.measPlanned[k] = n
@@ -281,13 +281,14 @@ func (c *Cache) PlanMeasurements(uses map[Key]int) {
 }
 
 // GetMeasurement returns the cloud measurement for key (derive it with
-// Key.MeasurementKey), building it with build on first request. Cell
-// builders call it from inside their Get build function, so the N cell
-// keys sharing one measurement key measure the cloud exactly once.
-// Consumers must treat the returned environment as immutable — mutating
-// runs take a Clone (see Cell.CloneEnv). A nil *Cache, or a cache with
-// no measurement plan for key, builds every time.
-func (c *Cache) GetMeasurement(key Key, build func() (*place.Environment, error)) (*place.Environment, error) {
+// Key.MeasurementKey): a Cell carrying Env and, on the sim backend, the
+// Cloud it was measured on. It builds it with build on first request.
+// Cell builders call it from inside their Get build function, so the N
+// cell keys sharing one measurement key build and measure the cloud
+// exactly once. Consumers must treat the returned environment and cloud
+// as immutable — mutating runs take a Clone (see Cell.CloneEnv). A nil
+// *Cache, or a cache with no measurement plan for key, builds every time.
+func (c *Cache) GetMeasurement(key Key, build func() (*Cell, error)) (*Cell, error) {
 	if c == nil {
 		return build()
 	}
@@ -299,7 +300,7 @@ func (c *Cache) GetMeasurement(key Key, build func() (*place.Environment, error)
 	}
 	e, ok := c.measEntries[key]
 	if !ok {
-		e = &measEntry{remaining: c.measPlanned[key]}
+		e = &entry{remaining: c.measPlanned[key]}
 		c.measEntries[key] = e
 		c.measMisses.Add(1)
 	} else {
@@ -313,9 +314,9 @@ func (c *Cache) GetMeasurement(key Key, build func() (*place.Environment, error)
 	c.mu.Unlock()
 
 	e.once.Do(func() {
-		e.env, e.err = build()
+		e.cell, e.err = build()
 	})
-	return e.env, e.err
+	return e.cell, e.err
 }
 
 // Stats returns the cumulative hit/miss counters (they survive eviction)

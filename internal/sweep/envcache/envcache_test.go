@@ -246,9 +246,9 @@ func TestGetMeasurementSharesAndEvicts(t *testing.T) {
 	c := NewPlanned(map[Key]int{cellA: 2, cellB: 2})
 	c.PlanMeasurements(map[Key]int{mk: 2})
 	builds := 0
-	build := func() (*place.Environment, error) {
+	build := func() (*Cell, error) {
 		builds++
-		return &place.Environment{CPUCap: []float64{4}}, nil
+		return &Cell{Env: &place.Environment{CPUCap: []float64{4}}}, nil
 	}
 	envA, err := c.GetMeasurement(mk, build)
 	if err != nil {
@@ -303,7 +303,7 @@ func TestGetMeasurementSharesErrors(t *testing.T) {
 	boom := errors.New("measurement failed")
 	builds := 0
 	for i := 0; i < 2; i++ {
-		_, err := c.GetMeasurement(k, func() (*place.Environment, error) {
+		_, err := c.GetMeasurement(k, func() (*Cell, error) {
 			builds++
 			return nil, boom
 		})

@@ -77,8 +77,19 @@ const (
 // VM-pair clouds (ec2-2013, ec2-2012, rackspace, private), the ns-2 tree
 // fabrics (dumbbell, tworack), and the cluster-scheduling fabrics
 // fattree-K (k-ary fat tree, even K) and jellyfish-N (N-switch random
-// regular graph).
+// regular graph). Each call hands out a profile with its own shared
+// fabric (topology.Profile.SharedFabric): every cell of the grid
+// topology it resolves builds its cloud on one fabric, built once.
 func TopologyByName(name string) (Topology, error) {
+	tp, err := topologyByName(name)
+	if err != nil {
+		return Topology{}, err
+	}
+	tp.Profile = tp.Profile.SharedFabric()
+	return tp, nil
+}
+
+func topologyByName(name string) (Topology, error) {
 	switch name {
 	case "ec2-2013", "ec2":
 		return Topology{Name: "ec2-2013", Profile: topology.EC22013()}, nil
@@ -93,9 +104,9 @@ func TopologyByName(name string) (Topology, error) {
 	case "tworack":
 		return Topology{Name: "tworack", Profile: topology.TwoRack(8, units.Gbps(1), units.Gbps(10))}, nil
 	case "fattree":
-		return TopologyByName("fattree-4")
+		return topologyByName("fattree-4")
 	case "jellyfish":
-		return TopologyByName("jellyfish-12")
+		return topologyByName("jellyfish-12")
 	}
 	if k, ok := nameParam(name, "fattree-"); ok {
 		if k < 2 || k%2 != 0 {

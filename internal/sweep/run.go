@@ -17,6 +17,7 @@ import (
 	"choreo/internal/sweep/backend"
 	"choreo/internal/sweep/envcache"
 	"choreo/internal/sweep/sequence"
+	"choreo/internal/topology"
 	"choreo/internal/workload"
 )
 
@@ -118,23 +119,26 @@ func (g *Grid) CellKey(sc Scenario) envcache.Key {
 	return key
 }
 
-// backendCell names the scenario's measurement target for the backend.
-func (g *Grid) backendCell(sc Scenario) backend.Cell {
+// backendCell names the scenario's measurement target for the backend;
+// cloud is the cell's simulated cloud (nil on live backends).
+func (g *Grid) backendCell(sc Scenario, cloud *topology.Provider) backend.Cell {
 	return backend.Cell{
 		Topology: sc.Topology.Name,
 		Profile:  sc.Topology.Profile,
 		VMs:      sc.VMs,
 		Seed:     sc.cloudSeed(),
+		Cloud:    cloud,
 	}
 }
 
 // buildCell constructs and measures the scenario's environment: the
-// backend's measured rate matrix for the cell's cloud, and the
-// application to place. This is the expensive, cacheable half of a
-// scenario — every algorithm of a cell group (and the optimal
-// reference) shares its output. The build and measure spans parent
-// under the calling cell's span (stashed in ctx); a live backend's
-// cluster.mesh span parents under the measure span the same way.
+// backend's measured rate matrix for the cell's cloud, the cloud itself
+// on the sim backend, and the application to place. This is the
+// expensive, cacheable half of a scenario — every algorithm of a cell
+// group (and the optimal reference) shares its output, and executes on
+// its cloud. The build and measure spans parent under the calling cell's
+// span (stashed in ctx); a live backend's cluster.mesh span parents
+// under the measure span the same way.
 func (g *Grid) buildCell(ctx context.Context, sc Scenario, ro *runObs) (*envcache.Cell, error) {
 	buildStart := time.Now()
 	bspan := ro.span(obs.SpanFromContext(ctx), "sweep.build")
@@ -150,7 +154,16 @@ func (g *Grid) buildCell(ctx context.Context, sc Scenario, ro *runObs) (*envcach
 	if mspan.ID() != 0 {
 		mctx = obs.ContextWithSpan(ctx, mspan)
 	}
-	env, err := g.backend().Measure(mctx, g.backendCell(sc))
+	// The sim backend measures the cloud the cell keeps for its
+	// executions; a live backend's cloud is the real mesh.
+	var cloud *topology.Provider
+	if _, sim := g.backend().(*backend.Sim); sim {
+		cloud, err = core.NewCloud(sc.Topology.Profile, seed, sc.VMs)
+	}
+	var env *place.Environment
+	if err == nil {
+		env, err = g.backend().Measure(mctx, g.backendCell(sc, cloud))
+	}
 	if err != nil {
 		mspan.End(obs.String("outcome", "error"))
 		bspan.End(obs.String("outcome", "error"))
@@ -160,7 +173,7 @@ func (g *Grid) buildCell(ctx context.Context, sc Scenario, ro *runObs) (*envcach
 	ro.phase("measure", measureStart)
 	bspan.End(obs.String("outcome", "ok"))
 	ro.phase("build", buildStart)
-	return &envcache.Cell{Env: env, App: app}, nil
+	return &envcache.Cell{Env: env, Cloud: cloud, App: app}, nil
 }
 
 // buildApplication draws (or replays) the scenario's placement problem.
@@ -206,10 +219,10 @@ func (g *Grid) buildApplication(sc Scenario, seed int64) (*profile.Application, 
 }
 
 // place runs the scenario's placement policy against the measured cell.
-// rng drives the Random baseline; it is freshly seeded from the cell
-// seed (offset +1, the stream the orchestrator's rng always used) so
-// placements are identical across backends, worker counts and cache
-// states.
+// rng drives the Random baseline and is nil for every other algorithm;
+// runScenario seeds it freshly from the cell seed (offset +1, the stream
+// the orchestrator's rng always used) so placements are identical across
+// backends, worker counts and cache states.
 func (g *Grid) place(sc Scenario, cell *envcache.Cell, rng *rand.Rand) (place.Placement, error) {
 	if !sc.Algorithm.ILP {
 		return core.PlaceWith(cell.App, cell.Env, sc.Algorithm.Core, g.Model, rng)
@@ -278,14 +291,14 @@ func (g *Grid) sequenceParams(sc Scenario) sequence.Params {
 // shares its output; each run takes a mutable CloneEnv, never the shared
 // entry, because sequence runs re-measure mid-flight.
 //
-// Cells differing only in interarrival or sequence length rebuild a
+// Cells differing only in interarrival or sequence length share a
 // bit-identical cloud (cloudSeed excludes those coordinates) but
 // generate different arrival sequences, so the cache entry is split:
-// the cloud measurement is fetched through the cache's measurement
-// sub-layer under Key.MeasurementKey, which those cells share, while
-// the generated sequence stays per-cell. A bit-identical cloud is
-// therefore never re-measured, and the shared Environment is never
-// mutated (runs clone it).
+// the cloud and its measurement are fetched through the cache's
+// measurement sub-layer under Key.MeasurementKey, which those cells
+// share, while the generated sequence stays per-cell. A cloud is
+// therefore built, routed and measured once for all of them, and the
+// shared Environment is never mutated (runs clone it).
 func (g *Grid) buildSequenceCell(sc Scenario, cache *envcache.Cache) (*envcache.Cell, error) {
 	seed := sc.cloudSeed()
 	cfg := workload.Config{
@@ -301,8 +314,12 @@ func (g *Grid) buildSequenceCell(sc Scenario, cache *envcache.Cache) (*envcache.
 	if err != nil {
 		return nil, fmt.Errorf("sweep: generating %s sequence: %w", sc.Workload.Name, err)
 	}
-	env, err := cache.GetMeasurement(g.CellKey(sc).MeasurementKey(), func() (*place.Environment, error) {
-		orch, err := core.NewSimulated(sc.Topology.Profile, seed, sc.VMs, core.Options{Model: g.Model})
+	m, err := cache.GetMeasurement(g.CellKey(sc).MeasurementKey(), func() (*envcache.Cell, error) {
+		cloud, err := core.NewCloud(sc.Topology.Profile, seed, sc.VMs)
+		if err != nil {
+			return nil, fmt.Errorf("sweep: %s: %w", sc.Topology.Name, err)
+		}
+		orch, err := core.NewOnCloud(cloud, seed, core.Options{Model: g.Model})
 		if err != nil {
 			return nil, fmt.Errorf("sweep: %s: %w", sc.Topology.Name, err)
 		}
@@ -310,21 +327,25 @@ func (g *Grid) buildSequenceCell(sc Scenario, cache *envcache.Cache) (*envcache.
 		if err != nil {
 			return nil, fmt.Errorf("sweep: measuring %s: %w", sc.Topology.Name, err)
 		}
-		return env, nil
+		return &envcache.Cell{Env: env, Cloud: cloud}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &envcache.Cell{Env: env, Seq: seq}, nil
+	return &envcache.Cell{Env: m.Env, Cloud: m.Cloud, Seq: seq}, nil
 }
 
 // runSequenceScenario executes one sequence cell end to end: fetch (or
 // build) the measured cell, then play the arrival sequence with the
-// scenario's algorithm on a freshly rebuilt cloud — placing each
-// application as it arrives under the live cross traffic of the ones
-// already running, and migrating when re-evaluation predicts enough
-// gain. There is no optimal reference: the §6.3 comparison is
-// total running time across algorithms, not slowdown vs. an optimum.
+// scenario's algorithm on a fresh simulator over the cell's cloud —
+// the cloud its measurement saw, with no traffic on it yet — placing
+// each application as it arrives under the live cross traffic of the
+// ones already running, and migrating when re-evaluation predicts
+// enough gain. The orchestrator's rng is seeded from the cell seed
+// (offset +1) for every run, so the algorithms of a cell group draw the
+// same measurement noise. There is no optimal reference: the §6.3
+// comparison is total running time across algorithms, not slowdown vs.
+// an optimum.
 func (g *Grid) runSequenceScenario(ctx context.Context, sc Scenario, cache *envcache.Cache, ro *runObs) (Result, error) {
 	buildStart := time.Now()
 	bspan := ro.span(obs.SpanFromContext(ctx), "sweep.build")
@@ -335,9 +356,7 @@ func (g *Grid) runSequenceScenario(ctx context.Context, sc Scenario, cache *envc
 	}
 	bspan.End(obs.String("outcome", "ok"))
 	ro.phase("build", buildStart)
-	// A fresh cloud rebuilt from the cell seed: bit-identical to the one
-	// the cached measurement came from, but with a pristine simulator.
-	exec, err := core.NewSimulated(sc.Topology.Profile, sc.cloudSeed(), sc.VMs, core.Options{Model: g.Model})
+	exec, err := core.NewOnCloud(cell.Cloud, sc.cloudSeed(), core.Options{Model: g.Model})
 	if err != nil {
 		return Result{}, fmt.Errorf("sweep: %s: %w", sc.Topology.Name, err)
 	}
@@ -385,7 +404,10 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, cache *envcache.Cac
 	if err != nil {
 		return Result{}, err
 	}
-	rng := rand.New(rand.NewSource(sc.cloudSeed() + 1))
+	var rng *rand.Rand
+	if sc.Algorithm.Core == core.AlgRandom && !sc.Algorithm.ILP {
+		rng = rand.New(rand.NewSource(sc.cloudSeed() + 1))
+	}
 	pspan := ro.span(obs.SpanFromContext(ctx), "sweep.place",
 		obs.String("algorithm", sc.Algorithm.Name))
 	start := time.Now()
@@ -399,7 +421,7 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, cache *envcache.Cac
 	pspan.End(obs.String("outcome", "ok"))
 	ro.phaseDur("place", latency)
 	execStart := time.Now()
-	exec, err := g.backend().Execute(ctx, g.backendCell(sc), cell.App, cell.Env, p, g.Model)
+	exec, err := g.backend().Execute(ctx, g.backendCell(sc, cell.Cloud), cell.App, cell.Env, p, g.Model)
 	if err != nil {
 		return Result{}, fmt.Errorf("sweep: executing %s/%s/%s seed %d: %w",
 			sc.Topology.Name, sc.Workload.Name, sc.Algorithm.Name, sc.Seed, err)
@@ -482,7 +504,7 @@ func (g *Grid) computeReference(ctx context.Context, sc Scenario, cell *envcache
 	if err != nil {
 		return 0, false, err
 	}
-	exec, err := g.backend().Execute(ctx, g.backendCell(sc), cell.App, cell.Env, p, g.Model)
+	exec, err := g.backend().Execute(ctx, g.backendCell(sc, cell.Cloud), cell.App, cell.Env, p, g.Model)
 	if err != nil {
 		return 0, false, err
 	}
@@ -498,8 +520,8 @@ type RunOptions struct {
 	Context context.Context
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// NoCache disables the environment cache: every scenario rebuilds
-	// and re-measures its own cloud. Results are byte-identical either
+	// NoCache disables the environment cache: every scenario builds
+	// and measures its own cloud. Results are byte-identical either
 	// way; the knob exists for debugging and for proving exactly that.
 	NoCache bool
 	// Emit, when non-nil, receives every Result in expansion order, each

@@ -6,9 +6,9 @@
 //
 // The package is the cell runner between the sweep grid and the core
 // orchestrator. Generate draws a cell-deterministic arrival sequence
-// from the cell's seeded rng; Run plays it with one algorithm against a
-// freshly rebuilt cloud and a cloned static measurement from the
-// environment cache, and flattens core.RunSequence's outcome into the
+// from the cell's seeded rng; Run plays it with one algorithm on a
+// fresh simulator over the cell's cloud, against a cloned static
+// measurement from the environment cache, and flattens core.RunSequence's outcome into the
 // per-application event records a sequence result line carries. Both
 // are pure functions of their inputs, which is what lets sequence cells
 // ride the engine's byte-reproducibility guarantee unchanged.

@@ -46,6 +46,7 @@ func BuildFatTree(k int, capacity units.Rate, latency time.Duration) (*Topology,
 			}
 		}
 	}
+	t.index()
 	return t, nil
 }
 
@@ -160,6 +161,7 @@ func BuildJellyfish(switches, netPorts, hostPorts int, capacity units.Rate, late
 	for _, e := range edges {
 		t.AddPeerDuplex(sws[e[0]], sws[e[1]], capacity, latency)
 	}
+	t.index()
 	return t, nil
 }
 

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"choreo/internal/units"
@@ -15,6 +16,11 @@ import (
 // calibrated so that the measurement experiments reproduce the shapes the
 // paper reports for each provider (see DESIGN.md "Expected result shapes").
 type Profile struct {
+	// Name labels the profile in errors, reports and grid coordinates. It
+	// is not a fabric identity: tworack-N and dumbbell-N leave out the
+	// link capacities, and jellyfish-NxP the wiring seed, so two profiles
+	// of one name can build different fabrics. Fabrics are therefore
+	// shared by profile value (SharedFabric), never looked up by name.
 	Name string
 
 	// Fabric shape: either a regular multi-rooted tree (Cores + Stages,
@@ -65,6 +71,26 @@ type Profile struct {
 	// TracerouteMask maps real hop counts to what the provider's
 	// traceroute exposes. Nil exposes real hop counts.
 	TracerouteMask func(hops int) int
+}
+
+// buildFabric builds the profile's fabric: Build when set, else the
+// regular tree of Cores and Stages.
+func (p Profile) buildFabric() (*Topology, error) {
+	if p.Build != nil {
+		return p.Build()
+	}
+	return BuildTree(p.Cores, p.Stages)
+}
+
+// SharedFabric returns the profile with its fabric built once: the first
+// provider of the returned profile (or of any copy of it) builds the
+// fabric, and every later one shares that *Topology, from any goroutine.
+// A fabric depends only on the profile — per-cloud randomness (VM
+// placement, hoses, ambient load) comes from the provider seed — so the
+// shared fabric is the one every rebuild would have produced.
+func (p Profile) SharedFabric() Profile {
+	p.Build = sync.OnceValues(p.buildFabric)
+	return p
 }
 
 func (p Profile) validate() error {

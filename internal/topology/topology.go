@@ -22,6 +22,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"choreo/internal/units"
@@ -79,7 +80,10 @@ type Link struct {
 	Latency  time.Duration
 }
 
-// Topology is an immutable fabric once built.
+// Topology is an immutable fabric once built. A built fabric is safe
+// for concurrent readers: the routing indexes below are filled once, by
+// index, before the first route is derived, and nothing writes to the
+// fabric afterwards — so many clouds (and goroutines) can share one.
 type Topology struct {
 	Nodes []Node
 	Links []Link
@@ -91,9 +95,14 @@ type Topology struct {
 	// mesh is set once a peer (same-tier) link exists; such fabrics route
 	// on shortest paths instead of up/down tiers.
 	mesh bool
-	// adj caches the per-node neighbour lists for mesh routing; built
-	// lazily on first route (topologies are used single-goroutine).
-	adj [][]NodeID
+
+	// Routing indexes, filled by index. adj holds the per-node neighbour
+	// lists for mesh routing; reach holds each host's per-tier ancestor
+	// sets for up/down routing (nil for non-hosts and on mesh fabrics).
+	indexOnce sync.Once
+	indexed   bool
+	adj       [][]NodeID
+	reach     [][][]NodeID
 }
 
 // New returns an empty topology.
@@ -103,6 +112,7 @@ func New() *Topology {
 
 // AddNode appends a node and returns its ID.
 func (t *Topology) AddNode(kind Kind, level int, name string) NodeID {
+	t.mustBeOpen()
 	id := NodeID(len(t.Nodes))
 	t.Nodes = append(t.Nodes, Node{ID: id, Kind: kind, Name: name, Level: level})
 	if kind == KindHost {
@@ -138,10 +148,44 @@ func (t *Topology) AddPeerDuplex(a, b NodeID, capacity units.Rate, latency time.
 func (t *Topology) Mesh() bool { return t.mesh }
 
 func (t *Topology) addLink(from, to NodeID, capacity units.Rate, latency time.Duration) LinkID {
+	t.mustBeOpen()
 	id := LinkID(len(t.Links))
 	t.Links = append(t.Links, Link{ID: id, From: from, To: to, Capacity: capacity, Latency: latency})
 	t.linkIndex[[2]NodeID{from, to}] = id
 	return id
+}
+
+// mustBeOpen panics on a change to an indexed fabric: its routing
+// indexes would go stale, and other goroutines may be reading it.
+func (t *Topology) mustBeOpen() {
+	if t.indexed {
+		panic("topology: fabric changed after it was indexed for routing")
+	}
+}
+
+// index fills the routing indexes, once; afterwards the fabric is
+// read-only. The builders call it as their last step, NewProvider calls
+// it on whatever fabric a profile built, and HostRoute calls it for a
+// fabric assembled by hand. sync.Once makes the first call visible to
+// every later reader, so concurrent callers on a shared fabric are safe.
+func (t *Topology) index() {
+	t.indexOnce.Do(func() {
+		adj := make([][]NodeID, len(t.Nodes))
+		for _, l := range t.Links {
+			adj[l.From] = append(adj[l.From], l.To)
+		}
+		for i := range adj {
+			sort.Slice(adj[i], func(a, b int) bool { return adj[i][a] < adj[i][b] })
+		}
+		t.adj = adj
+		if !t.mesh {
+			t.reach = make([][][]NodeID, len(t.Nodes))
+			for _, h := range t.hosts {
+				t.reach[h] = t.reachUp(h)
+			}
+		}
+		t.indexed = true
+	})
 }
 
 // LinkBetween returns the directed link from one node to another.
@@ -191,12 +235,13 @@ func (t *Topology) HostRoute(src, dst NodeID, pairKey uint64) ([]LinkID, error) 
 		return nil, fmt.Errorf("topology: route endpoints must be hosts, got %v and %v",
 			t.Nodes[src].Kind, t.Nodes[dst].Kind)
 	}
+	t.index()
 	if t.mesh {
 		return t.meshRoute(src, dst, pairKey)
 	}
 
-	upSrc := t.reachUp(src)
-	upDst := t.reachUp(dst)
+	upSrc := t.reach[src]
+	upDst := t.reach[dst]
 
 	// Find the lowest tier where the two ancestor sets intersect.
 	var meets []NodeID
@@ -246,9 +291,10 @@ func (t *Topology) HostRoute(src, dst NodeID, pairKey uint64) ([]LinkID, error) 
 }
 
 // reachUp returns, per tier, the sorted set of nodes reachable from n by
-// climbing Up links. Tier l of the result holds n's ancestors at level l
-// (level levels-1 being the top). Builders keep parent levels exactly one
-// above their children's, which this walk relies on.
+// climbing Up links; index precomputes it for every host. Tier l of the
+// result holds n's ancestors at level l (level levels-1 being the top).
+// Builders keep parent levels exactly one above their children's, which
+// this walk relies on.
 func (t *Topology) reachUp(n NodeID) [][]NodeID {
 	out := make([][]NodeID, t.levels)
 	frontier := []NodeID{n}
@@ -307,7 +353,7 @@ func (t *Topology) descendWithin(top, bottom NodeID, reach [][]NodeID, pairKey u
 // graph, breaking ties among equal-cost next hops by pairKey over
 // ID-sorted candidates — deterministic ECMP for jellyfish-class fabrics.
 func (t *Topology) meshRoute(src, dst NodeID, pairKey uint64) ([]LinkID, error) {
-	adj := t.adjacency()
+	adj := t.adj
 
 	// Distance-to-dst by BFS; duplex cables make the graph symmetric.
 	const unreached = -1
@@ -351,23 +397,6 @@ func (t *Topology) meshRoute(src, dst NodeID, pairKey uint64) ([]LinkID, error) 
 		cur = next
 	}
 	return path, nil
-}
-
-// adjacency returns per-node neighbour lists sorted by ID, built lazily
-// from the link table.
-func (t *Topology) adjacency() [][]NodeID {
-	if t.adj != nil {
-		return t.adj
-	}
-	adj := make([][]NodeID, len(t.Nodes))
-	for _, l := range t.Links {
-		adj[l.From] = append(adj[l.From], l.To)
-	}
-	for i := range adj {
-		sort.Slice(adj[i], func(a, b int) bool { return adj[i][a] < adj[i][b] })
-	}
-	t.adj = adj
-	return adj
 }
 
 // intersectSorted returns the elements common to two ascending slices.
@@ -464,5 +493,6 @@ func BuildTree(cores int, stages []TreeSpec) (*Topology, error) {
 		}
 		parents = tier
 	}
+	t.index()
 	return t, nil
 }

@@ -36,6 +36,12 @@ type Path struct {
 // Provider owns a fabric built from a Profile, allocates tenant VMs onto
 // it, and answers routing/traceroute queries. It corresponds to "the cloud
 // provider" in the paper: the tenant cannot see inside it, only measure.
+//
+// AllocateVMs is the only method that changes a Provider: it derives the
+// route of every ordered pair of allocated VMs before it returns, so
+// between allocations every query is a read. A Provider that is no longer
+// allocated on is therefore safe for concurrent readers — the sweep runs
+// each cell's measurement and all its executions on one.
 type Provider struct {
 	Profile Profile
 	Topo    *Topology
@@ -43,24 +49,23 @@ type Provider struct {
 	rng     *rand.Rand
 	vms     []VM
 	hostVMs map[NodeID][]VMID
-	ambient []float64 // per-link fraction of capacity consumed by other tenants
-	paths   map[[2]VMID]*Path
+	ambient []float64         // per-link fraction of capacity consumed by other tenants
+	paths   map[[2]VMID]*Path // every ordered pair of allocated VMs
 }
 
-// NewProvider builds the fabric for a profile and prepares VM allocation.
-// The seed fixes VM placement, hose draws and ambient congestion.
+// NewProvider prepares VM allocation on the profile's fabric. The seed
+// fixes VM placement, hose draws and ambient congestion. The fabric is
+// built by the profile; a profile from SharedFabric builds it once and
+// every provider of that profile shares it.
 func NewProvider(profile Profile, seed int64) (*Provider, error) {
 	if err := profile.validate(); err != nil {
 		return nil, err
 	}
-	build := profile.Build
-	if build == nil {
-		build = func() (*Topology, error) { return BuildTree(profile.Cores, profile.Stages) }
-	}
-	topo, err := build()
+	topo, err := profile.buildFabric()
 	if err != nil {
 		return nil, err
 	}
+	topo.index()
 	p := &Provider{
 		Profile: profile,
 		Topo:    topo,
@@ -95,8 +100,9 @@ func (p *Provider) VMs() []VM { return p.vms }
 func (p *Provider) VM(id VMID) VM { return p.vms[id] }
 
 // AllocateVMs places n new VMs on hosts according to the profile's
-// locality biases and returns them. It may be called repeatedly; later
-// calls see earlier VMs' host occupancy.
+// locality biases and returns them, with the routes between every pair
+// of allocated VMs derived. It may be called repeatedly; later calls see
+// earlier VMs' host occupancy.
 func (p *Provider) AllocateVMs(n int) ([]VM, error) {
 	hosts := p.Topo.Hosts()
 	if len(hosts) == 0 {
@@ -120,7 +126,53 @@ func (p *Provider) AllocateVMs(n int) ([]VM, error) {
 		p.hostVMs[host] = append(p.hostVMs[host], id)
 		out = append(out, vm)
 	}
+	if err := p.routeAll(); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// routeAll derives the routes of the allocated VM pairs not routed yet.
+func (p *Provider) routeAll() error {
+	for a := range p.vms {
+		for b := range p.vms {
+			key := [2]VMID{VMID(a), VMID(b)}
+			if _, ok := p.paths[key]; ok || a == b {
+				continue
+			}
+			path, err := p.route(key[0], key[1])
+			if err != nil {
+				return err
+			}
+			p.paths[key] = path
+		}
+	}
+	return nil
+}
+
+// route derives the route between two distinct VMs.
+func (p *Provider) route(a, b VMID) (*Path, error) {
+	va, vb := p.vms[a], p.vms[b]
+	path := &Path{Src: a, Dst: b}
+	if va.Host == vb.Host {
+		path.SameHost = true
+		path.Hops = 1
+		path.RTT = p.Profile.MemBusRTT
+		return path, nil
+	}
+	lo, hi := a, b
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	pairKey := uint64(lo)<<32 | uint64(uint32(hi))
+	links, err := p.Topo.HostRoute(va.Host, vb.Host, pairKey)
+	if err != nil {
+		return nil, err
+	}
+	path.Links = links
+	path.Hops = len(links)
+	path.RTT = 2*p.Topo.RouteLatency(links) + p.Profile.StackRTT
+	return path, nil
 }
 
 func (p *Provider) pickHost() (NodeID, error) {
@@ -191,38 +243,17 @@ func (p *Provider) pickHost() (NodeID, error) {
 		p.Profile.MaxVMsPerHost)
 }
 
-// Path returns the (cached) route between two distinct VMs. Routes are
-// symmetric: Path(a,b) and Path(b,a) traverse the same cables in opposite
-// directions.
+// Path returns the route between two distinct VMs, derived by the
+// AllocateVMs call that allocated them. Routes are symmetric: Path(a,b)
+// and Path(b,a) traverse the same cables in opposite directions.
 func (p *Provider) Path(a, b VMID) (*Path, error) {
 	if a == b {
 		return nil, fmt.Errorf("topology: path from %v to itself", a)
 	}
-	key := [2]VMID{a, b}
-	if cached, ok := p.paths[key]; ok {
-		return cached, nil
+	path, ok := p.paths[[2]VMID{a, b}]
+	if !ok {
+		return nil, fmt.Errorf("topology: no route %v -> %v: not an allocated pair", a, b)
 	}
-	va, vb := p.vms[a], p.vms[b]
-	path := &Path{Src: a, Dst: b}
-	if va.Host == vb.Host {
-		path.SameHost = true
-		path.Hops = 1
-		path.RTT = p.Profile.MemBusRTT
-	} else {
-		lo, hi := a, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		pairKey := uint64(lo)<<32 | uint64(uint32(hi))
-		links, err := p.Topo.HostRoute(va.Host, vb.Host, pairKey)
-		if err != nil {
-			return nil, err
-		}
-		path.Links = links
-		path.Hops = len(links)
-		path.RTT = 2*p.Topo.RouteLatency(links) + p.Profile.StackRTT
-	}
-	p.paths[key] = path
 	return path, nil
 }
 
