@@ -112,27 +112,34 @@ func TestSharedFabricCloudsMatchRebuilt(t *testing.T) {
 
 // TestSharedFabricConcurrentReaders drives one shared fabric and one
 // cloud on it from many goroutines at once — routes, paths and further
-// clouds built on the fabric — as a sweep's workers do. Run under -race
-// it proves the fabric and a routed cloud are read-only.
+// clouds built on the fabric — as a sweep's workers do. The goroutines
+// are the first to route on the fabric and to read the cloud's paths
+// (the expected values come from a separate rebuild), so under -race it
+// proves neither fills anything lazily.
 func TestSharedFabricConcurrentReaders(t *testing.T) {
 	for _, p := range []Profile{EC22013(), FatTree(4), Jellyfish(12, 6, 7)} {
-		shared := p.SharedFabric()
-		cloud, err := NewProvider(shared, 9)
-		if err != nil {
-			t.Fatal(err)
+		cloudOf := func(p Profile) *Provider {
+			prov, err := NewProvider(p, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := prov.AllocateVMs(8); err != nil {
+				t.Fatal(err)
+			}
+			return prov
 		}
-		if _, err := cloud.AllocateVMs(8); err != nil {
-			t.Fatal(err)
-		}
-		wantCloud := cloudDigest(t, cloud)
-		topo := cloud.Topo
-		hosts := topo.Hosts()
+		ref := cloudOf(p)
+		wantCloud := cloudDigest(t, ref)
+		hosts := ref.Topo.Hosts()
 		wantRoutes := make(map[[2]NodeID][]LinkID)
 		for _, a := range hosts {
 			for _, b := range hosts {
-				wantRoutes[[2]NodeID{a, b}] = routeOrFatal(t, topo, a, b, uint64(a)*31+uint64(b))
+				wantRoutes[[2]NodeID{a, b}] = routeOrFatal(t, ref.Topo, a, b, uint64(a)*31+uint64(b))
 			}
 		}
+		shared := p.SharedFabric()
+		cloud := cloudOf(shared)
+		topo := cloud.Topo
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
