@@ -18,6 +18,7 @@
 package api
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -63,10 +64,34 @@ type AppSpec struct {
 	TransfersMB [][3]float64 `json:"transfersMB"`
 }
 
+// MaxTasks caps an application's task count. The traffic matrix holds
+// one 8-byte entry per ordered task pair, so the cap bounds it at
+// 8 MiB; uncapped, a 16 KiB body of 4,000 cpu entries asked for 122 MB.
+const MaxTasks = 1024
+
+// MaxTransfers caps the length of an application's transfer list.
+const MaxTransfers = 1 << 16
+
+// ErrTooManyTasks and ErrTooManyTransfers are wrapped by ToApplication's
+// error for a spec over MaxTasks or MaxTransfers; the placement service
+// answers them with 422.
+var (
+	ErrTooManyTasks     = errors.New("api: too many tasks")
+	ErrTooManyTransfers = errors.New("api: too many transfers")
+)
+
 // ToApplication converts the wire spec into a placement-engine profile.
+// A spec over MaxTasks or MaxTransfers is refused before anything is
+// allocated for it.
 func (a AppSpec) ToApplication() (*profile.Application, error) {
 	if len(a.CPU) == 0 {
 		return nil, fmt.Errorf("api: app %q has no tasks (empty cpu array)", a.Name)
+	}
+	if len(a.CPU) > MaxTasks {
+		return nil, fmt.Errorf("%w: app %q has %d, the cap is %d", ErrTooManyTasks, a.Name, len(a.CPU), MaxTasks)
+	}
+	if len(a.TransfersMB) > MaxTransfers {
+		return nil, fmt.Errorf("%w: app %q has %d, the cap is %d", ErrTooManyTransfers, a.Name, len(a.TransfersMB), MaxTransfers)
 	}
 	tm := profile.NewTrafficMatrix(len(a.CPU))
 	for _, tr := range a.TransfersMB {

@@ -2,6 +2,8 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -56,6 +58,52 @@ func TestAppSpecToApplication(t *testing.T) {
 		}
 		if _, err := spec.ToApplication(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: ToApplication error = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestAppSpecCaps pins MaxTasks and MaxTransfers: a spec at a cap
+// converts, one over it is refused with the named error before its
+// traffic matrix is allocated.
+func TestAppSpecCaps(t *testing.T) {
+	cpu := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = 1
+		}
+		return v
+	}
+	if _, err := (AppSpec{Name: "at-cap", CPU: cpu(MaxTasks)}).ToApplication(); err != nil {
+		t.Fatalf("%d tasks refused: %v", MaxTasks, err)
+	}
+	atCap := AppSpec{Name: "at-cap", CPU: cpu(2), TransfersMB: make([][3]float64, MaxTransfers)}
+	for i := range atCap.TransfersMB {
+		atCap.TransfersMB[i] = [3]float64{0, 1, 1}
+	}
+	if _, err := atCap.ToApplication(); err != nil {
+		t.Fatalf("%d transfers refused: %v", MaxTransfers, err)
+	}
+	overTransfers := atCap
+	overTransfers.TransfersMB = append(overTransfers.TransfersMB, [3]float64{1, 0, 1})
+
+	for _, tc := range []struct {
+		name string
+		spec AppSpec
+		want error
+	}{
+		// 4,000 tasks once asked for a 122 MB traffic matrix.
+		{"tasks", AppSpec{Name: "wide", CPU: cpu(4000)}, ErrTooManyTasks},
+		{"transfers", overTransfers, ErrTooManyTransfers},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := tc.spec.ToApplication()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: ToApplication error = %v, want %v", tc.name, err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("%s: refusing the spec allocated %d bytes", tc.name, grew)
 		}
 	}
 }

@@ -419,12 +419,16 @@ func CompletionTime(app *profile.Application, env *Environment, p Placement, mod
 	if model == Hose {
 		egress := make([]units.ByteSize, M)
 		intra := make([]units.ByteSize, M)
-		for _, tr := range app.TM.Transfers() {
-			m, n := p.MachineOf[tr.From], p.MachineOf[tr.To]
-			if m == n {
-				intra[m] += tr.Bytes
-			} else {
-				egress[m] += tr.Bytes
+		for i, m := range p.MachineOf {
+			for j, b := range app.TM.Row(i) {
+				if b <= 0 {
+					continue
+				}
+				if m == p.MachineOf[j] {
+					intra[m] += b
+				} else {
+					egress[m] += b
+				}
 			}
 		}
 		for m := 0; m < M; m++ {
@@ -438,8 +442,12 @@ func CompletionTime(app *profile.Application, env *Environment, p Placement, mod
 		return units.Seconds(worst), nil
 	}
 	bytesOn := make(map[[2]int]units.ByteSize)
-	for _, tr := range app.TM.Transfers() {
-		bytesOn[[2]int{p.MachineOf[tr.From], p.MachineOf[tr.To]}] += tr.Bytes
+	for i, m := range p.MachineOf {
+		for j, b := range app.TM.Row(i) {
+			if b > 0 {
+				bytesOn[[2]int{m, p.MachineOf[j]}] += b
+			}
+		}
 	}
 	for pair, b := range bytesOn {
 		worst = math.Max(worst, b.Bits()/float64(env.Rates[pair[0]][pair[1]]))

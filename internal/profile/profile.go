@@ -79,6 +79,12 @@ func (m *TrafficMatrix) Add(i, j int, b units.ByteSize) error {
 	return nil
 }
 
+// Row returns the bytes task i sends to each task, indexed by
+// destination. It aliases the matrix: callers must not modify it.
+func (m *TrafficMatrix) Row(i int) []units.ByteSize {
+	return m.bytes[i*m.n : (i+1)*m.n : (i+1)*m.n]
+}
+
 // Total returns the bytes summed over all pairs.
 func (m *TrafficMatrix) Total() units.ByteSize {
 	var t units.ByteSize

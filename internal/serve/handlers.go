@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
@@ -82,14 +83,19 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...interfac
 // MaxRequestBytes caps a /v1/place or /v1/migrate request body. An
 // application is a CPU vector and a transfer list, so a mebibyte holds
 // tens of thousands of transfers; a larger body is refused with 413
-// before it is buffered.
+// before it is buffered, even when its first JSON value ends sooner.
 const MaxRequestBytes = 1 << 20
 
-// decodeBody decodes a compute endpoint's request body, of at most
-// MaxRequestBytes, into v. On failure it writes the rejection — 413 for
-// an oversize body, 400 for anything else — and reports false.
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
+// decodeBody reads a compute endpoint's request body, of at most
+// MaxRequestBytes, in full and decodes it into v with decode
+// (api.DecodePlace or api.DecodeMigrate). On failure it writes the
+// rejection — 413 for an oversize body, 400 for anything else — and
+// reports false.
+func decodeBody[T any](w http.ResponseWriter, r *http.Request, decode func([]byte, *T) error, v *T) bool {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	if err == nil {
+		err = decode(body, v)
+	}
 	var tooBig *http.MaxBytesError
 	switch {
 	case err == nil:
@@ -109,15 +115,22 @@ func tenantOf(r *http.Request) string {
 	return "default"
 }
 
-// admit runs the shared compute-endpoint preflight: quota, then the
-// version handshake on the decoded request's "v" field. It returns the
-// current snapshot, or nil after writing the rejection.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, v int) *Snapshot {
+// admit spends a token of the X-Choreo-Tenant quota, before the request
+// body is read, so a tenant over quota costs no decode. It reports
+// false after writing the 429.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	if tenant := tenantOf(r); !s.quota.allow(tenant) {
 		s.metrics.quotaRejected.With(tenant).Inc()
 		writeErr(w, http.StatusTooManyRequests, "tenant %q over quota", tenant)
-		return nil
+		return false
 	}
+	return true
+}
+
+// snapshotFor runs the version handshake on a decoded request's "v"
+// field and returns the current snapshot, or nil after writing the
+// rejection.
+func (s *Server) snapshotFor(w http.ResponseWriter, v int) *Snapshot {
 	if err := api.CheckClientVersion(v); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return nil
@@ -130,12 +143,24 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, v int) *Snapshot 
 	return snap
 }
 
+// appStatus is the status for a failed AppSpec.ToApplication: 422 for
+// a well-formed application over a size cap, 400 otherwise.
+func appStatus(err error) int {
+	if errors.Is(err, api.ErrTooManyTasks) || errors.Is(err, api.ErrTooManyTransfers) {
+		return http.StatusUnprocessableEntity
+	}
+	return http.StatusBadRequest
+}
+
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
-	var req api.PlaceRequest
-	if !decodeBody(w, r, &req) {
+	if !s.admit(w, r) {
 		return
 	}
-	snap := s.admit(w, r, req.V)
+	var req api.PlaceRequest
+	if !decodeBody(w, r, api.DecodePlace, &req) {
+		return
+	}
+	snap := s.snapshotFor(w, req.V)
 	if snap == nil {
 		return
 	}
@@ -151,7 +176,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	}
 	app, err := req.App.ToApplication()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		writeErr(w, appStatus(err), "%v", err)
 		return
 	}
 	// Every request takes a sequence number, so a random placement's seed
@@ -185,11 +210,14 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	var req api.MigrateRequest
-	if !decodeBody(w, r, &req) {
+	if !s.admit(w, r) {
 		return
 	}
-	snap := s.admit(w, r, req.V)
+	var req api.MigrateRequest
+	if !decodeBody(w, r, api.DecodeMigrate, &req) {
+		return
+	}
+	snap := s.snapshotFor(w, req.V)
 	if snap == nil {
 		return
 	}
@@ -200,7 +228,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	}
 	app, err := req.App.ToApplication()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		writeErr(w, appStatus(err), "%v", err)
 		return
 	}
 	if len(req.Current) != app.Tasks() {

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -390,5 +391,104 @@ func TestRequestBodyLimit(t *testing.T) {
 				t.Errorf("oversize rejection = %+v", apiErr)
 			}
 		})
+	}
+}
+
+// unreadBody fails the test if the handler reads the request body.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("handler read the body of a request over quota")
+	return 0, errors.New("body must not be read")
+}
+
+// TestQuotaBeforeBody pins admission order on both compute endpoints:
+// a tenant over quota gets 429 without the handler reading a byte of
+// its body.
+func TestQuotaBeforeBody(t *testing.T) {
+	s, _ := simServer(t, serve.Config{QuotaRate: 1e-3, QuotaBurst: 1})
+	h := s.Handler()
+	body, err := json.Marshal(api.PlaceRequest{V: api.Version, App: testApp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/place", bytes.NewReader(body))
+	req.Header.Set("X-Choreo-Tenant", "spent")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("request within burst: status %d, body %s", rec.Code, rec.Body)
+	}
+	for _, path := range []string{"/v1/place", "/v1/migrate"} {
+		req := httptest.NewRequest(http.MethodPost, path, unreadBody{t})
+		req.Header.Set("X-Choreo-Tenant", "spent")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusTooManyRequests || !strings.Contains(rec.Body.String(), "over quota") {
+			t.Errorf("%s over quota: status %d, body %s; want 429", path, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestAppCaps pins api.MaxTasks and api.MaxTransfers on the service: an
+// application over either cap is refused with 422 on both compute
+// endpoints.
+func TestAppCaps(t *testing.T) {
+	_, ts := simServer(t, serve.Config{})
+	wide := api.AppSpec{Name: "wide", CPU: make([]float64, api.MaxTasks+1)}
+	for i := range wide.CPU {
+		wide.CPU[i] = 1
+	}
+	chatty := api.AppSpec{Name: "chatty", CPU: []float64{1, 1}, TransfersMB: make([][3]float64, api.MaxTransfers+1)}
+	for i := range chatty.TransfersMB {
+		chatty.TransfersMB[i] = [3]float64{0, 1, 1}
+	}
+	for _, tc := range []struct {
+		path string
+		req  interface{}
+		want string
+	}{
+		{"/v1/place", api.PlaceRequest{V: api.Version, App: wide}, "too many tasks"},
+		{"/v1/place", api.PlaceRequest{V: api.Version, App: chatty}, "too many transfers"},
+		{"/v1/migrate", api.MigrateRequest{V: api.Version, App: wide, Current: make([]int, len(wide.CPU))}, "too many tasks"},
+		{"/v1/migrate", api.MigrateRequest{V: api.Version, App: chatty, Current: []int{0, 1}}, "too many transfers"},
+	} {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+tc.path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr api.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(apiErr.Error, tc.want) {
+			t.Errorf("%s %s: status %v, error %q; want 422 naming %q", tc.path, tc.want, resp.Status, apiErr.Error, tc.want)
+		}
+	}
+}
+
+// TestRequestBodyLimitCountsTrailingBytes pins that the cap applies to
+// the whole body: a request whose JSON ends well inside the limit but
+// whose body runs past it is refused with 413.
+func TestRequestBodyLimitCountsTrailingBytes(t *testing.T) {
+	_, ts := simServer(t, serve.Config{})
+	body, err := json.Marshal(api.PlaceRequest{V: api.Version, App: testApp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := string(body) + strings.Repeat(" ", serve.MaxRequestBytes+1-len(body))
+	resp, err := http.Post(ts.URL+"/v1/place", "application/json", strings.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %v, want 413", resp.Status)
 	}
 }
