@@ -19,9 +19,12 @@ test:
 	$(GO) test -race -shuffle=on -timeout 120s ./...
 
 # One iteration of every benchmark plus the paper reproduction at quick
-# scale: catches perf-path regressions without CI-scale runtimes.
+# scale: catches perf-path regressions without CI-scale runtimes. The
+# placement and netsim packages carry the kernel benchmarks
+# (BenchmarkOptimal, BenchmarkGreedy, BenchmarkBatchAvailabilityContended).
 bench: build
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/place ./internal/netsim
 	$(BIN)/choreo-bench -quick
 
 # The per-PR performance trajectory: run the headline benchmarks at

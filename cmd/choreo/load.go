@@ -35,6 +35,7 @@ func runLoad(args []string) (err error) {
 	tasks := fs.Int("tasks", 6, "tasks in the generated test application")
 	tenant := fs.String("tenant", "load", "tenant header sent with every request")
 	events := fs.String("events", "", "write a schema'd JSONL span log (load.run + one load.request per placement call) to this file; join with the server's -events in `choreo obs report`")
+	prof := registerProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -44,6 +45,15 @@ func runLoad(args []string) (err error) {
 	if *clients < 1 || *tasks < 2 {
 		return fmt.Errorf("need -clients >= 1 and -tasks >= 2")
 	}
+	stopProf, err := prof.start()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if e := stopProf(); e != nil && err == nil {
+			err = e
+		}
+	}()
 
 	traceObs, closeEvents, err := eventsObserver(*events)
 	if err != nil {

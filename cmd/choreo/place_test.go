@@ -50,3 +50,35 @@ func TestPlaceRefusesOverCapApp(t *testing.T) {
 		}
 	}
 }
+
+// TestPlaceRefusesBadTransfers pins that `choreo place` refuses, naming
+// the file, a transfer with a negative size or a fractional task index,
+// and still places one of size zero.
+func TestPlaceRefusesBadTransfers(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, data string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	rates := write("rates.json", `{"ratesMbps":[[4000,900],[900,4000]]}`)
+	for _, tc := range []struct{ name, app, want string }{
+		{"negative", `{"cpu":[1,1],"transfersMB":[[0,1,-500]]}`, "size must not be negative"},
+		{"fractional", `{"cpu":[1,1,1],"transfersMB":[[0.9,1.7,100]]}`, "task indices must be integers"},
+		{"zero", `{"cpu":[1,1],"transfersMB":[[0,1,0]]}`, ""},
+	} {
+		app := write(tc.name+".json", tc.app)
+		err := runPlace([]string{"-rates", rates, "-app", app})
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: runPlace error = %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), app) {
+			t.Errorf("%s: runPlace error = %v, want %q naming %s", tc.name, err, tc.want, app)
+		}
+	}
+}

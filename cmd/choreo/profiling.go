@@ -10,7 +10,7 @@ import (
 )
 
 // profileFlags is the shared -cpuprofile/-memprofile/-exectrace flag
-// group: long-running subcommands (sweep, today) register it so a
+// group: long-running subcommands (sweep, serve, load) register it so a
 // production-scale run can be profiled with the standard Go tooling
 // without a benchmark harness around it. The files are written with the
 // stock runtime/pprof and runtime/trace encoders, so `go tool pprof`

@@ -29,7 +29,8 @@ const readHeaderTimeout = 10 * time.Second
 // then listen, re-measuring in the background every -interval and
 // publishing each completed epoch as an immutable snapshot. SIGINT or
 // SIGTERM drains the HTTP server and cancels any in-flight mesh
-// measurement.
+// measurement; -cpuprofile, -memprofile and -exectrace then finish
+// their files.
 func runServe(args []string) (err error) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:7180", "HTTP listen address")
@@ -45,6 +46,7 @@ func runServe(args []string) (err error) {
 	quotaBurst := fs.Int("quota-burst", 10, "per-tenant burst depth for -quota-rate")
 	pprofFlag := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (live profiling; exposes process internals — keep the listener private)")
 	fleet := registerFleetFlags(fs)
+	prof := registerProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -52,6 +54,15 @@ func runServe(args []string) (err error) {
 		return fmt.Errorf("serve: unexpected arguments %q", fs.Args())
 	}
 	set := visited(fs)
+	stopProf, err := prof.start()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if e := stopProf(); e != nil && err == nil {
+			err = e
+		}
+	}()
 
 	// One observer shared by the server and (for -backend live) the
 	// measurement plane, so GET /metrics covers serve, epoch and

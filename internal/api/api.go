@@ -20,6 +20,7 @@ package api
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"choreo/internal/core"
@@ -82,7 +83,8 @@ var (
 
 // ToApplication converts the wire spec into a placement-engine profile.
 // A spec over MaxTasks or MaxTransfers is refused before anything is
-// allocated for it.
+// allocated for it. A transfer's task indices must be integers and its
+// size must not be negative; a zero size adds nothing.
 func (a AppSpec) ToApplication() (*profile.Application, error) {
 	if len(a.CPU) == 0 {
 		return nil, fmt.Errorf("api: app %q has no tasks (empty cpu array)", a.Name)
@@ -95,11 +97,27 @@ func (a AppSpec) ToApplication() (*profile.Application, error) {
 	}
 	tm := profile.NewTrafficMatrix(len(a.CPU))
 	for _, tr := range a.TransfersMB {
-		if err := tm.Add(int(tr[0]), int(tr[1]), units.ByteSize(tr[2]*1e6)); err != nil {
+		err := checkTransfer(tr)
+		if err == nil {
+			err = tm.Add(int(tr[0]), int(tr[1]), units.ByteSize(tr[2]*1e6))
+		}
+		if err != nil {
 			return nil, fmt.Errorf("api: app %q transfer [%g %g %g]: %w", a.Name, tr[0], tr[1], tr[2], err)
 		}
 	}
 	return &profile.Application{Name: a.Name, CPU: a.CPU, TM: tm}, nil
+}
+
+// checkTransfer refuses a [from, to, MB] triple that int conversion
+// would truncate or that the traffic matrix would take as negative.
+func checkTransfer(tr [3]float64) error {
+	if tr[0] != math.Trunc(tr[0]) || tr[1] != math.Trunc(tr[1]) {
+		return errors.New("task indices must be integers")
+	}
+	if !(tr[2] >= 0) {
+		return errors.New("size must not be negative")
+	}
+	return nil
 }
 
 // PlaceRequest asks the service to place an application on the current

@@ -46,11 +46,28 @@ func TestAppSpecToApplication(t *testing.T) {
 		t.Errorf("total traffic = %v bytes, want 150e6", got)
 	}
 
+	// A zero size and integral indices written with a fraction part
+	// convert.
+	var zero AppSpec
+	if err := json.Unmarshal([]byte(`{"name":"z","cpu":[1,1],"transfersMB":[[0,1,0],[1.0,0,-0]]}`), &zero); err != nil {
+		t.Fatal(err)
+	}
+	if app, err := zero.ToApplication(); err != nil || app.TM.Total() != 0 {
+		t.Errorf("zero-size transfers: %v", err)
+	}
+
 	// Rejected specs, decoded from the JSON a client or file carries.
 	for _, tc := range []struct{ name, json, want string }{
 		{"absent cpu", `{"name":"e"}`, "no tasks"},
 		{"empty cpu", `{"name":"e","cpu":[]}`, "no tasks"},
 		{"out-of-range endpoint", `{"name":"oob","cpu":[1],"transfersMB":[[0,5,1]]}`, "transfer [0 5 1]"},
+		// A negative size once vanished from the traffic matrix, and
+		// fractional indices were truncated to other tasks.
+		{"negative size", `{"name":"neg","cpu":[1,1],"transfersMB":[[0,1,-500]]}`, "transfer [0 1 -500]: size must not be negative"},
+		{"tiny negative size", `{"name":"neg","cpu":[1,1],"transfersMB":[[0,1,-1e-9]]}`, "size must not be negative"},
+		{"fractional indices", `{"name":"frac","cpu":[1,1,1],"transfersMB":[[0.9,1.7,100]]}`, "transfer [0.9 1.7 100]: task indices must be integers"},
+		{"fractional source", `{"name":"frac","cpu":[1,1],"transfersMB":[[0.5,1,100]]}`, "task indices must be integers"},
+		{"fractional destination", `{"name":"frac","cpu":[1,1],"transfersMB":[[1,0.5,100]]}`, "task indices must be integers"},
 	} {
 		var spec AppSpec
 		if err := json.Unmarshal([]byte(tc.json), &spec); err != nil {

@@ -26,9 +26,16 @@ var ErrSearchBudget = errors.New("place: optimal search exceeded node budget")
 // best placement found, so among tied optima the first in depth-first
 // order is returned.
 //
+// The depth-first loop walks only the inner depths. Each node at the
+// last depth is scored in one pass over the machines, and a leaf's bound
+// stops being computed once it reaches the best placement found. Under
+// Hose, a last-depth node scores no leaf at all once the best placement
+// is no worse than its floor: the larger of its parent's bound and the
+// second-largest egress time among the machines sending to its task.
+//
 // Cost, measured by BenchmarkOptimal on a 2-vCPU Xeon for shuffle and
-// uniform applications of 5–6 tasks on 6 and 10 VMs: 8–190 µs per call
-// under Pipe and 50 µs–4 ms under Hose, where uniform traffic on 10 VMs
+// uniform applications of 5–6 tasks on 6 and 10 VMs: 6–160 µs per call
+// under Pipe and 40 µs–2.2 ms under Hose, where uniform traffic on 10 VMs
 // is the costliest. The tree grows as machines^tasks wherever the bound
 // does not bite, so larger instances need a node budget or Greedy.
 //
@@ -59,16 +66,38 @@ func Optimal(app *profile.Application, env *Environment, model Model, maxNodes i
 	M, at, cpu, cpuLeft := s.M, s.at, s.cpu, s.cpuLeft
 	bestObj := math.Inf(1)
 	var bestAssign []int
+	// finish enters the last depth under a parent whose bound is partial
+	// and records its best leaf if that beats bestObj.
+	finish := func(partial float64) {
+		s.enter(J-1, partial)
+		m, bound := s.last(bestObj)
+		if m < 0 {
+			return
+		}
+		bestObj = bound
+		if bestAssign == nil {
+			bestAssign = make([]int, J)
+		}
+		for k, task := range s.order[:J-1] {
+			bestAssign[task] = at[k]
+		}
+		bestAssign[s.order[J-1]] = m
+	}
 	nodes := 1 // the root; maxNodes >= 1
-	d := 0
-	s.enter(0, 0)
-	// Depth-first, without recursion: each iteration moves depth d on to
-	// its next CPU-feasible machine and scores that child. A leaf that
-	// beats bestObj is recorded at once; an inner child that does is
-	// charged and entered. CPU is debited and credited around every
-	// child in the same order as a recursive search, so that even
-	// capacities that are not dyadic fractions round the same way.
-	for {
+	if J == 1 {
+		finish(0)
+	} else {
+		s.enter(0, 0)
+	}
+	// Depth-first over the inner depths, of which a 1-task application
+	// has none, without recursion: each iteration moves depth d on to
+	// its next CPU-feasible machine and scores that child. A child that
+	// beats bestObj is charged and entered; at the last depth, finish
+	// scores all of its leaves at once. CPU is debited and credited
+	// around every child in the same order as a recursive search, so
+	// that even capacities that are not dyadic fractions round the same
+	// way.
+	for d := 0; J > 1; {
 		c := cpu[d]
 		m := at[d] + 1
 		for m < M && cpuLeft[m]+1e-9 < c {
@@ -85,31 +114,19 @@ func Optimal(app *profile.Application, env *Environment, model Model, maxNodes i
 		}
 		at[d] = m
 		cpuLeft[m] -= c
-		var bound float64
-		if s.hose {
-			bound = s.scoreHose(d, m)
-		} else {
-			bound = s.scorePipe(d, m, bestObj)
-		}
-		if bound < bestObj {
-			if d == J-1 {
-				bestObj = bound
-				if bestAssign == nil {
-					bestAssign = make([]int, J)
-				}
-				for k, task := range s.order {
-					bestAssign[task] = at[k]
-				}
-			} else {
-				nodes++
-				if nodes > maxNodes {
-					return Placement{}, fmt.Errorf("%w (%d nodes)", ErrSearchBudget, maxNodes)
-				}
-				s.charge(d, m, +1)
+		if bound := s.score(d, m, bestObj); bound < bestObj {
+			nodes++
+			if nodes > maxNodes {
+				return Placement{}, fmt.Errorf("%w (%d nodes)", ErrSearchBudget, maxNodes)
+			}
+			s.charge(d, m, +1)
+			if d+2 < J {
 				d++
 				s.enter(d, bound)
 				continue
 			}
+			finish(bound)
+			s.charge(d, m, -1)
 		}
 		cpuLeft[m] += c
 	}
@@ -130,13 +147,15 @@ var errNoFeasible = errors.New("place: no CPU-feasible placement exists")
 // bits the depth-d task sends to and receives from earlier tasks on
 // machine k. Scoring a child reads the group loads without changing
 // them; only a child that is entered is charged, by charge(+1), and
-// retracted, by charge(-1), once its subtree is done.
+// retracted, by charge(-1), once its subtree is done. The last depth's
+// children are leaves: last scores them all and charges none.
 //
 // A child's bound is the larger of its parent's bound and the completion
 // time of every group it loads, with its load added. A search that
 // charges one transfer at a time takes the maximum over the same groups,
 // since a group's time only grows as its load does, so both prune the
-// same children.
+// same children. Scoring stops once the bound reaches the best
+// placement's: such a child is pruned whatever the exact figure.
 type search struct {
 	M       int
 	hose    bool
@@ -279,20 +298,65 @@ func (s *search) enter(d int, partial float64) {
 	s.recv1[d], s.recv2[d], s.recv1At[d] = r1, r2, r1At
 }
 
+// score returns the bound of placing depth d's task on machine m, or
+// some bound no smaller than best once it reaches best.
+func (s *search) score(d, m int, best float64) float64 {
+	if s.hose {
+		return s.scoreHose(d, m, best)
+	}
+	return s.scorePipe(d, m, best)
+}
+
+// last scores the entered last depth: it returns the first machine
+// whose leaf bound is the smallest below best, with that bound, or -1
+// and best if no leaf beats best. A leaf's bound is never below its
+// parent's, nor, under Hose, below recv2, so once best reaches that
+// floor no machine is scored; every CPU-feasible machine is still
+// debited and credited, as a recursive search would.
+func (s *search) last(best float64) (int, float64) {
+	d := len(s.order) - 1
+	c := s.cpu[d]
+	floor := s.partial[d]
+	if s.hose {
+		floor = max(floor, s.recv2[d])
+	}
+	at := -1
+	for m := range s.M {
+		if s.cpuLeft[m]+1e-9 < c {
+			continue
+		}
+		s.cpuLeft[m] -= c
+		if floor < best {
+			if b := s.score(d, m, best); b < best {
+				at, best = m, b
+			}
+		}
+		s.cpuLeft[m] += c
+	}
+	return at, best
+}
+
 // scoreHose returns the bound of placing depth d's task on machine m.
 // Traffic to and from earlier tasks on m stays inside m; the rest leaves
-// m's egress or the egress of the sending machine.
-func (s *search) scoreHose(d, m int) float64 {
+// m's egress or the egress of the sending machine. It stops early, with
+// a bound no smaller than best, once the bound reaches best.
+func (s *search) scoreHose(d, m int, best float64) float64 {
 	b := s.partial[d]
 	if s.recv1At[d] != m {
 		b = max(b, s.recv1[d])
 	} else {
 		b = max(b, s.recv2[d])
 	}
+	if b >= best {
+		return b
+	}
 	k := d*s.M + m
 	out, in := s.out[k], s.in[k]
 	if off := s.sent[d] - out; off > 0 {
 		b = max(b, (s.egress[m]+off)/s.hoseRate[m])
+		if b >= best {
+			return b
+		}
 	}
 	if co := out + in; co > 0 {
 		b = max(b, (s.intra[m]+co)/s.selfRate[m])

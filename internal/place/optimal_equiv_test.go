@@ -298,11 +298,96 @@ func TestOptimalMatchesReferenceSearch(t *testing.T) {
 	}
 }
 
+// lastDepthInstance draws an instance of the given task count on 1–5
+// machines with dense traffic. With tenths, CPU demands and caps are
+// tenths of a core (0.3, 0.7, 1.1, ...), which float64 only
+// approximates, so debiting and crediting a machine can round.
+func lastDepthInstance(rng *rand.Rand, tasks int, tenths bool) (*profile.Application, *Environment) {
+	M := 1 + rng.Intn(5)
+	env := &Environment{Rates: make([][]units.Rate, M), CPUCap: make([]float64, M)}
+	for m := range env.Rates {
+		env.Rates[m] = make([]units.Rate, M)
+		for n := range env.Rates[m] {
+			env.Rates[m][n] = units.Mbps(float64(100 * (1 + rng.Intn(3))))
+		}
+		if tenths {
+			env.CPUCap[m] = float64(3+rng.Intn(20)) / 10
+		} else {
+			env.CPUCap[m] = 0.5 * float64(1+rng.Intn(4))
+		}
+	}
+	app := &profile.Application{Name: "last", CPU: make([]float64, tasks), TM: profile.NewTrafficMatrix(tasks)}
+	for i := range app.CPU {
+		if tenths {
+			app.CPU[i] = float64(1+rng.Intn(12)) / 10
+		} else {
+			app.CPU[i] = 0.5 * float64(1+rng.Intn(2))
+		}
+	}
+	for i := 0; i < tasks; i++ {
+		for j := 0; j < tasks; j++ {
+			if i != j && rng.Intn(4) != 0 {
+				_ = app.TM.Set(i, j, units.ByteSize(1+rng.Intn(3))*100*units.Megabyte)
+			}
+		}
+	}
+	return app, env
+}
+
+// TestOptimalLastDepthMatchesReference pins Optimal to the reference
+// search where optimalInstance does not reach: 1-task applications, whose
+// root is the last depth; 2-task applications, whose root is the last
+// depth's parent; and CPU demands and caps that are not dyadic. Every
+// budget from 1 up to the search's node count is tried, so some run out
+// exactly on entering a last-depth node: with 2 tasks, every node but
+// the root is one.
+func TestOptimalLastDepthMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	const trials = 2000
+	var lastDepthHits, infeasible, solved int
+	for trial := 0; trial < trials; trial++ {
+		tasks := 1 + trial%4
+		app, env := lastDepthInstance(rng, tasks, trial/4%2 == 1)
+		for _, model := range []Model{Hose, Pipe} {
+			for maxNodes := 1; ; maxNodes++ {
+				got, gotErr := Optimal(app, env, model, maxNodes)
+				want, wantErr := optimalReference(app, env, model, maxNodes)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("trial %d %v maxNodes %d: error %v, reference %v", trial, model, maxNodes, gotErr, wantErr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d %v maxNodes %d (%d tasks, %d machines): placement %v, reference %v",
+						trial, model, maxNodes, tasks, env.Machines(), got.MachineOf, want.MachineOf)
+				}
+				if !errors.Is(wantErr, ErrSearchBudget) {
+					if wantErr != nil {
+						infeasible++
+					} else {
+						solved++
+					}
+					break
+				}
+				if tasks == 2 {
+					lastDepthHits++
+				}
+			}
+		}
+	}
+	if lastDepthHits == 0 || infeasible == 0 || solved == 0 {
+		t.Fatalf("outcomes: %d solved, %d infeasible, %d budgets out on a 2-task last depth; the instances do not cover all three",
+			solved, infeasible, lastDepthHits)
+	}
+}
+
 // fuzzInstance decodes fuzz bytes into an instance of at most 6 tasks on
-// at most 6 machines, reading zeros once the bytes run out. Rates, sizes
-// and CPU come from small discrete sets, so ties and tight packings are
-// common; CPU values are multiples of half a core, exact in float64.
-func fuzzInstance(data []byte) (*profile.Application, *Environment, Model) {
+// at most 6 machines, and the node budget to search it with, reading
+// zeros once the bytes run out. Rates, sizes and CPU come from small
+// discrete sets, so ties and tight packings are common. CPU values are
+// multiples of half a core, exact in float64, unless the head byte sets
+// 8: then they are tenths of a core (0.3, 0.7, 1.1, ...), which float64
+// only approximates. The budget is 50,000 nodes unless the head byte
+// sets 16: then the next byte gives 1–64.
+func fuzzInstance(data []byte) (*profile.Application, *Environment, Model, int) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -316,6 +401,11 @@ func fuzzInstance(data []byte) (*profile.Application, *Environment, Model) {
 	if head&1 == 1 {
 		model = Hose
 	}
+	budget := 50_000
+	if head&16 == 16 {
+		budget = 1 + next()%64
+	}
+	tenths := head&8 == 8
 	M := 1 + next()%6
 	tasks := 1 + next()%6
 	env := &Environment{Rates: make([][]units.Rate, M), CPUCap: make([]float64, M)}
@@ -327,7 +417,11 @@ func fuzzInstance(data []byte) (*profile.Application, *Environment, Model) {
 		if head&2 == 2 {
 			env.Rates[m][m] = units.Gbps(32)
 		}
-		env.CPUCap[m] = 0.5 * float64(1+next()%8)
+		if tenths {
+			env.CPUCap[m] = float64(3+next()%38) / 10
+		} else {
+			env.CPUCap[m] = 0.5 * float64(1+next()%8)
+		}
 	}
 	if head&4 == 4 {
 		env.HoseRates = make([]units.Rate, M)
@@ -337,7 +431,11 @@ func fuzzInstance(data []byte) (*profile.Application, *Environment, Model) {
 	}
 	app := &profile.Application{Name: "fuzz", CPU: make([]float64, tasks), TM: profile.NewTrafficMatrix(tasks)}
 	for i := range app.CPU {
-		app.CPU[i] = 0.5 * float64(1+next()%4)
+		if tenths {
+			app.CPU[i] = float64(1+next()%15) / 10
+		} else {
+			app.CPU[i] = 0.5 * float64(1+next()%4)
+		}
 	}
 	for i := 0; i < tasks; i++ {
 		for j := 0; j < tasks; j++ {
@@ -346,7 +444,7 @@ func fuzzInstance(data []byte) (*profile.Application, *Environment, Model) {
 			}
 		}
 	}
-	return app, env, model
+	return app, env, model, budget
 }
 
 // FuzzOptimal checks, on decoded instances, that Optimal agrees with the
@@ -354,8 +452,7 @@ func fuzzInstance(data []byte) (*profile.Application, *Environment, Model) {
 // than the optimum. Its seed corpus is testdata/fuzz/FuzzOptimal.
 func FuzzOptimal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		app, env, model := fuzzInstance(data)
-		const budget = 50_000
+		app, env, model, budget := fuzzInstance(data)
 		got, gotErr := Optimal(app, env, model, budget)
 		want, wantErr := optimalReference(app, env, model, budget)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {

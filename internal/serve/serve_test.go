@@ -473,6 +473,42 @@ func TestAppCaps(t *testing.T) {
 	}
 }
 
+// TestBadTransfersRefused pins that a transfer with a negative size or a
+// fractional task index is refused with 400 on both compute endpoints.
+func TestBadTransfersRefused(t *testing.T) {
+	_, ts := simServer(t, serve.Config{})
+	negative := api.AppSpec{Name: "neg", CPU: []float64{1, 1}, TransfersMB: [][3]float64{{0, 1, -500}}}
+	fractional := api.AppSpec{Name: "frac", CPU: []float64{1, 1, 1}, TransfersMB: [][3]float64{{0.9, 1.7, 100}}}
+	for _, tc := range []struct {
+		path string
+		req  interface{}
+		want string
+	}{
+		{"/v1/place", api.PlaceRequest{V: api.Version, App: negative}, "size must not be negative"},
+		{"/v1/place", api.PlaceRequest{V: api.Version, App: fractional}, "task indices must be integers"},
+		{"/v1/migrate", api.MigrateRequest{V: api.Version, App: negative, Current: []int{0, 1}}, "size must not be negative"},
+		{"/v1/migrate", api.MigrateRequest{V: api.Version, App: fractional, Current: []int{0, 1, 2}}, "task indices must be integers"},
+	} {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+tc.path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr api.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Error, tc.want) {
+			t.Errorf("%s %s: status %v, error %q; want 400 naming %q", tc.path, tc.want, resp.Status, apiErr.Error, tc.want)
+		}
+	}
+}
+
 // TestRequestBodyLimitCountsTrailingBytes pins that the cap applies to
 // the whole body: a request whose JSON ends well inside the limit but
 // whose body runs past it is refused with 413.
