@@ -4,7 +4,7 @@
 GO  ?= go
 BIN ?= bin
 
-.PHONY: all build test bench bench-record lint sweep-smoke sweep-shard-smoke sweep-seq-smoke sweep-live-smoke serve-smoke serve-load golden clean
+.PHONY: all build test bench perf-gate lint sweep-smoke sweep-shard-smoke sweep-seq-smoke sweep-live-smoke serve-smoke serve-load golden clean
 
 all: build
 
@@ -27,19 +27,13 @@ bench: build
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/place ./internal/netsim
 	$(BIN)/choreo-bench -quick
 
-# The per-PR performance trajectory: run the headline benchmarks at
-# recording scale, gate against the committed snapshot (>20% regression
-# on mesh measurement or sweep throughput fails), and write the fresh
-# snapshot to bin/ for inspection or for committing as the new baseline.
-# BENCH_ID names the snapshot; BENCH_BASELINE the committed file.
-BENCH_ID       ?= pr7
-BENCH_BASELINE ?= BENCH_7.json
-
-bench-record: build
-	$(BIN)/choreo bench -id $(BENCH_ID) -benchtime 500ms -count 3 \
-		-baseline $(BENCH_BASELINE) -max-regress 0.2 \
-		-raw $(BIN)/bench-raw.txt -out $(BIN)/$(BENCH_BASELINE)
-	@echo "benchmark snapshot recorded to $(BIN)/$(BENCH_BASELINE) (gated against $(BENCH_BASELINE))"
+# The performance gate: every perfbench workload in BENCHMARK.json, run
+# in alternating pairs on this checkout and on BASE (a git revision), on
+# this host. Fails when a head run is incorrect, fails more ops than
+# base, or a median end-to-end metric worsens past its BENCHMARK.json
+# bound. See scripts/perf-gate.sh.
+perf-gate:
+	bash scripts/perf-gate.sh "$(BASE)"
 
 lint:
 	$(GO) vet ./...

@@ -592,9 +592,9 @@ func BenchmarkMeasureMesh(b *testing.B) {
 }
 
 // BenchmarkSweepGrid runs the default snapshot grid (192 scenarios over
-// 64 unique cells) through the streaming engine on one worker — the
-// end-to-end sweep-throughput number the BENCH_*.json trajectory tracks.
-// The custom metric is grid cells per second of wall-clock.
+// 64 unique cells) through the streaming engine on one worker. The
+// custom metric is grid cells per second of wall-clock; perfbench's
+// sweep_snapshot workload gates the same path on a larger grid.
 func BenchmarkSweepGrid(b *testing.B) {
 	cells := 0
 	b.ResetTimer()

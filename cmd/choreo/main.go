@@ -64,12 +64,6 @@
 //	    identical to the simulated path, so sim and live runs of one
 //	    grid diff cleanly.
 //
-//	choreo bench -id pr7 -out BENCH_7.json [-baseline BENCH_7.json -max-regress 0.2]
-//	    run the headline benchmarks (mesh measurement, packet train,
-//	    allocator, sweep throughput) through `go test -bench` and write
-//	    a schema'd snapshot for the per-PR performance trajectory; with
-//	    -baseline, fail if a gated benchmark regresses beyond tolerance.
-//
 //	choreo merge -out merged.jsonl shard1.jsonl shard2.jsonl shard3.jsonl
 //	    validate n shard files (same grid, disjoint coverage, no gaps)
 //	    and splice them into one report, byte-identical to the unsharded
@@ -122,8 +116,6 @@ func main() {
 		err = runLoad(os.Args[2:])
 	case "agents":
 		err = runAgents(os.Args[2:])
-	case "bench":
-		err = runBench(os.Args[2:])
 	case "obs":
 		err = runObsCmd(os.Args[2:])
 	case "help", "-h", "--help":
@@ -140,7 +132,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: choreo <simulate|measure|place|sweep|merge|serve|load|agents|bench|obs> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: choreo <simulate|measure|place|sweep|merge|serve|load|agents|obs> [flags]")
 }
 
 func runSimulate(args []string) error {

@@ -192,7 +192,7 @@ func (c *Choreo) VMs() []topology.VM { return c.vms }
 // machine's hose rate from the matrix once per call. Path states for
 // the whole mesh are snapshotted in one batched pass (uncontended pairs
 // read cached capacities, contended ones share one what-if filling pass;
-// see packetsim.StatesOf), then the trains themselves run sequentially in
+// see packetsim.PairStates), then the trains themselves run sequentially in
 // pair order, so the measurement noise stream — and hence every measured
 // rate — is bit-identical to the strictly sequential implementation.
 func (c *Choreo) MeasureEnvironment() (*place.Environment, error) {

@@ -129,51 +129,23 @@ func (m *Medium) stateFrom(src, dst topology.VMID, av netsim.PathAvailability) (
 	return st, nil
 }
 
-// StatesOf snapshots every ordered pair among vms in one pass, batching
-// the underlying availability computation (see netsim.BatchAvailability):
-// pairs whose constraints no active flow touches — on the pristine
-// pre-measurement cloud, all of them — are read off cached capacities,
-// and the rest are resolved together by netsim's what-if kernel in one
-// max-min filling pass, without starting a probe flow. The returned
-// states are bit-identical to per-pair StateOf calls; trains still run
-// one at a time against them, so measured observations are unchanged.
-func (m *Medium) StatesOf(vms []topology.VM) (map[[2]topology.VMID]PathState, error) {
-	pairs := make([][2]topology.VMID, 0, len(vms)*(len(vms)-1))
-	for _, a := range vms {
-		for _, b := range vms {
-			if a.ID != b.ID {
-				pairs = append(pairs, [2]topology.VMID{a.ID, b.ID})
-			}
-		}
-	}
-	avs, err := m.net.BatchAvailability(pairs)
-	if err != nil {
-		return nil, err
-	}
-	states := make(map[[2]topology.VMID]PathState, len(pairs))
-	for i, pr := range pairs {
-		st, err := m.stateFrom(pr[0], pr[1], avs[i])
-		if err != nil {
-			return nil, err
-		}
-		states[pr] = st
-	}
-	return states, nil
-}
-
 // PairState couples an ordered VM pair with its snapshotted path state.
 type PairState struct {
 	Pair  [2]topology.VMID
 	State PathState
 }
 
-// PairStates is StatesOf without the map: it snapshots every ordered
-// pair among vms in mesh-measurement order (outer loop over sources,
-// inner over destinations) and returns them as a slice. Mesh loops that
-// visit pairs in exactly that order — MeasureMesh, the orchestrator's
-// MeasureEnvironment — iterate the slice directly instead of hashing a
-// [2]VMID key per train, which is a measurable slice of the measurement
-// hot path. States are bit-identical to per-pair StateOf calls.
+// PairStates snapshots every ordered pair among vms in one pass, in
+// mesh-measurement order (outer loop over sources, inner over
+// destinations), and returns them as a slice. The availability reads are
+// batched (see netsim.BatchAvailabilityRefs): pairs whose constraints no
+// active flow touches — on the pristine pre-measurement cloud, all of
+// them — are read off cached capacities, and the rest are resolved
+// together by netsim's what-if kernel in one max-min filling pass,
+// without starting a probe flow. Mesh loops that visit pairs in exactly
+// that order — MeasureMesh, the orchestrator's MeasureEnvironment —
+// iterate the slice directly. States are bit-identical to per-pair
+// StateOf calls.
 //
 // The returned slice is owned by the medium and reused: it is valid
 // only until the next PairStates call. Snapshot-per-epoch loops consume
@@ -243,23 +215,15 @@ func (m *Medium) planFor(vms []topology.VM) (*meshPlan, error) {
 	return p, nil
 }
 
-// RunTrainOn runs one packet train over a previously snapshotted path
-// state, drawing measurement noise from the medium's rng exactly as
-// RunTrain would — the pairing for StatesOf in mesh measurement loops.
-func (m *Medium) RunTrainOn(state PathState, cfg probe.Config) (probe.Observation, error) {
-	if err := cfg.Validate(); err != nil {
-		return probe.Observation{}, err
-	}
-	return SimulateTrain(state, cfg, m.rng), nil
-}
-
-// RunTrainOnScratch is RunTrainOn recording into a burst buffer owned by
-// the medium: the returned observation is only valid until the next
-// RunTrainOnScratch call. Mesh measurement loops — one train per pair,
-// observation discarded as soon as the estimator has read it — use this
-// to keep the train path allocation-free; callers that retain
-// observations must use RunTrainOn. The config is validated once and
-// remembered, so the per-train cost is a single struct compare.
+// RunTrainOnScratch runs one packet train over a previously snapshotted
+// path state (see PairStates), drawing measurement noise from the
+// medium's rng exactly as RunTrain would, and records into a burst
+// buffer owned by the medium: the returned observation is only valid
+// until the next RunTrainOnScratch call. Mesh measurement loops — one
+// train per pair, observation discarded as soon as the estimator has
+// read it — use this to keep the train path allocation-free; callers
+// that retain observations must use RunTrain. The config is validated
+// once and remembered, so the per-train cost is a single struct compare.
 func (m *Medium) RunTrainOnScratch(state *PathState, cfg probe.Config) (probe.Observation, error) {
 	if cfg != m.validCfg {
 		if err := cfg.Validate(); err != nil {

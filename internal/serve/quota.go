@@ -12,6 +12,12 @@ import (
 // HTTP 429. The read-only endpoints (health, metrics, env) are exempt:
 // monitoring must keep working for a tenant that has talked itself into
 // rejection.
+//
+// A bucket that has refilled to burst grants and refills exactly like
+// an absent one, which allow creates full, so such buckets are dropped:
+// once the map has doubled since the last sweep, the next new tenant
+// sweeps it. The map then holds about twice the tenants seen within one
+// refill time (burst/rate), however many tenants have ever called.
 type quotas struct {
 	rate  float64 // tokens per second
 	burst float64
@@ -19,7 +25,12 @@ type quotas struct {
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
+	// sweepAt is the map size at which the next new tenant sweeps.
+	sweepAt int
 }
+
+// minSweepAt is the smallest map size that triggers a sweep.
+const minSweepAt = 64
 
 type bucket struct {
 	tokens float64
@@ -40,6 +51,7 @@ func newQuotas(rate float64, burst int) *quotas {
 		burst:   float64(burst),
 		now:     time.Now,
 		buckets: make(map[string]*bucket),
+		sweepAt: minSweepAt,
 	}
 }
 
@@ -54,6 +66,9 @@ func (q *quotas) allow(tenant string) bool {
 	now := q.now()
 	b, ok := q.buckets[tenant]
 	if !ok {
+		if len(q.buckets) >= q.sweepAt {
+			q.sweep(now)
+		}
 		b = &bucket{tokens: q.burst, last: now}
 		q.buckets[tenant] = b
 	} else {
@@ -68,4 +83,16 @@ func (q *quotas) allow(tenant string) bool {
 	}
 	b.tokens--
 	return true
+}
+
+// sweep drops every bucket that has refilled to burst by now, with the
+// same arithmetic allow refills with, and sets the next sweep at twice
+// the size it leaves.
+func (q *quotas) sweep(now time.Time) {
+	for tenant, b := range q.buckets {
+		if b.tokens+now.Sub(b.last).Seconds()*q.rate >= q.burst {
+			delete(q.buckets, tenant)
+		}
+	}
+	q.sweepAt = max(2*len(q.buckets), minSweepAt)
 }

@@ -20,13 +20,10 @@
 // the entry, bounding memory to the in-flight working set on large
 // streaming sweeps).
 //
-// The use declaration comes in two forms. New(n) plans a uniform n
-// fetches for every key — right for a full sweep, where every cell is
-// visited once per algorithm. NewPlanned(uses) plans an exact per-key
-// count — required for partial runs (a shard holding only part of a
-// cell group, or a resume that re-runs a subset of a cell's
-// algorithms), where a uniform count would either leave entries pinned
-// forever or evict them before their last use.
+// The use declaration is an exact per-key count (NewPlanned), so partial
+// runs — a shard holding only part of a cell group, or a resume that
+// re-runs a subset of a cell's algorithms — neither leave entries pinned
+// nor evict them before their last use.
 package envcache
 
 import (
@@ -137,9 +134,9 @@ func (c *Cell) OptimalReference(compute func() (float64, bool, error)) (float64,
 // Stats counts cache traffic. Misses is the number of cells actually
 // built; a sweep over U unique cells with S scenarios proves the sharing
 // worked when Misses == U and Hits == S - U. Resident is the number of
-// entries still cached when the snapshot was taken: a finished
-// refcounted run must report zero, so a non-zero value means the use
-// plan over-counted and pinned memory. The Measurement counters track
+// entries still cached when the snapshot was taken: a finished run must
+// report zero, so a non-zero value means the use plan over-counted and
+// pinned memory. The Measurement counters track
 // the measurement sub-layer (GetMeasurement): MeasurementMisses is the
 // number of clouds actually measured, and a sequence sweep whose cells
 // differ only in arrival process proves the sharing worked when it is
@@ -174,7 +171,6 @@ type entry struct {
 type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
-	uses    int
 	planned map[Key]int
 	hits    atomic.Int64
 	misses  atomic.Int64
@@ -192,13 +188,6 @@ type Cache struct {
 	measEvictions atomic.Int64
 }
 
-// New returns a cache expecting every key to be fetched usesPerKey times;
-// the last fetch evicts the entry. usesPerKey <= 0 disables eviction
-// (entries live for the cache's lifetime).
-func New(usesPerKey int) *Cache {
-	return &Cache{entries: make(map[Key]*entry), uses: usesPerKey}
-}
-
 // NewPlanned returns a cache with an exact per-key use plan: key k will
 // be fetched uses[k] times, and its k-th fetch evicts the entry. Keys
 // outside the plan are built on every fetch and never cached (each such
@@ -214,22 +203,6 @@ func NewPlanned(uses map[Key]int) *Cache {
 	return &Cache{entries: make(map[Key]*entry), planned: planned}
 }
 
-// expectedUses is the declared fetch budget for key; 0 under a per-key
-// plan means the key is unplanned.
-func (c *Cache) expectedUses(key Key) int {
-	if c.planned != nil {
-		return c.planned[key]
-	}
-	return c.uses
-}
-
-// refcounted reports whether fetches consume a declared budget. Uniform
-// caches with usesPerKey <= 0 pin entries forever; planned caches always
-// refcount.
-func (c *Cache) refcounted() bool {
-	return c.planned != nil || c.uses > 0
-}
-
 // Get returns the cell for key, building it with build on first request.
 // Concurrent Gets for the same key share a single build; errors are
 // shared with every waiter. A nil *Cache is valid and simply builds every
@@ -241,18 +214,16 @@ func (c *Cache) Get(key Key, build func() (*Cell, error)) (*Cell, error) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
-		e = &entry{remaining: c.expectedUses(key)}
+		e = &entry{remaining: c.planned[key]}
 		c.entries[key] = e
 		c.misses.Add(1)
 	} else {
 		c.hits.Add(1)
 	}
-	if c.refcounted() {
-		e.remaining--
-		if e.remaining <= 0 {
-			delete(c.entries, key)
-			c.evictions.Add(1)
-		}
+	e.remaining--
+	if e.remaining <= 0 {
+		delete(c.entries, key)
+		c.evictions.Add(1)
 	}
 	c.mu.Unlock()
 

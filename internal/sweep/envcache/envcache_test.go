@@ -14,7 +14,7 @@ func key(seed int64) Key {
 }
 
 func TestSingleflightBuildsOnce(t *testing.T) {
-	c := New(0)
+	c := NewPlanned(map[Key]int{key(1): 16})
 	var builds atomic.Int64
 	var wg sync.WaitGroup
 	cells := make([]*Cell, 16)
@@ -42,13 +42,13 @@ func TestSingleflightBuildsOnce(t *testing.T) {
 		}
 	}
 	s := c.Stats()
-	if s.Misses != 1 || s.Hits != 15 {
-		t.Errorf("stats = %+v, want 1 miss / 15 hits", s)
+	if s.Misses != 1 || s.Hits != 15 || s.Resident != 0 {
+		t.Errorf("stats = %+v, want 1 miss / 15 hits / 0 resident", s)
 	}
 }
 
 func TestDistinctKeysBuildSeparately(t *testing.T) {
-	c := New(0)
+	c := NewPlanned(map[Key]int{key(1): 1, key(2): 1, key(3): 1})
 	var builds atomic.Int64
 	build := func() (*Cell, error) { builds.Add(1); return &Cell{}, nil }
 	for seed := int64(1); seed <= 3; seed++ {
@@ -62,7 +62,7 @@ func TestDistinctKeysBuildSeparately(t *testing.T) {
 }
 
 func TestEvictionAfterDeclaredUses(t *testing.T) {
-	c := New(2)
+	c := NewPlanned(map[Key]int{key(1): 2})
 	var builds atomic.Int64
 	build := func() (*Cell, error) { builds.Add(1); return &Cell{}, nil }
 	for i := 0; i < 2; i++ {
@@ -141,19 +141,20 @@ func TestPlannedUnplannedKeyNeverCached(t *testing.T) {
 	}
 }
 
-// TestUniformCountPinsPartialGroup documents why partial runs need the
-// per-key plan: a uniform declaration over-counts keys the run touches
-// fewer times, leaving them resident (pinned) at the end.
-func TestUniformCountPinsPartialGroup(t *testing.T) {
-	uniform := New(3)
+// TestOverCountedPlanPinsPartialGroup documents why partial runs need
+// an exact per-key plan: a plan that over-counts a key the run touches
+// fewer times leaves it resident (pinned) at the end, and Stats exposes
+// the pin.
+func TestOverCountedPlanPinsPartialGroup(t *testing.T) {
+	overCounted := NewPlanned(map[Key]int{key(1): 3})
 	build := func() (*Cell, error) { return &Cell{}, nil }
-	if _, err := uniform.Get(key(1), build); err != nil {
+	if _, err := overCounted.Get(key(1), build); err != nil {
 		t.Fatal(err)
 	}
-	if uniform.Len() != 1 {
-		t.Fatalf("uniform cache after partial group: Len = %d, want 1 (pinned)", uniform.Len())
+	if overCounted.Len() != 1 {
+		t.Fatalf("over-counted cache after partial group: Len = %d, want 1 (pinned)", overCounted.Len())
 	}
-	if s := uniform.Stats(); s.Resident != 1 {
+	if s := overCounted.Stats(); s.Resident != 1 {
 		t.Errorf("Stats.Resident = %d, want 1 to expose the pin", s.Resident)
 	}
 	planned := NewPlanned(map[Key]int{key(1): 1})
@@ -185,7 +186,7 @@ func TestNilCacheBuildsEveryTime(t *testing.T) {
 }
 
 func TestBuildErrorShared(t *testing.T) {
-	c := New(0)
+	c := NewPlanned(map[Key]int{key(9): 2})
 	boom := errors.New("boom")
 	if _, err := c.Get(key(9), func() (*Cell, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the build error", err)
@@ -298,7 +299,7 @@ func TestGetMeasurementSharesAndEvicts(t *testing.T) {
 // shared with every waiter of the entry, like cell builds.
 func TestGetMeasurementSharesErrors(t *testing.T) {
 	k := Key{Topology: "t"}
-	c := New(0)
+	c := NewPlanned(nil)
 	c.PlanMeasurements(map[Key]int{k: 2})
 	boom := errors.New("measurement failed")
 	builds := 0
