@@ -567,8 +567,8 @@ func BenchmarkPacketTrain(b *testing.B) {
 // of a 10-VM tenant — the 90-pair "under three minutes" mesh of §4.1,
 // and the expensive half of every sweep cell build. Path states for the
 // whole mesh are snapshotted in one batched pass (netsim's
-// BatchAvailability reads uncontended pairs off cached constraint
-// capacities and resolves contended ones in one what-if filling pass),
+// BatchAvailabilityRefs reads uncontended pairs off their routes' idle
+// rates and resolves contended ones in one what-if filling pass),
 // so this pins the mesh-measurement hot path the ROADMAP named.
 func BenchmarkMeasureMesh(b *testing.B) {
 	prov, err := topology.NewProvider(topology.EC22013(), 1)

@@ -9,7 +9,7 @@ import (
 
 // TestBatchAvailabilityContendedMatchesPerPair pins the contended path
 // under live cross-traffic, where most mesh pairs share constraints with
-// active flows and BatchAvailability resolves their share and physical
+// active flows and BatchAvailabilityRefs resolves their share and physical
 // probes in the what-if kernel's one filling pass: every pair's
 // availability must be bit-identical to availabilityReference, the
 // probe-flow measurement the kernel replaced, and the active flows must
@@ -89,10 +89,7 @@ func TestBatchAvailabilityContendedMatchesPerPair(t *testing.T) {
 					}
 				}
 			}
-			got, err := net.BatchAvailability(pairs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := batchAvailability(t, net, pairs)
 
 			contended := 0
 			for i, pr := range pairs {

@@ -14,7 +14,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"choreo/internal/topology"
@@ -26,21 +25,6 @@ type FlowID int64
 
 // Backlogged marks a flow with no byte limit; it runs until stopped.
 const Backlogged units.ByteSize = -1
-
-type constraintKind uint8
-
-const (
-	constraintPhys constraintKind = iota
-	constraintHose
-	constraintMemBus
-)
-
-// constraintKey names one capacity constraint: a physical directed link, a
-// VM's egress hose, or a host's memory bus (for colocated VM pairs).
-type constraintKey struct {
-	kind constraintKind
-	id   int32
-}
 
 // Flow is one TCP-like transfer between two VMs.
 type Flow struct {
@@ -57,9 +41,7 @@ type Flow struct {
 
 	// remaining bytes; <0 means backlogged.
 	remaining float64
-	// slots are the network-wide slot indices of the flow's constraints,
-	// resolved once per pair so every allocate reuses the mapping instead
-	// of re-deriving the constraint index from scratch.
+	// slots are the resource IDs the flow crosses: its path's Resources.
 	slots    []int32
 	started  time.Duration
 	finished time.Duration
@@ -112,12 +94,17 @@ func (h *timerHeap) Pop() interface{} {
 	return x
 }
 
-// Network simulates one provider fabric with a set of active flows.
+// Network simulates one provider fabric with a set of active flows. A
+// slot is a resource ID of the provider (a link, a host's memory bus or
+// a VM's hose; see topology.Provider.Capacities), and a flow's slots are
+// its route's Resources, so a Network builds nothing per pair: it keeps
+// only per-resource scratch for the filling pass. Many Networks may run
+// on one cloud at once; none writes to the provider.
 type Network struct {
 	prov *topology.Provider
 
 	flows  map[FlowID]*Flow
-	active []*Flow
+	active []*Flow // in FlowID order: StartFlow appends, removals keep order
 	nextID FlowID
 
 	now    time.Duration
@@ -126,100 +113,49 @@ type Network struct {
 
 	dirty bool
 
-	// Constraint-slot registry. Every distinct constraint (physical link,
-	// hose, memory bus) gets one slot for the network's lifetime, with
-	// its capacity cached — capacities are static once the provider is
-	// built. allocate() then works on flat arrays instead of rebuilding
-	// a map-keyed index per call.
-	slotIndex map[constraintKey]int32
+	// slotCap is the provider's capacity table and slots the scratch of
+	// one filling pass, both indexed by resource ID. The scratch is
+	// epoch-stamped, so only the slots the active set touches are reset.
 	slotCap   []float64
-	// Per-allocation scratch, epoch-stamped so only slots touched by the
-	// current active set are reset. slotPos is a slot's index in touched.
-	slotRem   []float64
-	slotAlive []int32
-	slotPos   []int32
-	slotSeen  []int64
+	slots     []slot
 	slotEpoch int64
 	touched   []int32
 	frozen    []bool
 	probes    []whatIf // BatchAvailabilityRefs' probe list, reused
-
-	// Per-pair probe ingredients, all static for the network's lifetime
-	// (routes are deterministic and capacities are cached at slot
-	// registration): one lookup replaces a path derivation, a constraint
-	// walk with one slotIndex map access per key, and — for uncontended
-	// availability reads — the whole capacity scan.
-	pairCache map[[2]topology.VMID]*pairInfo
+	finished  []*Flow  // reapFinished's list, reused
 }
 
-// pairInfo caches what every flow or probe between one ordered VM pair
-// reuses verbatim: the route, its constraint slots (hose first, then the
-// physical links; never written after construction), and the pair's
-// availability on an uncontended path, which is a pure function of
-// static capacities.
-type pairInfo struct {
-	path  *topology.Path
-	slots []int32
-	idle  PathAvailability
-}
-
-// pairInfoFor returns the cached per-pair probe ingredients, building
-// them on first use.
-func (n *Network) pairInfoFor(src, dst topology.VMID) (*pairInfo, error) {
-	key := [2]topology.VMID{src, dst}
-	if pi, ok := n.pairCache[key]; ok {
-		return pi, nil
-	}
-	path, err := n.prov.Path(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	pi := &pairInfo{path: path, slots: n.slotsFor(n.constraintsFor(path))}
-	if path.SameHost {
-		bus := pi.slots[0] // the memory-bus constraint
-		pi.idle = PathAvailability{
-			Share:         units.Rate(n.slotCap[bus]),
-			PhysicalShare: units.Rate(n.slotCap[bus]),
-			LineRate:      n.prov.Profile.MemBusRate,
-		}
-	} else {
-		// Hose first, then physical links (constraintsFor's order).
-		share := math.Inf(1)
-		for _, si := range pi.slots {
-			if c := n.slotCap[si]; c < share {
-				share = c
-			}
-		}
-		phys := math.Inf(1)
-		for _, si := range pi.slots[1:] {
-			if c := n.slotCap[si]; c < phys {
-				phys = c
-			}
-		}
-		line := math.Inf(1)
-		for _, l := range path.Links {
-			if c := float64(n.prov.Topo.Links[l].Capacity); c < line {
-				line = c
-			}
-		}
-		pi.idle = PathAvailability{
-			Share:         units.Rate(share),
-			PhysicalShare: units.Rate(phys),
-			LineRate:      units.Rate(line),
-		}
-	}
-	n.pairCache[key] = pi
-	return pi, nil
+// slot is one resource's state in a filling pass: its remaining
+// capacity, the count of unfrozen flows crossing it, its position in
+// touched and the epoch that last stamped it.
+type slot struct {
+	rem   float64
+	seen  int64
+	alive int32
+	pos   int32
 }
 
 // New creates a simulator over the provider's fabric and VMs.
 func New(prov *topology.Provider) *Network {
-	return &Network{
-		prov:      prov,
-		flows:     make(map[FlowID]*Flow),
-		slotIndex: make(map[constraintKey]int32),
-		pairCache: make(map[[2]topology.VMID]*pairInfo),
+	n := &Network{prov: prov, flows: make(map[FlowID]*Flow)}
+	n.slotCap = prov.Capacities()
+	n.slots = make([]slot, len(n.slotCap))
+	return n
+}
+
+// pathFor returns the route from src to dst. A provider that allocated
+// VMs after the network was built has more resources than the scratch
+// covers, so the lookup grows it first.
+func (n *Network) pathFor(src, dst topology.VMID) (*topology.Path, error) {
+	path, err := n.prov.Path(src, dst)
+	if err != nil {
+		return nil, err
 	}
+	if caps := n.prov.Capacities(); len(caps) != len(n.slotCap) {
+		n.slotCap = caps
+		n.slots = append(n.slots, make([]slot, len(caps)-len(n.slots))...)
+	}
+	return path, nil
 }
 
 // Provider returns the underlying provider.
@@ -238,7 +174,7 @@ func (n *Network) StartFlow(src, dst topology.VMID, size units.ByteSize, tag str
 	if src == dst {
 		return nil, fmt.Errorf("netsim: flow from %d to itself", src)
 	}
-	pi, err := n.pairInfoFor(src, dst)
+	path, err := n.pathFor(src, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +183,8 @@ func (n *Network) StartFlow(src, dst topology.VMID, size units.ByteSize, tag str
 		Src:      src,
 		Dst:      dst,
 		Tag:      tag,
-		Path:     pi.path,
+		Path:     path,
+		slots:    path.Resources,
 		started:  n.now,
 		onFinish: onFinish,
 	}
@@ -257,7 +194,6 @@ func (n *Network) StartFlow(src, dst topology.VMID, size units.ByteSize, tag str
 	} else {
 		f.remaining = float64(size)
 	}
-	f.slots = pi.slots
 	n.flows[f.ID] = f
 	n.active = append(n.active, f)
 	n.dirty = true
@@ -283,55 +219,6 @@ func (n *Network) StopFlow(id FlowID) {
 	}
 }
 
-// constraintsFor maps a path to its capacity constraints: the source hose
-// plus every physical link, or the host memory bus for a colocated pair.
-func (n *Network) constraintsFor(path *topology.Path) []constraintKey {
-	if path.SameHost {
-		host := n.prov.VM(path.Src).Host
-		return []constraintKey{{kind: constraintMemBus, id: int32(host)}}
-	}
-	keys := make([]constraintKey, 0, len(path.Links)+1)
-	keys = append(keys, constraintKey{kind: constraintHose, id: int32(path.Src)})
-	for _, l := range path.Links {
-		keys = append(keys, constraintKey{kind: constraintPhys, id: int32(l)})
-	}
-	return keys
-}
-
-func (n *Network) capacityOf(k constraintKey) float64 {
-	switch k.kind {
-	case constraintPhys:
-		link := n.prov.Topo.Links[k.id]
-		return float64(link.Capacity) * (1 - n.prov.AmbientUtilization(topology.LinkID(k.id)))
-	case constraintHose:
-		return float64(n.prov.VM(topology.VMID(k.id)).EgressRate)
-	case constraintMemBus:
-		return float64(n.prov.Profile.MemBusRate)
-	}
-	panic("netsim: unknown constraint kind")
-}
-
-// slotsFor resolves constraint keys to their network-wide slot indices,
-// registering unseen constraints (and caching their static capacity) on
-// first use. Called once per flow at StartFlow.
-func (n *Network) slotsFor(keys []constraintKey) []int32 {
-	slots := make([]int32, len(keys))
-	for i, k := range keys {
-		si, ok := n.slotIndex[k]
-		if !ok {
-			si = int32(len(n.slotCap))
-			n.slotIndex[k] = si
-			n.slotCap = append(n.slotCap, n.capacityOf(k))
-			n.slotRem = append(n.slotRem, 0)
-			n.slotAlive = append(n.slotAlive, 0)
-			n.slotPos = append(n.slotPos, 0)
-			n.slotSeen = append(n.slotSeen, 0)
-		}
-		slots[i] = si
-	}
-	return slots
-}
-
 // allocate computes max-min fair rates for all active flows via
 // progressive filling: repeatedly find the constraint with the smallest
 // fair share, freeze its flows at that share, and remove their demand.
@@ -340,26 +227,23 @@ func (n *Network) allocate() {
 	n.fill(nil)
 }
 
-// stamp records the active set's slot demand for one filling pass. Each
-// flow's slots were resolved at StartFlow, so only the slots the active
-// set touches are reset (epoch-stamped) rather than a constraint index
-// rebuilt: each gets its full capacity, its count of crossing flows and
-// its position in touched, which lists the slots in first-encounter
-// order over the active flows.
+// stamp records the active set's slot demand for one filling pass. Only
+// the slots the active set touches are reset (epoch-stamped): each gets
+// its full capacity, its count of crossing flows and its position in
+// touched, which lists the slots in first-encounter order over the
+// active flows. That order, never the slot number, breaks ties.
 func (n *Network) stamp() {
 	n.slotEpoch++
 	epoch := n.slotEpoch
 	touched := n.touched[:0]
 	for _, f := range n.active {
 		for _, si := range f.slots {
-			if n.slotSeen[si] != epoch {
-				n.slotSeen[si] = epoch
-				n.slotRem[si] = n.slotCap[si]
-				n.slotAlive[si] = 0
-				n.slotPos[si] = int32(len(touched))
+			sl := &n.slots[si]
+			if sl.seen != epoch {
+				*sl = slot{rem: n.slotCap[si], seen: epoch, pos: int32(len(touched))}
 				touched = append(touched, si)
 			}
-			n.slotAlive[si]++
+			sl.alive++
 		}
 	}
 	n.touched = touched
@@ -407,10 +291,11 @@ func (n *Network) fill(probes []whatIf) {
 		best := int32(-1)
 		bestShare := math.Inf(1)
 		for _, si := range n.touched {
-			if n.slotAlive[si] == 0 {
+			sl := &n.slots[si]
+			if sl.alive == 0 {
 				continue
 			}
-			share := n.slotRem[si] / float64(n.slotAlive[si])
+			share := sl.rem / float64(sl.alive)
 			if share < bestShare {
 				bestShare = share
 				best = si
@@ -446,10 +331,11 @@ func (n *Network) fill(probes []whatIf) {
 			remaining--
 			f.Rate = units.Rate(bestShare)
 			for _, si := range f.slots {
-				n.slotRem[si] -= bestShare
-				n.slotAlive[si]--
-				if n.slotRem[si] < 0 {
-					n.slotRem[si] = 0
+				sl := &n.slots[si]
+				sl.rem -= bestShare
+				sl.alive--
+				if sl.rem < 0 {
+					sl.rem = 0
 				}
 			}
 		}
@@ -480,14 +366,14 @@ func (n *Network) resolve(probes []whatIf, best int32, bestShare float64) {
 		share, pos := math.Inf(1), int32(math.MaxInt32)
 		for _, si := range p.slots {
 			rem, alive, at := n.slotCap[si], int32(0), int32(math.MaxInt32)
-			if n.slotSeen[si] == epoch {
-				rem, alive, at = n.slotRem[si], n.slotAlive[si], n.slotPos[si]
+			if sl := &n.slots[si]; sl.seen == epoch {
+				rem, alive, at = sl.rem, sl.alive, sl.pos
 			}
 			if s := rem / float64(alive+1); s < share || (s == share && at < pos) {
 				share, pos = s, at
 			}
 		}
-		if share < bestShare || (best >= 0 && share == bestShare && pos <= n.slotPos[best]) {
+		if share < bestShare || (best >= 0 && share == bestShare && pos <= n.slots[best].pos) {
 			if share < 0 {
 				share = 0
 			}
@@ -679,8 +565,12 @@ func (n *Network) advanceTo(t time.Duration) {
 	n.now = t
 }
 
+// reapFinished retires the drained flows and runs their callbacks in
+// FlowID order, which is active's order. A callback that reaps again
+// finds no list to reuse and makes its own.
 func (n *Network) reapFinished() {
-	var finished []*Flow
+	finished := n.finished[:0]
+	n.finished = nil
 	kept := n.active[:0]
 	for _, f := range n.active {
 		if f.remaining == 0 {
@@ -693,13 +583,13 @@ func (n *Network) reapFinished() {
 		}
 	}
 	n.active = kept
-	// Deterministic callback order.
-	sort.Slice(finished, func(i, j int) bool { return finished[i].ID < finished[j].ID })
 	for _, f := range finished {
 		if f.onFinish != nil {
 			f.onFinish(f)
 		}
 	}
+	clear(finished)
+	n.finished = finished[:0]
 }
 
 // PathAvailability describes what a new flow from src to dst would
@@ -721,74 +611,60 @@ type PathAvailability struct {
 // Availability computes the three-way decomposition above without
 // disturbing existing flows. It leaves the network allocated.
 func (n *Network) Availability(src, dst topology.VMID) (PathAvailability, error) {
-	pi, err := n.pairInfoFor(src, dst)
+	path, err := n.pathFor(src, dst)
 	if err != nil {
 		return PathAvailability{}, err
 	}
 	var out [1]PathAvailability
-	n.BatchAvailabilityRefs([]PairRef{pi}, out[:])
+	n.BatchAvailabilityRefs([]PairRef{path}, out[:])
 	if n.dirty {
 		n.allocate()
 	}
 	return out[0], nil
 }
 
-// BatchAvailability computes Availability for every ordered pair in one
-// pass — the mesh-measurement fast path. Trains run one at a time in
-// the measurement protocol, so each pair's availability is its
-// *isolated* share: the rate a lone backlogged flow would get if it
-// joined the active set. Pairs that share no links — or hoses or memory
-// buses — with any active flow read their shares directly off the cached
-// constraint capacities, which is exactly what progressive filling
-// computes for a lone flow (bestShare = capacity/1, an exact float
-// identity).
+// idle is the availability of path with no active flow on it.
+func idle(path *topology.Path) PathAvailability {
+	return PathAvailability{Share: path.IdleShare, PhysicalShare: path.IdlePhysicalShare, LineRate: path.LineRate}
+}
+
+// PairRef is one ordered VM pair's route, resolved once: callers that
+// batch-probe the same mesh every epoch resolve each pair with
+// PairRefFor and pass the refs to BatchAvailabilityRefs. A route is
+// read-only and lives as long as its cloud.
+type PairRef = *topology.Path
+
+// PairRefFor resolves src→dst to its route.
+func (n *Network) PairRefFor(src, dst topology.VMID) (PairRef, error) {
+	return n.pathFor(src, dst)
+}
+
+// BatchAvailabilityRefs computes Availability for every pair in one
+// pass — the mesh-measurement fast path — writing into a caller-owned
+// buffer: out[i] receives the availability for refs[i]. Trains run one
+// at a time in the measurement protocol, so each pair's availability is
+// its *isolated* share: the rate a lone backlogged flow would get if it
+// joined the active set. A pair that shares no resource with any active
+// flow reads its route's idle rates, which are exactly what progressive
+// filling computes for a lone flow (bestShare = capacity/1, an exact
+// float identity).
 //
 // Contended pairs go to the what-if kernel (see fill): one progressive
 // filling pass over the active set resolves every contended pair's share
 // probe and hose-less physical probe at the iteration that would freeze
 // it, with the float operations of a pass that started the probe as a
-// real flow. Results are therefore bit-identical to per-pair probes, and
-// no flow is started, stopped or given a FlowID.
-func (n *Network) BatchAvailability(pairs [][2]topology.VMID) ([]PathAvailability, error) {
-	refs := make([]PairRef, len(pairs))
-	for i, pr := range pairs {
-		pi, err := n.pairInfoFor(pr[0], pr[1])
-		if err != nil {
-			return nil, err
-		}
-		refs[i] = pi
-	}
-	out := make([]PathAvailability, len(pairs))
-	n.BatchAvailabilityRefs(refs, out)
-	return out, nil
-}
-
-// PairRef is an opaque resolved handle for one ordered VM pair's probe
-// ingredients. Callers that batch-probe the same mesh every epoch resolve
-// each pair once with PairRefFor and pass the refs to
-// BatchAvailabilityRefs, skipping the per-pair cache lookups that
-// BatchAvailability repeats on every call. Refs stay valid for the
-// network's lifetime (routes and constraint capacities are static).
-type PairRef = *pairInfo
-
-// PairRefFor resolves src→dst to its reusable probe handle.
-func (n *Network) PairRefFor(src, dst topology.VMID) (PairRef, error) {
-	return n.pairInfoFor(src, dst)
-}
-
-// BatchAvailabilityRefs is BatchAvailability over pre-resolved pair
-// handles, writing into a caller-owned buffer: out[i] receives the
-// availability for refs[i]. If any pair is contended, the kernel's
-// filling pass leaves the network allocated.
+// real flow. Results are therefore bit-identical to per-pair probes, no
+// flow is started, stopped or given a FlowID, and the pass leaves the
+// network allocated.
 func (n *Network) BatchAvailabilityRefs(refs []PairRef, out []PathAvailability) {
 	n.stamp()
 	epoch := n.slotEpoch
 	probes := n.probes[:0]
-	for i, pi := range refs {
-		out[i] = pi.idle
+	for i, path := range refs {
+		out[i] = idle(path)
 		contended := false
-		for _, si := range pi.slots {
-			if n.slotSeen[si] == epoch {
+		for _, si := range path.Resources {
+			if n.slots[si].seen == epoch {
 				contended = true
 				break
 			}
@@ -796,10 +672,10 @@ func (n *Network) BatchAvailabilityRefs(refs []PairRef, out []PathAvailability) 
 		if !contended {
 			continue
 		}
-		probes = append(probes, whatIf{slots: pi.slots, out: i})
-		if !pi.path.SameHost {
+		probes = append(probes, whatIf{slots: path.Resources, out: i})
+		if !path.SameHost {
 			// The physical probe drops the hose (always the first slot).
-			probes = append(probes, whatIf{slots: pi.slots[1:], out: i, phys: true})
+			probes = append(probes, whatIf{slots: path.Resources[1:], out: i, phys: true})
 		}
 	}
 	n.probes = probes
@@ -814,7 +690,7 @@ func (n *Network) BatchAvailabilityRefs(refs []PairRef, out []PathAvailability) 
 			continue
 		}
 		av.Share = units.Rate(p.rate)
-		if refs[p.out].path.SameHost {
+		if refs[p.out].SameHost {
 			av.PhysicalShare = av.Share
 		}
 	}

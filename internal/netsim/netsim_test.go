@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -330,24 +331,25 @@ func TestConservationProperty(t *testing.T) {
 	}
 	net.Rates() // force allocation
 
-	// Recompute per-constraint usage and check capacity.
-	usage := map[constraintKey]float64{}
+	// Recompute per-resource usage and check capacity.
+	caps := prov.Capacities()
+	usage := map[int32]float64{}
 	for _, f := range net.active {
-		for _, k := range net.constraintsFor(f.Path) {
+		for _, k := range f.Path.Resources {
 			usage[k] += float64(f.Rate)
 		}
 	}
 	for k, used := range usage {
-		capacity := net.capacityOf(k)
+		capacity := caps[k]
 		if used > capacity*(1+1e-9) {
-			t.Errorf("constraint %+v oversubscribed: %v > %v", k, used, capacity)
+			t.Errorf("resource %d oversubscribed: %v > %v", k, used, capacity)
 		}
 	}
-	// Bottleneck property: every flow crosses a saturated constraint.
+	// Bottleneck property: every flow crosses a saturated resource.
 	for _, f := range net.active {
 		saturated := false
-		for _, k := range net.constraintsFor(f.Path) {
-			if usage[k] >= net.capacityOf(k)*(1-1e-6) {
+		for _, k := range f.Path.Resources {
+			if usage[k] >= caps[k]*(1-1e-6) {
 				saturated = true
 				break
 			}
@@ -446,7 +448,7 @@ func TestMaxMinAgainstAnalytic(t *testing.T) {
 }
 
 // TestBatchAvailabilityMatchesPerPair pins the mesh-measurement fast
-// path's contract: BatchAvailability must return bit-identical values
+// path's contract: BatchAvailabilityRefs must return bit-identical values
 // to per-pair Availability calls — on an idle network (where every pair
 // takes the capacity-scan fast path) and under live traffic (where
 // contended pairs must fall back to the allocator probe).
@@ -483,10 +485,7 @@ func TestBatchAvailabilityMatchesPerPair(t *testing.T) {
 					}
 				}
 			}
-			got, err := net.BatchAvailability(pairs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := batchAvailability(t, net, pairs)
 			for i, pr := range pairs {
 				want, err := net.Availability(pr[0], pr[1])
 				if err != nil {
@@ -497,5 +496,102 @@ func TestBatchAvailabilityMatchesPerPair(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNetworkCarriesVMsAllocatedLater: a network built before its cloud
+// grows (Fig 7 adds churn VMs after building its network) carries flows
+// between the new VMs and the old ones exactly as a network built after
+// the growth does.
+func TestNetworkCarriesVMsAllocatedLater(t *testing.T) {
+	for _, prof := range []topology.Profile{topology.EC22013(), topology.FatTree(4), topology.Jellyfish(12, 6, 7)} {
+		prov, err := topology.NewProvider(prof, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := prov.AllocateVMs(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		early := New(prov)
+		if _, err := early.StartFlow(old[0].ID, old[1].ID, Backlogged, "old", nil); err != nil {
+			t.Fatal(err)
+		}
+		early.Rates()
+		grown, err := prov.AllocateVMs(6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		late := New(prov)
+		if _, err := late.StartFlow(old[0].ID, old[1].ID, Backlogged, "old", nil); err != nil {
+			t.Fatal(err)
+		}
+		pairs := [][2]topology.VMID{{grown[0].ID, grown[1].ID}, {grown[2].ID, old[2].ID}, {old[3].ID, grown[5].ID}, {grown[4].ID, grown[3].ID}}
+		for i, pr := range pairs {
+			for _, n := range []*Network{early, late} {
+				if _, err := n.StartFlow(pr[0], pr[1], units.ByteSize(i+1)*50_000_000, "new", nil); err != nil {
+					t.Fatalf("%s: flow %v: %v", prof.Name, pr, err)
+				}
+			}
+		}
+		got, want := early.Rates(), late.Rates()
+		if len(got) != len(pairs)+1 {
+			t.Fatalf("%s: %d active flows, want %d", prof.Name, len(got), len(pairs)+1)
+		}
+		for id, r := range want {
+			if got[id] != r || r <= 0 {
+				t.Fatalf("%s: flow %d at %v on the early network, %v on the late one", prof.Name, id, got[id], r)
+			}
+		}
+		av, err := early.Availability(grown[5].ID, grown[0].ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantAv, _ := late.Availability(grown[5].ID, grown[0].ID); av != wantAv {
+			t.Fatalf("%s: availability %+v on the early network, %+v on the late one", prof.Name, av, wantAv)
+		}
+		if a, b := early.RunUntilIdle(time.Hour), late.RunUntilIdle(time.Hour); a != b {
+			t.Fatalf("%s: early network idle at %v, late at %v", prof.Name, a, b)
+		}
+	}
+}
+
+// TestSimultaneousFinishCallbackOrder: flows that drain at the same
+// instant run their callbacks in FlowID order, also after a flow in
+// their midst was stopped and when a callback starts a flow.
+func TestSimultaneousFinishCallbackOrder(t *testing.T) {
+	net, vms := dumbbellNet(t, 6, units.Gbps(1), units.Gbps(1))
+	// Six equal transfers across the shared core link: equal rates, so
+	// all drain together.
+	var order []FlowID
+	var at []time.Duration
+	record := func(f *Flow) {
+		order = append(order, f.ID)
+		at = append(at, net.Now())
+	}
+	for i := 0; i < 6; i++ {
+		cb := record
+		if i == 1 {
+			cb = func(f *Flow) {
+				record(f)
+				if _, err := net.StartFlow(vms[0].ID, vms[6].ID, 1000, "late", record); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		if _, err := net.StartFlow(vms[i].ID, vms[6+i].ID, 10_000_000, "eq", cb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.StopFlow(3)
+	net.RunUntilIdle(time.Hour)
+	want := []FlowID{0, 1, 2, 4, 5, 6}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("callback order %v, want %v", order, want)
+	}
+	for i := 1; i < 5; i++ {
+		if at[i] != at[0] {
+			t.Fatalf("flows finished at %v, want one instant for the first five", at)
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // flow, allocate, read its rate, stop it and re-allocate — then the same
 // with the hose slot dropped for the physical share.
 func availabilityReference(n *Network, src, dst topology.VMID) (PathAvailability, error) {
-	pi, err := n.pairInfoFor(src, dst)
+	path, err := n.pathFor(src, dst)
 	if err != nil {
 		return PathAvailability{}, err
 	}
@@ -26,13 +26,13 @@ func availabilityReference(n *Network, src, dst topology.VMID) (PathAvailability
 	av := PathAvailability{Share: f.Rate}
 	n.StopFlow(f.ID)
 	n.allocate()
-	if pi.path.SameHost {
+	if path.SameHost {
 		av.PhysicalShare = av.Share
 		av.LineRate = n.prov.Profile.MemBusRate
 		return av, nil
 	}
 	line := units.Rate(0)
-	for i, l := range pi.path.Links {
+	for i, l := range path.Links {
 		if c := n.prov.Topo.Links[l].Capacity; i == 0 || c < line {
 			line = c
 		}
@@ -111,6 +111,23 @@ func probeInstance(data []byte) ([]topology.VM, func() *Network) {
 	}
 }
 
+// batchAvailability resolves pairs with PairRefFor and reads them all in
+// one BatchAvailabilityRefs call, as packetsim's mesh snapshots do.
+func batchAvailability(t testing.TB, n *Network, pairs [][2]topology.VMID) []PathAvailability {
+	t.Helper()
+	refs := make([]PairRef, len(pairs))
+	for i, pr := range pairs {
+		ref, err := n.PairRefFor(pr[0], pr[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = ref
+	}
+	out := make([]PathAvailability, len(pairs))
+	n.BatchAvailabilityRefs(refs, out)
+	return out
+}
+
 // meshPairs lists every ordered pair of vms.
 func meshPairs(vms []topology.VM) [][2]topology.VMID {
 	var pairs [][2]topology.VMID
@@ -144,7 +161,11 @@ func checkProbes(t *testing.T, data []byte) (contended int) {
 			t.Fatal(err)
 		}
 		want[i] = av
-		if av != ref.pairCache[pr].idle {
+		path, err := ref.prov.Path(pr[0], pr[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if av != idle(path) {
 			contended++
 		}
 	}
@@ -154,12 +175,8 @@ func checkProbes(t *testing.T, data []byte) (contended int) {
 		name string
 		run  func(n *Network) []PathAvailability
 	}{
-		{"BatchAvailability", func(n *Network) []PathAvailability {
-			got, err := n.BatchAvailability(pairs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return got
+		{"BatchAvailabilityRefs", func(n *Network) []PathAvailability {
+			return batchAvailability(t, n, pairs)
 		}},
 		{"Availability", func(n *Network) []PathAvailability {
 			got := make([]PathAvailability, len(pairs))

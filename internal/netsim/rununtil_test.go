@@ -170,24 +170,25 @@ func TestMaxMinPropertyRandomFabrics(t *testing.T) {
 			}
 		}
 		net.Rates()
-		usage := map[constraintKey]float64{}
+		caps := prov.Capacities()
+		usage := map[int32]float64{}
 		for _, f := range net.active {
 			if f.Rate <= 0 {
 				t.Fatalf("trial %d: flow %d has rate %v", trial, f.ID, f.Rate)
 			}
-			for _, k := range net.constraintsFor(f.Path) {
+			for _, k := range f.Path.Resources {
 				usage[k] += float64(f.Rate)
 			}
 		}
 		for k, used := range usage {
-			if capacity := net.capacityOf(k); used > capacity*(1+1e-9) {
-				t.Fatalf("trial %d: constraint %+v oversubscribed: %v > %v", trial, k, used, capacity)
+			if capacity := caps[k]; used > capacity*(1+1e-9) {
+				t.Fatalf("trial %d: resource %d oversubscribed: %v > %v", trial, k, used, capacity)
 			}
 		}
 		for _, f := range net.active {
 			saturated := false
-			for _, k := range net.constraintsFor(f.Path) {
-				if usage[k] >= net.capacityOf(k)*(1-1e-6) {
+			for _, k := range f.Path.Resources {
+				if usage[k] >= caps[k]*(1-1e-6) {
 					saturated = true
 					break
 				}

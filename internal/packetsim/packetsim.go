@@ -54,19 +54,17 @@ type PathState struct {
 	SameHost bool
 }
 
-// Medium runs simulated packet trains over a netsim Network.
+// Medium runs simulated packet trains over a netsim Network. The static
+// part of a pair's PathState — route RTT, hose parameters, provider
+// noise profile — is read off the cloud's route, VM and profile; only
+// the availability fields come from the network per snapshot.
 type Medium struct {
 	net *netsim.Network
 	rng *rand.Rand
-	// tmpl caches the static part of each pair's PathState — route RTT,
-	// hose parameters, provider noise profile — which mesh measurement
-	// re-derives for every pair on every epoch otherwise. Availability
-	// fields are filled per snapshot.
-	tmpl map[[2]topology.VMID]*PathState
-	// plan caches PairStates' pair list and state templates for the last
-	// VM set measured: mesh re-measurement sweeps the same VMs every
-	// epoch, so after the first epoch a snapshot is one batched
-	// availability call plus a template copy per pair.
+	// plan caches PairStates' routes for the last VM set measured: mesh
+	// re-measurement sweeps the same VMs every epoch, so after the first
+	// epoch a snapshot is one batched availability call plus a state
+	// assembled per pair.
 	plan *meshPlan
 	// scratch backs RunTrainOnScratch observations; validCfg is the last
 	// train config that passed validation there.
@@ -75,11 +73,10 @@ type Medium struct {
 }
 
 // meshPlan is the cached skeleton of a PairStates snapshot, plus the
-// reusable buffers a snapshot fills: resolved pair handles, the
-// availability scratch, and the PairState slice handed to callers.
+// reusable buffers a snapshot fills: the pairs' routes in mesh order,
+// the availability scratch, and the PairState slice handed to callers.
 type meshPlan struct {
 	ids    []topology.VMID
-	tmpl   []PathState // static fields only; availability fields zero
 	refs   []netsim.PairRef
 	avs    []netsim.PathAvailability
 	states []PairState
@@ -87,46 +84,38 @@ type meshPlan struct {
 
 // NewMedium wraps a network; rng drives the measurement noise.
 func NewMedium(net *netsim.Network, rng *rand.Rand) *Medium {
-	return &Medium{net: net, rng: rng, tmpl: make(map[[2]topology.VMID]*PathState)}
+	return &Medium{net: net, rng: rng}
 }
 
 // StateOf snapshots the path between two VMs right now.
 func (m *Medium) StateOf(src, dst topology.VMID) (PathState, error) {
+	path, err := m.net.PairRefFor(src, dst)
+	if err != nil {
+		return PathState{}, err
+	}
 	av, err := m.net.Availability(src, dst)
 	if err != nil {
 		return PathState{}, err
 	}
-	return m.stateFrom(src, dst, av)
+	return m.stateFrom(path, av), nil
 }
 
-// stateFrom assembles a PathState from a precomputed availability and
-// the pair's cached static template.
-func (m *Medium) stateFrom(src, dst topology.VMID, av netsim.PathAvailability) (PathState, error) {
-	key := [2]topology.VMID{src, dst}
-	t, ok := m.tmpl[key]
-	if !ok {
-		path, err := m.net.Provider().Path(src, dst)
-		if err != nil {
-			return PathState{}, err
-		}
-		vm := m.net.Provider().VM(src)
-		prof := m.net.Provider().Profile
-		t = &PathState{
-			HoseRate:      vm.EgressRate,
-			HoseBurst:     vm.EgressBurst,
-			RTT:           path.RTT,
-			QueueCapacity: prof.QueueCapacity,
-			EpochNoiseStd: prof.EpochNoiseStd,
-			BurstJitter:   prof.BurstJitter,
-			SameHost:      path.SameHost,
-		}
-		m.tmpl[key] = t
+// stateFrom assembles a PathState from a route and its availability.
+func (m *Medium) stateFrom(path *topology.Path, av netsim.PathAvailability) PathState {
+	vm := m.net.Provider().VM(path.Src)
+	prof := &m.net.Provider().Profile
+	return PathState{
+		SustainedShare: av.Share,
+		PhysicalShare:  av.PhysicalShare,
+		LineRate:       av.LineRate,
+		HoseRate:       vm.EgressRate,
+		HoseBurst:      vm.EgressBurst,
+		RTT:            path.RTT,
+		QueueCapacity:  prof.QueueCapacity,
+		EpochNoiseStd:  prof.EpochNoiseStd,
+		BurstJitter:    prof.BurstJitter,
+		SameHost:       path.SameHost,
 	}
-	st := *t
-	st.SustainedShare = av.Share
-	st.PhysicalShare = av.PhysicalShare
-	st.LineRate = av.LineRate
-	return st, nil
 }
 
 // PairState couples an ordered VM pair with its snapshotted path state.
@@ -138,14 +127,15 @@ type PairState struct {
 // PairStates snapshots every ordered pair among vms in one pass, in
 // mesh-measurement order (outer loop over sources, inner over
 // destinations), and returns them as a slice. The availability reads are
-// batched (see netsim.BatchAvailabilityRefs): pairs whose constraints no
+// batched (see netsim.BatchAvailabilityRefs): pairs whose resources no
 // active flow touches — on the pristine pre-measurement cloud, all of
-// them — are read off cached capacities, and the rest are resolved
+// them — read their routes' idle rates, and the rest are resolved
 // together by netsim's what-if kernel in one max-min filling pass,
-// without starting a probe flow. Mesh loops that visit pairs in exactly
-// that order — MeasureMesh, the orchestrator's MeasureEnvironment —
-// iterate the slice directly. States are bit-identical to per-pair
-// StateOf calls.
+// without starting a probe flow. The routes are the cloud's own, built
+// by AllocateVMs; the medium resolves them once per VM set. Mesh loops
+// that visit pairs in exactly that order — MeasureMesh, the
+// orchestrator's MeasureEnvironment — iterate the slice directly.
+// States are bit-identical to per-pair StateOf calls.
 //
 // The returned slice is owned by the medium and reused: it is valid
 // only until the next PairStates call. Snapshot-per-epoch loops consume
@@ -156,15 +146,10 @@ func (m *Medium) PairStates(vms []topology.VM) ([]PairState, error) {
 		return nil, err
 	}
 	m.net.BatchAvailabilityRefs(plan.refs, plan.avs)
-	states := plan.states
-	for i := range states {
-		s := &states[i]
-		s.State = plan.tmpl[i]
-		s.State.SustainedShare = plan.avs[i].Share
-		s.State.PhysicalShare = plan.avs[i].PhysicalShare
-		s.State.LineRate = plan.avs[i].LineRate
+	for i, ref := range plan.refs {
+		plan.states[i] = PairState{Pair: [2]topology.VMID{ref.Src, ref.Dst}, State: m.stateFrom(ref, plan.avs[i])}
 	}
-	return states, nil
+	return plan.states, nil
 }
 
 // planFor returns the cached mesh plan for vms, rebuilding it when the
@@ -186,31 +171,21 @@ func (m *Medium) planFor(vms []topology.VM) (*meshPlan, error) {
 	for i, vm := range vms {
 		p.ids[i] = vm.ID
 	}
-	pairs := make([][2]topology.VMID, 0, len(vms)*(len(vms)-1))
+	p.refs = make([]netsim.PairRef, 0, len(vms)*(len(vms)-1))
 	for _, a := range vms {
 		for _, b := range vms {
-			if a.ID != b.ID {
-				pairs = append(pairs, [2]topology.VMID{a.ID, b.ID})
+			if a.ID == b.ID {
+				continue
 			}
+			ref, err := m.net.PairRefFor(a.ID, b.ID)
+			if err != nil {
+				return nil, err
+			}
+			p.refs = append(p.refs, ref)
 		}
 	}
-	p.tmpl = make([]PathState, len(pairs))
-	p.refs = make([]netsim.PairRef, len(pairs))
-	p.avs = make([]netsim.PathAvailability, len(pairs))
-	p.states = make([]PairState, len(pairs))
-	for i, pr := range pairs {
-		st, err := m.stateFrom(pr[0], pr[1], netsim.PathAvailability{})
-		if err != nil {
-			return nil, err
-		}
-		p.tmpl[i] = st
-		ref, err := m.net.PairRefFor(pr[0], pr[1])
-		if err != nil {
-			return nil, err
-		}
-		p.refs[i] = ref
-		p.states[i].Pair = pr
-	}
+	p.avs = make([]netsim.PathAvailability, len(p.refs))
+	p.states = make([]PairState, len(p.refs))
 	m.plan = p
 	return p, nil
 }

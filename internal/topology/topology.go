@@ -103,6 +103,7 @@ type Topology struct {
 	indexed   bool
 	adj       [][]NodeID
 	reach     [][][]NodeID
+	reverse   []LinkID // each link's cable in the other direction; every cable is duplex
 }
 
 // New returns an empty topology.
@@ -178,6 +179,10 @@ func (t *Topology) index() {
 			sort.Slice(adj[i], func(a, b int) bool { return adj[i][a] < adj[i][b] })
 		}
 		t.adj = adj
+		t.reverse = make([]LinkID, len(t.Links))
+		for i, l := range t.Links {
+			t.reverse[i] = t.linkIndex[[2]NodeID{l.To, l.From}]
+		}
 		if !t.mesh {
 			t.reach = make([][][]NodeID, len(t.Nodes))
 			for _, h := range t.hosts {
@@ -288,6 +293,16 @@ func (t *Topology) HostRoute(src, dst NodeID, pairKey uint64) ([]LinkID, error) 
 		}
 	}
 	return path, nil
+}
+
+// reverseRoute returns the links of route walked backwards: each cable's
+// other direction, last hop first.
+func (t *Topology) reverseRoute(route []LinkID) []LinkID {
+	out := make([]LinkID, len(route))
+	for i, l := range route {
+		out[len(route)-1-i] = t.reverse[l]
+	}
+	return out
 }
 
 // reachUp returns, per tier, the sorted set of nodes reachable from n by

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -24,24 +25,42 @@ type VM struct {
 	EgressBurst units.ByteSize
 }
 
-// Path describes the route between two VMs.
+// Path describes the route between two VMs and the capacities a flow on
+// it draws on. It is built once, by the AllocateVMs call that allocated
+// the pair, and is read-only afterwards: simulators on the cloud share it.
 type Path struct {
 	Src, Dst VMID
 	SameHost bool
 	Links    []LinkID // physical host-to-host links; nil when SameHost
 	Hops     int      // real hop count: 1 for same host, else len(Links)
 	RTT      time.Duration
+
+	// Resources are the IDs of the capacities (see Provider.Capacities)
+	// a flow from Src to Dst crosses: Src's hose first, then Links in
+	// order; for a colocated pair, the host's memory bus alone.
+	Resources []int32
+	// IdleShare is the rate a lone backlogged flow gets on the path, the
+	// smallest capacity among Resources; IdlePhysicalShare leaves out the
+	// hose (for a colocated pair it is IdleShare). LineRate is the
+	// smallest raw link capacity, or the memory-bus rate.
+	IdleShare         units.Rate
+	IdlePhysicalShare units.Rate
+	LineRate          units.Rate
 }
 
 // Provider owns a fabric built from a Profile, allocates tenant VMs onto
 // it, and answers routing/traceroute queries. It corresponds to "the cloud
 // provider" in the paper: the tenant cannot see inside it, only measure.
 //
-// AllocateVMs is the only method that changes a Provider: it derives the
-// route of every ordered pair of allocated VMs before it returns, so
-// between allocations every query is a read. A Provider that is no longer
-// allocated on is therefore safe for concurrent readers — the sweep runs
-// each cell's measurement and all its executions on one.
+// Every capacity a flow can draw on has a resource ID: link l is l, host
+// h's memory bus is len(Links)+h and VM v's hose is len(Links)+len(Nodes)+v
+// (see Capacities). AllocateVMs is the only method that changes a
+// Provider: it records each new VM's hose and builds the Path of every
+// ordered pair of allocated VMs, resources and idle rates included,
+// before it returns, so between allocations every query is a read. A
+// Provider that is no longer allocated on is therefore safe for
+// concurrent readers — the sweep runs each cell's measurement and all its
+// executions on one.
 type Provider struct {
 	Profile Profile
 	Topo    *Topology
@@ -49,8 +68,10 @@ type Provider struct {
 	rng     *rand.Rand
 	vms     []VM
 	hostVMs map[NodeID][]VMID
-	ambient []float64         // per-link fraction of capacity consumed by other tenants
-	paths   map[[2]VMID]*Path // every ordered pair of allocated VMs
+	ambient []float64 // per-link fraction of capacity consumed by other tenants
+	caps    []float64 // capacity per resource ID: links, memory buses, hoses
+	routed  int       // VMs routes covers
+	routes  []*Path   // routes[a*routed+b]; nil when a == b
 }
 
 // NewProvider prepares VM allocation on the profile's fabric. The seed
@@ -71,7 +92,6 @@ func NewProvider(profile Profile, seed int64) (*Provider, error) {
 		Topo:    topo,
 		rng:     rand.New(rand.NewSource(seed)),
 		hostVMs: make(map[NodeID][]VMID),
-		paths:   make(map[[2]VMID]*Path),
 	}
 	p.ambient = make([]float64, len(topo.Links))
 	if profile.AmbientUtilization != nil {
@@ -86,12 +106,26 @@ func NewProvider(profile Profile, seed int64) (*Provider, error) {
 			p.ambient[i] = u
 		}
 	}
+	p.caps = make([]float64, len(topo.Links)+len(topo.Nodes))
+	for i, l := range topo.Links {
+		p.caps[i] = float64(l.Capacity) * (1 - p.ambient[i])
+	}
+	for h := range topo.Nodes {
+		p.caps[len(topo.Links)+h] = float64(profile.MemBusRate)
+	}
 	return p, nil
 }
 
 // AmbientUtilization reports the static other-tenant load on a link as a
 // fraction of its capacity.
 func (p *Provider) AmbientUtilization(l LinkID) float64 { return p.ambient[l] }
+
+// Capacities returns the capacity of every resource a flow can draw on,
+// indexed by resource ID (see Provider): each link's capacity less its
+// ambient load, each node's memory-bus rate (used for hosts only) and
+// each allocated VM's hose rate. The table grows with AllocateVMs; the
+// caller must not modify it.
+func (p *Provider) Capacities() []float64 { return p.caps }
 
 // VMs returns all allocated VMs.
 func (p *Provider) VMs() []VM { return p.vms }
@@ -123,6 +157,7 @@ func (p *Provider) AllocateVMs(n int) ([]VM, error) {
 			EgressBurst: p.Profile.HoseBurst,
 		}
 		p.vms = append(p.vms, vm)
+		p.caps = append(p.caps, float64(vm.EgressRate))
 		p.hostVMs[host] = append(p.hostVMs[host], id)
 		out = append(out, vm)
 	}
@@ -132,33 +167,42 @@ func (p *Provider) AllocateVMs(n int) ([]VM, error) {
 	return out, nil
 }
 
-// routeAll derives the routes of the allocated VM pairs not routed yet.
+// routeAll builds the routes of the allocated VM pairs not routed yet,
+// keeping the routed ones, into a table laid out for every allocated VM.
 func (p *Provider) routeAll() error {
-	for a := range p.vms {
-		for b := range p.vms {
-			key := [2]VMID{VMID(a), VMID(b)}
-			if _, ok := p.paths[key]; ok || a == b {
+	n, old := len(p.vms), p.routed
+	routes := make([]*Path, n*n)
+	for a := 0; a < old; a++ {
+		copy(routes[a*n:a*n+old], p.routes[a*old:(a+1)*old])
+	}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			if a == b || routes[a*n+b] != nil {
 				continue
 			}
-			path, err := p.route(key[0], key[1])
+			ab, ba, err := p.route(VMID(a), VMID(b))
 			if err != nil {
 				return err
 			}
-			p.paths[key] = path
+			routes[a*n+b] = ab
+			if ba != nil {
+				routes[b*n+a] = ba
+			}
 		}
 	}
+	p.routes, p.routed = routes, n
 	return nil
 }
 
-// route derives the route between two distinct VMs.
-func (p *Provider) route(a, b VMID) (*Path, error) {
+// route derives the route from a to b, and on up/down fabrics the route
+// back too (nil on mesh fabrics, whose shortest-path walk is directed).
+// Both directions use the unordered pair's ECMP key, so an up/down route
+// back meets at the same switch and takes the same descents: it is the
+// forward route's cables in reverse order.
+func (p *Provider) route(a, b VMID) (ab, ba *Path, err error) {
 	va, vb := p.vms[a], p.vms[b]
-	path := &Path{Src: a, Dst: b}
 	if va.Host == vb.Host {
-		path.SameHost = true
-		path.Hops = 1
-		path.RTT = p.Profile.MemBusRTT
-		return path, nil
+		return p.newPath(a, b, nil), p.newPath(b, a, nil), nil
 	}
 	lo, hi := a, b
 	if lo > hi {
@@ -167,12 +211,42 @@ func (p *Provider) route(a, b VMID) (*Path, error) {
 	pairKey := uint64(lo)<<32 | uint64(uint32(hi))
 	links, err := p.Topo.HostRoute(va.Host, vb.Host, pairKey)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	path.Links = links
-	path.Hops = len(links)
+	if p.Topo.Mesh() {
+		return p.newPath(a, b, links), nil, nil
+	}
+	return p.newPath(a, b, links), p.newPath(b, a, p.Topo.reverseRoute(links)), nil
+}
+
+// newPath assembles the Path from a to b over links (nil for colocated
+// VMs): its resources and idle rates come from the capacity table.
+func (p *Provider) newPath(a, b VMID, links []LinkID) *Path {
+	path := &Path{Src: a, Dst: b, Links: links, Hops: len(links)}
+	if links == nil {
+		bus := int32(len(p.Topo.Links)) + int32(p.vms[a].Host)
+		path.SameHost = true
+		path.Hops = 1
+		path.RTT = p.Profile.MemBusRTT
+		path.Resources = []int32{bus}
+		path.IdleShare = units.Rate(p.caps[bus])
+		path.IdlePhysicalShare = path.IdleShare
+		path.LineRate = p.Profile.MemBusRate
+		return path
+	}
 	path.RTT = 2*p.Topo.RouteLatency(links) + p.Profile.StackRTT
-	return path, nil
+	hose := int32(len(p.Topo.Links)+len(p.Topo.Nodes)) + int32(a)
+	path.Resources = append(make([]int32, 0, len(links)+1), hose)
+	phys, line := math.Inf(1), math.Inf(1)
+	for _, l := range links {
+		path.Resources = append(path.Resources, int32(l))
+		phys = min(phys, p.caps[l])
+		line = min(line, float64(p.Topo.Links[l].Capacity))
+	}
+	path.IdleShare = units.Rate(min(p.caps[hose], phys))
+	path.IdlePhysicalShare = units.Rate(phys)
+	path.LineRate = units.Rate(line)
+	return path
 }
 
 func (p *Provider) pickHost() (NodeID, error) {
@@ -250,11 +324,10 @@ func (p *Provider) Path(a, b VMID) (*Path, error) {
 	if a == b {
 		return nil, fmt.Errorf("topology: path from %v to itself", a)
 	}
-	path, ok := p.paths[[2]VMID{a, b}]
-	if !ok {
+	if a < 0 || b < 0 || int(a) >= p.routed || int(b) >= p.routed {
 		return nil, fmt.Errorf("topology: no route %v -> %v: not an allocated pair", a, b)
 	}
-	return path, nil
+	return p.routes[int(a)*p.routed+int(b)], nil
 }
 
 // AllPaths returns the directed paths between every ordered pair of the
