@@ -43,17 +43,14 @@ lint:
 	fi
 
 # The sweep engine's acceptance check: the default grid must produce
-# byte-identical JSON on 1 worker and on 8, with the environment cache
-# on and off — and the streaming JSONL pipeline must be deterministic
-# across worker counts too. Turning on span tracing (-events) must not
+# byte-identical JSON on 1 worker and on 8 — and the streaming JSONL
+# pipeline must be deterministic across worker counts too. Turning on span tracing (-events) must not
 # change a single report byte, and the event log itself must decode as
 # schema-valid JSONL with balanced span start/end pairs.
 sweep-smoke: build
 	$(BIN)/choreo sweep -workers 1 -out $(BIN)/sweep-w1.json
 	$(BIN)/choreo sweep -workers 8 -cache-stats -out $(BIN)/sweep-w8.json
 	cmp $(BIN)/sweep-w1.json $(BIN)/sweep-w8.json
-	$(BIN)/choreo sweep -workers 8 -cache=false -out $(BIN)/sweep-nocache.json
-	cmp $(BIN)/sweep-w1.json $(BIN)/sweep-nocache.json
 	$(BIN)/choreo sweep -workers 1 -stream -out $(BIN)/sweep-s1.jsonl
 	$(BIN)/choreo sweep -workers 8 -stream -out $(BIN)/sweep-s8.jsonl
 	cmp $(BIN)/sweep-s1.jsonl $(BIN)/sweep-s8.jsonl
@@ -63,7 +60,7 @@ sweep-smoke: build
 	$(BIN)/choreo obs report $(BIN)/sweep-events.jsonl | grep -q 'critical path'
 	$(BIN)/choreo obs report -format json $(BIN)/sweep-events.jsonl | grep -q '"criticalPath"'
 	$(BIN)/choreo obs report -format csv $(BIN)/sweep-events.jsonl | head -n 1 | grep -q '^name,count,total_ns'
-	@echo "sweep output is byte-identical across worker counts, cache states and with -events tracing on; obs report analyzed the span log in all three formats"
+	@echo "sweep output is byte-identical across worker counts and with -events tracing on; obs report analyzed the span log in all three formats"
 
 # The distributed-sweep acceptance check: the default grid run as 3
 # shards and merged must be byte-identical to the unsharded stream, and
@@ -86,7 +83,7 @@ sweep-shard-smoke: build
 
 # The sequence-sweep acceptance check: a tiny §6.3 in-sequence grid
 # (arrivals + re-evaluation/migration cells) must stream byte-identical
-# JSONL across worker counts and cache states, and the same grid run as
+# JSONL across worker counts, and the same grid run as
 # 2 shards and merged must reproduce the unsharded stream exactly.
 SEQ_FLAGS = -mode sequence -topologies tworack -workloads shuffle -vms 6 -mean-mb 200 \
 	-interarrival 3s,10s -seq-apps 4 -reeval 0,5s -algorithms choreo,random -seeds 1
@@ -95,14 +92,12 @@ sweep-seq-smoke: build
 	$(BIN)/choreo sweep $(SEQ_FLAGS) -workers 1 -stream -out $(BIN)/seq-s1.jsonl
 	$(BIN)/choreo sweep $(SEQ_FLAGS) -workers 8 -stream -out $(BIN)/seq-s8.jsonl
 	cmp $(BIN)/seq-s1.jsonl $(BIN)/seq-s8.jsonl
-	$(BIN)/choreo sweep $(SEQ_FLAGS) -workers 8 -cache=false -stream -out $(BIN)/seq-nocache.jsonl
-	cmp $(BIN)/seq-s1.jsonl $(BIN)/seq-nocache.jsonl
 	for i in 1 2; do \
 		$(BIN)/choreo sweep $(SEQ_FLAGS) -workers 8 -shard $$i/2 -out $(BIN)/seq-shard$$i.jsonl || exit 1; \
 	done
 	$(BIN)/choreo merge -out $(BIN)/seq-merged.jsonl $(BIN)/seq-shard1.jsonl $(BIN)/seq-shard2.jsonl
 	cmp $(BIN)/seq-s1.jsonl $(BIN)/seq-merged.jsonl
-	@echo "sequence sweep is byte-identical across worker counts, cache states and 2-shard merge"
+	@echo "sequence sweep is byte-identical across worker counts and 2-shard merge"
 
 # The live-mesh acceptance check: a small grid swept twice against a
 # loopback fleet of real choreo-agents must produce schema-stable

@@ -14,7 +14,6 @@ import (
 	"choreo/internal/obs"
 	"choreo/internal/place"
 	"choreo/internal/sweep"
-	"choreo/internal/sweep/envcache"
 	"choreo/internal/sweep/shard"
 	"choreo/internal/units"
 	"choreo/internal/workload"
@@ -23,8 +22,11 @@ import (
 // runSweep expands and executes a scenario grid across a worker pool.
 //
 // Reports are deterministic: the same flags and seeds produce
-// byte-identical output regardless of -workers and -cache (CI diffs
-// -workers 1 against -workers 8 to enforce exactly that). The default
+// byte-identical output regardless of -workers (CI diffs -workers 1
+// against -workers 8 to enforce exactly that). One worker runs each
+// cell group, so every algorithm of a cell — and its optimal reference
+// — shares one built and measured cloud; -cache-stats prints how many
+// cells were built and how many scenarios reused one. The default
 // collecting mode holds every scenario in memory; -stream switches to
 // the incremental JSON-lines pipeline for grids too large for that;
 // -shard i/n runs one deterministic slice of the grid as a
@@ -79,8 +81,7 @@ func runSweep(args []string) (err error) {
 	stream := fs.Bool("stream", false, "write an incremental JSON-lines report to -out instead of collecting; excludes -csv")
 	shardSpec := fs.String("shard", "", "run slice i/n of the grid (e.g. 2/3) and write a self-describing JSONL shard to -out for `choreo merge`")
 	resumePath := fs.String("resume", "", "JSONL report or shard from a prior (possibly interrupted) run with the same flags; scenarios that already have a result line are not re-executed")
-	cache := fs.Bool("cache", true, "share one built-and-measured cloud across each cell's algorithms and optimal reference")
-	cacheStats := fs.Bool("cache-stats", false, "print environment-cache hit/miss counters to stderr")
+	cacheStats := fs.Bool("cache-stats", false, "print how many cells were built and how many scenarios reused one to stderr")
 	events := fs.String("events", "", "write a schema'd JSONL span log (run/cell/build/measure/place/report, plus mesh/pair with -backend live and exec.placement/exec.transfer with -execute) to this file; validate with `choreo obs validate-events`")
 	metricsPath := fs.String("metrics", "", "write the run's final Prometheus metrics exposition to this file; validate with `choreo obs validate-prom`")
 	list := fs.Bool("list", false, "list valid topologies, workloads and algorithms, then exit")
@@ -271,7 +272,7 @@ func runSweep(args []string) (err error) {
 		return fmt.Errorf("unknown -backend %q (sim or live)", *backendName)
 	}
 
-	opts := sweep.RunOptions{Workers: *workers, NoCache: !*cache, Obs: observer}
+	opts := sweep.RunOptions{Workers: *workers, Obs: observer}
 
 	if *resumePath != "" {
 		if *timing {
@@ -418,16 +419,16 @@ func streamShard(g sweep.Grid, opts sweep.RunOptions, spec shard.Spec, dest stri
 	})
 }
 
-func printCacheStats(stats envcache.Stats) {
+func printCacheStats(stats sweep.CacheStats) {
 	total := stats.Hits + stats.Misses
 	pct := 0.0
 	if total > 0 {
 		pct = 100 * float64(stats.Hits) / float64(total)
 	}
-	fmt.Fprintf(os.Stderr, "envcache: %d hits / %d misses (%.0f%% of cell fetches served from cache)\n",
-		stats.Hits, stats.Misses, pct)
-	if stats.MeasurementHits+stats.MeasurementMisses > 0 {
-		fmt.Fprintf(os.Stderr, "envcache: %d clouds measured, %d measurements shared across arrival-process cells\n",
+	fmt.Fprintf(os.Stderr, "cells: %d built, %d scenarios reused one (%.0f%% of scenarios)\n",
+		stats.Misses, stats.Hits, pct)
+	if stats.MeasurementHits > 0 {
+		fmt.Fprintf(os.Stderr, "cells: %d clouds measured, %d measurements shared across arrival-process cells\n",
 			stats.MeasurementMisses, stats.MeasurementHits)
 	}
 }

@@ -33,8 +33,8 @@ type SequenceOptions struct {
 	// terminate. 0 means the default of 3.
 	MaxMigrationsPerApp int
 	// StaticEnv, when non-nil, is used as the pre-sequence measurement
-	// instead of measuring at the start of the run. The sweep engine's
-	// environment cache passes a mutable clone of a measurement taken
+	// instead of measuring at the start of the run. The sweep engine
+	// passes a mutable clone of a measurement taken
 	// once per cell on the pristine cloud, so every algorithm of a cell
 	// group starts from the identical environment without re-running the
 	// packet trains.

@@ -114,7 +114,7 @@ func TestSequenceMigrationCap(t *testing.T) {
 // TestSequenceStaticEnv: a caller-provided pre-sequence measurement
 // replaces the run's own initial measurement, producing the identical
 // simulated outcome for algorithms that draw nothing else from the rng —
-// the contract the sweep engine's environment cache relies on.
+// the contract the sweep engine's cell groups rely on.
 func TestSequenceStaticEnv(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	apps, err := workload.GenerateSequence(rng, workload.Default(), 3, 2*time.Second)

@@ -352,6 +352,9 @@ type GreedyVsOptimalResult struct {
 	MedianOverhead float64 // median of greedy/optimal − 1
 	MeanOverhead   float64
 	WorstOverhead  float64
+	// Skipped counts the draws greedy could not place, which were
+	// redrawn and are not among the Apps compared.
+	Skipped int
 }
 
 // GreedyVsOptimal places generated applications on measured EC2-like
@@ -373,11 +376,13 @@ func GreedyVsOptimal(cfg Config) (*GreedyVsOptimalResult, error) {
 		return app, randomMeasuredEnv(rng, 5), nil
 	}
 	var overheads []float64
+	skipped := 0
 	for k := 0; k < apps; k++ {
-		app, env, g, err := drawGreedyPlaceable(draw)
+		app, env, g, skips, err := drawGreedyPlaceable(draw)
 		if err != nil {
 			return nil, err
 		}
+		skipped += skips
 		gt, err := place.CompletionTime(app, env, g, place.Hose)
 		if err != nil {
 			return nil, err
@@ -401,6 +406,7 @@ func GreedyVsOptimal(cfg Config) (*GreedyVsOptimalResult, error) {
 		MedianOverhead: sum.Median,
 		MeanOverhead:   sum.Mean,
 		WorstOverhead:  sum.Max,
+		Skipped:        skipped,
 	}, nil
 }
 
@@ -412,21 +418,22 @@ const maxSkippedDraws = 100
 
 // drawGreedyPlaceable calls draw until greedy places the drawn
 // application on the drawn environment, and returns that draw with
-// greedy's placement. A draw greedy cannot place (fragmentation left no
-// CPU-feasible machine) is skipped; after maxSkippedDraws skips in a row
-// it fails with greedy's last error.
-func drawGreedyPlaceable(draw func() (*profile.Application, *place.Environment, error)) (*profile.Application, *place.Environment, place.Placement, error) {
+// greedy's placement and the number of draws it skipped on the way. A
+// draw greedy cannot place (fragmentation left no CPU-feasible machine)
+// is skipped; after maxSkippedDraws skips in a row it fails with
+// greedy's last error.
+func drawGreedyPlaceable(draw func() (*profile.Application, *place.Environment, error)) (*profile.Application, *place.Environment, place.Placement, int, error) {
 	for skipped := 0; ; skipped++ {
 		app, env, err := draw()
 		if err != nil {
-			return nil, nil, place.Placement{}, err
+			return nil, nil, place.Placement{}, skipped, err
 		}
 		g, err := place.Greedy(app, env, place.Hose)
 		if err == nil {
-			return app, env, g, nil
+			return app, env, g, skipped, nil
 		}
 		if skipped == maxSkippedDraws {
-			return nil, nil, place.Placement{}, fmt.Errorf("experiments: greedy placed none of %d draws in a row: %w", maxSkippedDraws+1, err)
+			return nil, nil, place.Placement{}, skipped, fmt.Errorf("experiments: greedy placed none of %d draws in a row: %w", maxSkippedDraws+1, err)
 		}
 	}
 }
@@ -467,8 +474,8 @@ func randomMeasuredEnv(rng *rand.Rand, machines int) *place.Environment {
 func (r *GreedyVsOptimalResult) String() string {
 	var b strings.Builder
 	b.WriteString(header(fmt.Sprintf("§5: greedy vs optimal on %d applications", r.Apps)))
-	fmt.Fprintf(&b, "median overhead: %.1f%% (paper: 13%%)  mean: %.1f%%  worst: %.1f%%\n",
-		r.MedianOverhead*100, r.MeanOverhead*100, r.WorstOverhead*100)
+	fmt.Fprintf(&b, "median overhead: %.1f%% (paper: 13%%)  mean: %.1f%%  worst: %.1f%%  skipped: %d draws greedy could not place\n",
+		r.MedianOverhead*100, r.MeanOverhead*100, r.WorstOverhead*100, r.Skipped)
 	return b.String()
 }
 

@@ -11,8 +11,9 @@ import (
 )
 
 // TestDrawGreedyPlaceableBounded drives GreedyVsOptimal's redraw loop: a
-// draw greedy cannot place is skipped, and a run of unplaceable draws
-// ends in an error after maxSkippedDraws skips instead of spinning.
+// draw greedy cannot place is skipped and counted, and a run of
+// unplaceable draws ends in an error after maxSkippedDraws skips instead
+// of spinning.
 func TestDrawGreedyPlaceableBounded(t *testing.T) {
 	env := randomMeasuredEnv(rand.New(rand.NewSource(1)), 5) // 2.5 CPUs per machine
 	app := func(cpu float64) *profile.Application {
@@ -26,7 +27,7 @@ func TestDrawGreedyPlaceableBounded(t *testing.T) {
 
 	for _, skips := range []int{0, 1, maxSkippedDraws} {
 		draws := 0
-		got, _, p, err := drawGreedyPlaceable(func() (*profile.Application, *place.Environment, error) {
+		got, _, p, skipped, err := drawGreedyPlaceable(func() (*profile.Application, *place.Environment, error) {
 			draws++
 			if draws <= skips {
 				return oversized, env, nil
@@ -39,10 +40,13 @@ func TestDrawGreedyPlaceableBounded(t *testing.T) {
 		if got != fits || draws != skips+1 || len(p.MachineOf) != 2 {
 			t.Errorf("%d skips: drew %d times, returned the placeable draw = %v", skips, draws, got == fits)
 		}
+		if skipped != skips {
+			t.Errorf("%d skips: reported %d skipped draws", skips, skipped)
+		}
 	}
 
 	draws := 0
-	_, _, _, err := drawGreedyPlaceable(func() (*profile.Application, *place.Environment, error) {
+	_, _, _, _, err := drawGreedyPlaceable(func() (*profile.Application, *place.Environment, error) {
 		draws++
 		return oversized, env, nil
 	})

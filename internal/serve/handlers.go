@@ -120,7 +120,7 @@ func tenantOf(r *http.Request) string {
 // false after writing the 429.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	if tenant := tenantOf(r); !s.quota.allow(tenant) {
-		s.metrics.quotaRejected.With(tenant).Inc()
+		s.metrics.quotaRejected.With(s.metrics.rejected.label(tenant)).Inc()
 		writeErr(w, http.StatusTooManyRequests, "tenant %q over quota", tenant)
 		return false
 	}

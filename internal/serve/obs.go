@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	"sync"
 	"time"
 
 	"choreo/internal/obs"
@@ -15,6 +16,7 @@ type serveMetrics struct {
 	httpSeconds   *obs.HistogramVec // choreo_http_request_seconds{endpoint}
 	httpRequests  *obs.CounterVec   // choreo_http_requests_total{endpoint,code}
 	quotaRejected *obs.CounterVec   // choreo_quota_rejected_total{tenant}
+	rejected      tenantLabels      // quotaRejected's tenant label values
 	epochFailures *obs.CounterVec   // choreo_epoch_failures_total{cause}
 	epochSeconds  *obs.Histogram    // choreo_epoch_measure_seconds
 	acc           *obs.Accuracy     // choreo_prediction_* (sampled executions)
@@ -52,6 +54,36 @@ func (s *Server) initObs() {
 		"Epoch number of the published snapshot (0 before the first).",
 		func() float64 { return float64(s.currentEpoch()) })
 	obs.RegisterRuntimeMetrics(r)
+}
+
+// maxTenantLabels bounds the tenant label values of
+// choreo_quota_rejected_total. The X-Choreo-Tenant header is chosen by
+// the client, so one that rotates it would otherwise add a series per
+// rejected request for the life of the process.
+const maxTenantLabels = 100
+
+// tenantLabels hands out the tenant label of a rejection: the tenant
+// itself for the first maxTenantLabels distinct tenants, "other" for
+// every later one.
+type tenantLabels struct {
+	mu   sync.Mutex
+	seen map[string]bool
+}
+
+func (l *tenantLabels) label(tenant string) string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.seen[tenant] {
+		return tenant
+	}
+	if len(l.seen) >= maxTenantLabels {
+		return "other"
+	}
+	if l.seen == nil {
+		l.seen = make(map[string]bool)
+	}
+	l.seen[tenant] = true
+	return tenant
 }
 
 // statusWriter captures the response code for the request counters.

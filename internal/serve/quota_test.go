@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -112,5 +117,48 @@ func TestQuotaSweepKeepsDecisions(t *testing.T) {
 					cfg.rate, cfg.burst, seed, shrinks, granted, refused)
 			}
 		}
+	}
+}
+
+// TestQuotaRejectedTenantsBounded rejects 1,000 distinct tenants once
+// each: the rejection counter must keep at most maxTenantLabels tenant
+// series plus tenant="other", and still count every rejection.
+func TestQuotaRejectedTenantsBounded(t *testing.T) {
+	s := New(Config{QuotaRate: 0.001, QuotaBurst: 1})
+	s.quota.now = (&fakeClock{t: time.Unix(1e9, 0)}).now
+	const tenants = 1000
+	for i := 0; i < tenants; i++ {
+		for k := 0; k < 2; k++ { // the first request spends the burst
+			req := httptest.NewRequest(http.MethodPost, "/v1/place", nil)
+			req.Header.Set("X-Choreo-Tenant", fmt.Sprintf("tenant-%d", i))
+			if admitted := s.admit(httptest.NewRecorder(), req); admitted != (k == 0) {
+				t.Fatalf("tenant %d request %d: admitted = %v", i, k, admitted)
+			}
+		}
+	}
+	var expo bytes.Buffer
+	if err := s.Obs().Registry().WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	series, sum := 0, 0.0
+	for _, ln := range strings.Split(expo.String(), "\n") {
+		if !strings.HasPrefix(ln, "choreo_quota_rejected_total{") {
+			continue
+		}
+		series++
+		v, err := strconv.ParseFloat(ln[strings.LastIndexByte(ln, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample %q: %v", ln, err)
+		}
+		sum += v
+	}
+	if series > maxTenantLabels+1 {
+		t.Errorf("%d rejected-tenant series, want at most %d", series, maxTenantLabels+1)
+	}
+	if sum != tenants {
+		t.Errorf("rejections sum to %v, want %d", sum, tenants)
+	}
+	if !strings.Contains(expo.String(), `choreo_quota_rejected_total{tenant="other"} 900`) {
+		t.Errorf("overflow tenants not counted under tenant=\"other\"")
 	}
 }

@@ -12,13 +12,13 @@ import (
 )
 
 // Sim is the simulated measurement backend. A cell's cloud is its
-// Cell.Cloud when the caller built one (the sweep builds one per cell and
-// keeps it in the cell's cache entry), and is otherwise built from the
-// deterministic cell seed. Measure runs simulated packet trains on it;
-// Execute drains the profiled bytes through a fresh flow simulator over
-// it. A cloud is read-only once built and a simulator starts pristine,
-// so every execution of a cell sees the cloud its measurement saw, and
-// the executions of a cell group may run concurrently on one cloud.
+// Cell.Cloud when the caller built one (the sweep builds one per cell
+// group and keeps it while the group runs), and is otherwise built from
+// the deterministic cell seed. Measure runs simulated packet trains on
+// it; Execute drains the profiled bytes through a fresh flow simulator
+// over it. A cloud is read-only once built and a simulator starts
+// pristine, so every execution of a cell sees the cloud its measurement
+// saw, and executions may run concurrently on one cloud.
 type Sim struct{}
 
 // NewSim returns the simulated backend.

@@ -10,7 +10,6 @@ import (
 
 	"choreo/internal/core"
 	"choreo/internal/place"
-	"choreo/internal/sweep/envcache"
 	"choreo/internal/sweep/sequence"
 	"choreo/internal/units"
 	"choreo/internal/workload"
@@ -68,25 +67,25 @@ func TestCellsShareTopologyFabric(t *testing.T) {
 		t.Fatalf("expanded %d scenarios, want 4", len(scs))
 	}
 	ro := newRunObs(nil)
-	var cells []*envcache.Cell
+	var cells []*cell
 	for _, sc := range scs {
-		cell, err := g.buildCell(context.Background(), sc, ro)
+		c, err := g.buildCell(context.Background(), sc, nil, ro)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cell.Cloud == nil {
+		if c.cloud == nil {
 			t.Fatalf("%s seed %d: sim cell carries no cloud", sc.Topology.Name, sc.Seed)
 		}
-		cells = append(cells, cell)
+		cells = append(cells, c)
 	}
 	for i, sc := range scs {
 		for j := range scs {
 			same := scs[j].Topology.Name == sc.Topology.Name
-			if shared := cells[i].Cloud.Topo == cells[j].Cloud.Topo; shared != same {
+			if shared := cells[i].cloud.Topo == cells[j].cloud.Topo; shared != same {
 				t.Errorf("cells %d (%s) and %d (%s): fabric shared = %v", i, sc.Topology.Name, j, scs[j].Topology.Name, shared)
 			}
 		}
-		if i > 0 && cells[i].Cloud == cells[i-1].Cloud {
+		if i > 0 && cells[i].cloud == cells[i-1].cloud {
 			t.Errorf("cells %d and %d share one cloud", i-1, i)
 		}
 	}
@@ -102,7 +101,7 @@ func TestSharedCloudExecuteMatchesRebuild(t *testing.T) {
 	for _, topo := range cloudTopologies {
 		g, scs := cloudGrid(t, topo, Grid{Algorithms: []Algorithm{alg}})
 		for _, sc := range scs {
-			cell, err := g.buildCell(ctx, sc, newRunObs(nil))
+			c, err := g.buildCell(ctx, sc, nil, newRunObs(nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,24 +109,24 @@ func TestSharedCloudExecuteMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(cell.Env, want) {
+			if !reflect.DeepEqual(c.env, want) {
 				t.Fatalf("%s seed %d: measurement on the cell's cloud differs from a rebuilt cloud's", topo, sc.Seed)
 			}
 			rng := rand.New(rand.NewSource(sc.Seed))
 			var wg sync.WaitGroup
 			for k := 0; k < 8; k++ {
-				p, err := place.Random(cell.App, cell.Env, rng)
+				p, err := place.Random(c.app, c.env, rng)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantD, err := rebuiltCloud(t, sc, core.Options{}).Execute(cell.App, p)
+				wantD, err := rebuiltCloud(t, sc, core.Options{}).Execute(c.app, p)
 				if err != nil {
 					t.Fatal(err)
 				}
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					got, err := g.backend().Execute(ctx, g.backendCell(sc, cell.Cloud), cell.App, cell.Env, p, g.Model)
+					got, err := g.backend().Execute(ctx, g.backendCell(sc, c.cloud), c.app, c.env, p, g.Model)
 					if err != nil {
 						t.Error(err)
 						return
@@ -144,7 +143,7 @@ func TestSharedCloudExecuteMatchesRebuild(t *testing.T) {
 }
 
 // TestSharedCloudSequenceMatchesRebuild does the same for sequence
-// cells: each run of a cached sequence grid — the measurement shared
+// cells: each run of a sequence grid — the measurement shared
 // across interarrivals, each run on a fresh simulator over the cell's
 // cloud — matches sequence.Run on a freshly rebuilt cloud, measured on
 // another.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"choreo/internal/obs"
-	"choreo/internal/sweep/envcache"
 )
 
 // runObs carries one sweep run's observability state: the observer, the
@@ -136,27 +135,4 @@ func (ro *runObs) depth(n int) {
 		return
 	}
 	ro.reorderDepth.Set(float64(n))
-}
-
-// registerCacheFuncs bridges the envcache counters into the registry so
-// a scrape mid-run (choreo serve) or the final exposition sees cache
-// effectiveness without the cache knowing about obs. Registered
-// per-run; re-registration replaces the previous run's closure.
-func (ro *runObs) registerCacheFuncs(cache *envcache.Cache) {
-	r := ro.o.Registry()
-	if r == nil {
-		return
-	}
-	r.CounterFunc("choreo_envcache_hits_total",
-		"Environment-cache cell hits.",
-		func() float64 { return float64(cache.Stats().Hits) })
-	r.CounterFunc("choreo_envcache_misses_total",
-		"Environment-cache cell misses (cells actually built).",
-		func() float64 { return float64(cache.Stats().Misses) })
-	r.CounterFunc("choreo_envcache_evictions_total",
-		"Environment-cache entries released by their last planned fetch.",
-		func() float64 { return float64(cache.Stats().Evictions) })
-	r.GaugeFunc("choreo_envcache_resident",
-		"Environment-cache entries currently resident.",
-		func() float64 { return float64(cache.Stats().Resident) })
 }

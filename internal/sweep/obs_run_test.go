@@ -34,8 +34,8 @@ func streamBytes(t *testing.T, o *obs.Observer, workers int) []byte {
 
 // TestObservabilityOffDataPath is the tentpole guarantee: turning on
 // metrics and span tracing changes NOTHING about the result bytes. The
-// instrumented stream must be byte-identical to the bare one — spans,
-// histograms, and cache counters live strictly off the data path.
+// instrumented stream must be byte-identical to the bare one — spans
+// and histograms live strictly off the data path.
 func TestObservabilityOffDataPath(t *testing.T) {
 	bare := streamBytes(t, nil, 4)
 
@@ -85,7 +85,7 @@ func TestObservabilityOffDataPath(t *testing.T) {
 		t.Errorf("sweep.place spans = %d, want %d", counts["sweep.place"], len(scenarios))
 	}
 	// Cells built once per unique cloud: build/measure spans count the
-	// cache misses, not the scenarios.
+	// cells, not the scenarios.
 	cells := len(g.Topologies) * len(g.Workloads) * len(g.MeanSizes) * len(g.Seeds)
 	if counts["sweep.build"] != cells {
 		t.Errorf("sweep.build spans = %d, want %d (one per unique cell)", counts["sweep.build"], cells)
@@ -113,8 +113,6 @@ func TestObservabilityOffDataPath(t *testing.T) {
 	}
 	for _, want := range []string{
 		"choreo_sweep_cell_seconds_count 32",
-		"choreo_envcache_misses_total 16",
-		"choreo_envcache_hits_total 16",
 		"choreo_sweep_workers 4",
 	} {
 		if !strings.Contains(out, want) {

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"choreo/internal/stats"
-	"choreo/internal/sweep/envcache"
 )
 
 // Aggregate summarizes one algorithm across every scenario it ran in.
@@ -50,19 +49,19 @@ type Report struct {
 	Scenarios []Result `json:"scenarios"`
 	// Algorithms holds per-algorithm aggregates in grid order.
 	Algorithms []Aggregate `json:"algorithms"`
-	// Cache carries the environment-cache counters for the run. Kept out
-	// of the JSON encoding: hit counts depend on cache state, and the
-	// report bytes must not.
-	Cache envcache.Stats `json:"-"`
+	// Cache counts how the run shared built cells. Kept out of the JSON
+	// encoding: a shard or a resumed run builds a different share of
+	// the cells, and the report bytes must not depend on that.
+	Cache CacheStats `json:"-"`
 }
 
 // Summary is what a streaming run retains: the grid echo, per-algorithm
-// aggregates and the cache counters — everything except the per-scenario
-// results, which went through the Emit hook.
+// aggregates and the cell-sharing counts — everything except the
+// per-scenario results, which went through the Emit hook.
 type Summary struct {
-	Grid       GridSummary    `json:"grid"`
-	Algorithms []Aggregate    `json:"algorithms"`
-	Cache      envcache.Stats `json:"-"`
+	Grid       GridSummary `json:"grid"`
+	Algorithms []Aggregate `json:"algorithms"`
+	Cache      CacheStats  `json:"-"`
 }
 
 // GridSummary is the serializable echo of a Grid. It carries every knob

@@ -15,7 +15,6 @@ import (
 	"choreo/internal/place"
 	"choreo/internal/profile"
 	"choreo/internal/sweep/backend"
-	"choreo/internal/sweep/envcache"
 	"choreo/internal/sweep/sequence"
 	"choreo/internal/topology"
 	"choreo/internal/workload"
@@ -24,7 +23,7 @@ import (
 // Result is one scenario's outcome. Every exported-and-serialized field
 // is a pure function of the grid and the seed; the wall-clock placement
 // latency is kept out of the JSON encoding so reports stay
-// byte-reproducible across runs, worker counts and cache state.
+// byte-reproducible across runs and worker counts.
 type Result struct {
 	Topology  string `json:"topology"`
 	Workload  string `json:"workload"`
@@ -88,19 +87,13 @@ type Result struct {
 	PlaceLatency time.Duration `json:"-"`
 }
 
-// CellKey is the scenario's content key in the environment cache: the
-// deterministic cell seed plus every parameter that shapes the built
-// cloud or the placement problem. Scenarios with equal keys form one
-// cell group (they differ only in algorithm), which is the unit the
-// shard planner strides across machines. Call after Expand, which fills
-// the defaulted knobs the key covers.
-//
-// Non-sim backends also stamp their name and mesh epoch into the key:
-// a live measurement belongs to the mesh at the moment it was taken,
-// so entries from different backends or epochs never alias. Sim keys
-// carry the zero values and are unchanged.
-func (g *Grid) CellKey(sc Scenario) envcache.Key {
-	key := envcache.Key{
+// CellKey returns the scenario's cell key. Scenarios with equal keys
+// differ only in algorithm (and re-evaluation period); the shard planner
+// strides them across machines as one unit. Call after Expand, which
+// fills the defaulted knobs the key covers. Non-sim backends also stamp
+// their name and mesh epoch into the key (see CellKey.Backend).
+func (g *Grid) CellKey(sc Scenario) CellKey {
+	key := CellKey{
 		Topology:     sc.Topology.Name,
 		Workload:     sc.Workload.Name,
 		CloudSeed:    sc.cloudSeed(),
@@ -129,51 +122,6 @@ func (g *Grid) backendCell(sc Scenario, cloud *topology.Provider) backend.Cell {
 		Seed:     sc.cloudSeed(),
 		Cloud:    cloud,
 	}
-}
-
-// buildCell constructs and measures the scenario's environment: the
-// backend's measured rate matrix for the cell's cloud, the cloud itself
-// on the sim backend, and the application to place. This is the
-// expensive, cacheable half of a scenario — every algorithm of a cell
-// group (and the optimal reference) shares its output, and executes on
-// its cloud. The build and measure spans parent under the calling cell's
-// span (stashed in ctx); a live backend's cluster.mesh span parents
-// under the measure span the same way.
-func (g *Grid) buildCell(ctx context.Context, sc Scenario, ro *runObs) (*envcache.Cell, error) {
-	buildStart := time.Now()
-	bspan := ro.span(obs.SpanFromContext(ctx), "sweep.build")
-	seed := sc.cloudSeed()
-	app, err := g.buildApplication(sc, seed)
-	if err != nil {
-		bspan.End(obs.String("outcome", "error"))
-		return nil, err
-	}
-	measureStart := time.Now()
-	mspan := ro.span(bspan, "sweep.measure")
-	mctx := ctx
-	if mspan.ID() != 0 {
-		mctx = obs.ContextWithSpan(ctx, mspan)
-	}
-	// The sim backend measures the cloud the cell keeps for its
-	// executions; a live backend's cloud is the real mesh.
-	var cloud *topology.Provider
-	if _, sim := g.backend().(*backend.Sim); sim {
-		cloud, err = core.NewCloud(sc.Topology.Profile, seed, sc.VMs)
-	}
-	var env *place.Environment
-	if err == nil {
-		env, err = g.backend().Measure(mctx, g.backendCell(sc, cloud))
-	}
-	if err != nil {
-		mspan.End(obs.String("outcome", "error"))
-		bspan.End(obs.String("outcome", "error"))
-		return nil, fmt.Errorf("sweep: measuring %s: %w", sc.Topology.Name, err)
-	}
-	mspan.End(obs.String("outcome", "ok"))
-	ro.phase("measure", measureStart)
-	bspan.End(obs.String("outcome", "ok"))
-	ro.phase("build", buildStart)
-	return &envcache.Cell{Env: env, Cloud: cloud, App: app}, nil
 }
 
 // buildApplication draws (or replays) the scenario's placement problem.
@@ -222,12 +170,12 @@ func (g *Grid) buildApplication(sc Scenario, seed int64) (*profile.Application, 
 // rng drives the Random baseline and is nil for every other algorithm;
 // runScenario seeds it freshly from the cell seed (offset +1, the stream
 // the orchestrator's rng always used) so placements are identical across
-// backends, worker counts and cache states.
-func (g *Grid) place(sc Scenario, cell *envcache.Cell, rng *rand.Rand) (place.Placement, error) {
+// backends, worker counts and the other algorithms run on the cell.
+func (g *Grid) place(sc Scenario, c *cell, rng *rand.Rand) (place.Placement, error) {
 	if !sc.Algorithm.ILP {
-		return core.PlaceWith(cell.App, cell.Env, sc.Algorithm.Core, g.Model, rng)
+		return core.PlaceWith(c.app, c.env, sc.Algorithm.Core, g.Model, rng)
 	}
-	in, err := placementInput(cell.App, cell.Env)
+	in, err := placementInput(c.app, c.env)
 	if err != nil {
 		return place.Placement{}, err
 	}
@@ -284,91 +232,31 @@ func (g *Grid) sequenceParams(sc Scenario) sequence.Params {
 	}
 }
 
-// buildSequenceCell constructs and measures a sequence scenario's
-// environment: a fresh cloud, its pristine packet-train rate matrix (the
-// pre-sequence static measurement), and the cell-deterministic arrival
-// sequence. Every algorithm and re-evaluation period of the cell group
-// shares its output; each run takes a mutable CloneEnv, never the shared
-// entry, because sequence runs re-measure mid-flight.
-//
-// Cells differing only in interarrival or sequence length share a
-// bit-identical cloud (cloudSeed excludes those coordinates) but
-// generate different arrival sequences, so the cache entry is split:
-// the cloud and its measurement are fetched through the cache's
-// measurement sub-layer under Key.MeasurementKey, which those cells
-// share, while the generated sequence stays per-cell. A cloud is
-// therefore built, routed and measured once for all of them, and the
-// shared Environment is never mutated (runs clone it).
-func (g *Grid) buildSequenceCell(sc Scenario, cache *envcache.Cache) (*envcache.Cell, error) {
-	seed := sc.cloudSeed()
-	cfg := workload.Config{
-		MinTasks:  g.MinTasks,
-		MaxTasks:  g.MaxTasks,
-		MeanBytes: sc.MeanBytes,
-		Patterns:  sc.Workload.Patterns,
-	}
-	// Same rng offset as the snapshot generator, so the workload stream
-	// never aliases the cloud stream.
-	rng := rand.New(rand.NewSource(seed + 2))
-	seq, err := sequence.Generate(rng, cfg, g.sequenceParams(sc))
-	if err != nil {
-		return nil, fmt.Errorf("sweep: generating %s sequence: %w", sc.Workload.Name, err)
-	}
-	m, err := cache.GetMeasurement(g.CellKey(sc).MeasurementKey(), func() (*envcache.Cell, error) {
-		cloud, err := core.NewCloud(sc.Topology.Profile, seed, sc.VMs)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: %s: %w", sc.Topology.Name, err)
-		}
-		orch, err := core.NewOnCloud(cloud, seed, core.Options{Model: g.Model})
-		if err != nil {
-			return nil, fmt.Errorf("sweep: %s: %w", sc.Topology.Name, err)
-		}
-		env, err := orch.MeasureEnvironment()
-		if err != nil {
-			return nil, fmt.Errorf("sweep: measuring %s: %w", sc.Topology.Name, err)
-		}
-		return &envcache.Cell{Env: env, Cloud: cloud}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &envcache.Cell{Env: m.Env, Cloud: m.Cloud, Seq: seq}, nil
-}
-
-// runSequenceScenario executes one sequence cell end to end: fetch (or
-// build) the measured cell, then play the arrival sequence with the
-// scenario's algorithm on a fresh simulator over the cell's cloud —
-// the cloud its measurement saw, with no traffic on it yet — placing
-// each application as it arrives under the live cross traffic of the
-// ones already running, and migrating when re-evaluation predicts
-// enough gain. The orchestrator's rng is seeded from the cell seed
-// (offset +1) for every run, so the algorithms of a cell group draw the
-// same measurement noise. There is no optimal reference: the §6.3
-// comparison is total running time across algorithms, not slowdown vs.
-// an optimum.
-func (g *Grid) runSequenceScenario(ctx context.Context, sc Scenario, cache *envcache.Cache, ro *runObs) (Result, error) {
-	buildStart := time.Now()
-	bspan := ro.span(obs.SpanFromContext(ctx), "sweep.build")
-	cell, err := cache.Get(g.CellKey(sc), func() (*envcache.Cell, error) { return g.buildSequenceCell(sc, cache) })
-	if err != nil {
-		bspan.End(obs.String("outcome", "error"))
-		return Result{}, err
-	}
-	bspan.End(obs.String("outcome", "ok"))
-	ro.phase("build", buildStart)
-	exec, err := core.NewOnCloud(cell.Cloud, sc.cloudSeed(), core.Options{Model: g.Model})
+// runSequenceScenario executes one sequence scenario on its built cell:
+// play the arrival sequence with the scenario's algorithm on a fresh
+// simulator over the cell's cloud — the cloud its measurement saw, with
+// no traffic on it yet — placing each application as it arrives under
+// the live cross traffic of the ones already running, and migrating
+// when re-evaluation predicts enough gain. Each run re-measures on its
+// own clone of the cell's measurement. The orchestrator's rng is seeded
+// from the cell seed (offset +1) for every run, so the algorithms of a
+// cell group draw the same measurement noise. There is no optimal
+// reference: the §6.3 comparison is total running time across
+// algorithms, not slowdown vs. an optimum.
+func (g *Grid) runSequenceScenario(sc Scenario, c *cell, ro *runObs) (Result, error) {
+	exec, err := core.NewOnCloud(c.cloud, sc.cloudSeed(), core.Options{Model: g.Model})
 	if err != nil {
 		return Result{}, fmt.Errorf("sweep: %s: %w", sc.Topology.Name, err)
 	}
 	execStart := time.Now()
-	cres, err := sequence.Run(exec, cell.Seq, sc.Algorithm.Core, cell.CloneEnv(), g.sequenceParams(sc))
+	cres, err := sequence.Run(exec, c.seq, sc.Algorithm.Core, c.env.Clone(), g.sequenceParams(sc))
 	ro.phase("execute", execStart)
 	if err != nil {
 		return Result{}, fmt.Errorf("sweep: sequence %s/%s/%s seed %d: %w",
 			sc.Topology.Name, sc.Workload.Name, sc.Algorithm.Name, sc.Seed, err)
 	}
 	tasks := 0
-	for _, app := range cell.Seq {
+	for _, app := range c.seq {
 		tasks += app.Tasks()
 	}
 	return Result{
@@ -389,21 +277,12 @@ func (g *Grid) runSequenceScenario(ctx context.Context, sc Scenario, cache *envc
 	}, nil
 }
 
-// runScenario executes one grid cell end to end: fetch (or build) the
-// backend-measured environment, place with the scenario's algorithm,
-// execute the placement through the backend (simulated byte transfer on
-// sim, predicted completion on live), and attach the slowdown-vs-
-// optimal reference. Sequence cells dispatch to runSequenceScenario
-// instead. A nil cache builds every cell from scratch; for the sim
-// backend the result bytes are identical either way.
-func (g *Grid) runScenario(ctx context.Context, sc Scenario, cache *envcache.Cache, ro *runObs) (Result, error) {
-	if g.Mode == Sequence {
-		return g.runSequenceScenario(ctx, sc, cache, ro)
-	}
-	cell, err := cache.Get(g.CellKey(sc), func() (*envcache.Cell, error) { return g.buildCell(ctx, sc, ro) })
-	if err != nil {
-		return Result{}, err
-	}
+// runScenario executes one snapshot scenario on its built cell: place
+// with the scenario's algorithm, execute the placement through the
+// backend (simulated byte transfer on sim, predicted completion on
+// live), and attach the slowdown-vs-optimal reference, which the cell
+// computes once for its whole group.
+func (g *Grid) runScenario(ctx context.Context, sc Scenario, c *cell, ro *runObs) (Result, error) {
 	var rng *rand.Rand
 	if sc.Algorithm.Core == core.AlgRandom && !sc.Algorithm.ILP {
 		rng = rand.New(rand.NewSource(sc.cloudSeed() + 1))
@@ -411,7 +290,7 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, cache *envcache.Cac
 	pspan := ro.span(obs.SpanFromContext(ctx), "sweep.place",
 		obs.String("algorithm", sc.Algorithm.Name))
 	start := time.Now()
-	p, err := g.place(sc, cell, rng)
+	p, err := g.place(sc, c, rng)
 	latency := time.Since(start)
 	if err != nil {
 		pspan.End(obs.String("outcome", "error"))
@@ -421,7 +300,7 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, cache *envcache.Cac
 	pspan.End(obs.String("outcome", "ok"))
 	ro.phaseDur("place", latency)
 	execStart := time.Now()
-	exec, err := g.backend().Execute(ctx, g.backendCell(sc, cell.Cloud), cell.App, cell.Env, p, g.Model)
+	exec, err := g.backend().Execute(ctx, g.backendCell(sc, c.cloud), c.app, c.env, p, g.Model)
 	if err != nil {
 		return Result{}, fmt.Errorf("sweep: executing %s/%s/%s seed %d: %w",
 			sc.Topology.Name, sc.Workload.Name, sc.Algorithm.Name, sc.Seed, err)
@@ -435,7 +314,7 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, cache *envcache.Cac
 		Seed:              sc.Seed,
 		VMs:               sc.VMs,
 		MeanBytes:         int64(sc.MeanBytes),
-		Tasks:             cell.App.Tasks(),
+		Tasks:             c.app.Tasks(),
 		CompletionSeconds: exec.Completion.Seconds(),
 		PlaceLatency:      latency,
 	}
@@ -450,7 +329,7 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, cache *envcache.Cac
 		ro.recordAccuracy(sc.Algorithm.Name, sc.Topology.Name, pred, meas)
 	}
 
-	if g.OptimalMaxTasks > 0 && cell.App.Tasks() <= g.OptimalMaxTasks {
+	if g.OptimalMaxTasks > 0 && c.app.Tasks() <= g.OptimalMaxTasks {
 		var opt float64
 		var computed bool
 		if sc.Algorithm.Core == core.AlgOptimal && !sc.Algorithm.ILP {
@@ -458,12 +337,13 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, cache *envcache.Cac
 			// the reference.
 			opt, computed = res.CompletionSeconds, true
 		} else {
-			opt, computed, err = cell.OptimalReference(func() (float64, bool, error) {
-				return g.computeReference(ctx, sc, cell)
-			})
-			if err != nil {
-				return Result{}, err
+			if !c.refDone {
+				if c.refVal, c.refOK, err = g.computeReference(ctx, sc, c); err != nil {
+					return Result{}, err
+				}
+				c.refDone = true
 			}
+			opt, computed = c.refVal, c.refOK
 		}
 		if computed {
 			res.OptimalSeconds = &opt
@@ -493,9 +373,9 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, cache *envcache.Cac
 // slowdowns slightly below 1 are genuine.) The second return reports
 // whether a reference was computed at all (branch and bound can exhaust
 // its node budget). The value is a pure function of the cell, which is
-// what lets Cell.OptimalReference memoize it across the cell group.
-func (g *Grid) computeReference(ctx context.Context, sc Scenario, cell *envcache.Cell) (float64, bool, error) {
-	p, err := place.Optimal(cell.App, cell.Env, g.Model, g.OptimalMaxNodes)
+// what lets the cell keep it for the rest of its group.
+func (g *Grid) computeReference(ctx context.Context, sc Scenario, c *cell) (float64, bool, error) {
+	p, err := place.Optimal(c.app, c.env, g.Model, g.OptimalMaxNodes)
 	if errors.Is(err, place.ErrSearchBudget) {
 		// The search ran out of nodes: report no reference rather than
 		// a wrong one. Any other failure is real and must surface.
@@ -504,7 +384,7 @@ func (g *Grid) computeReference(ctx context.Context, sc Scenario, cell *envcache
 	if err != nil {
 		return 0, false, err
 	}
-	exec, err := g.backend().Execute(ctx, g.backendCell(sc, cell.Cloud), cell.App, cell.Env, p, g.Model)
+	exec, err := g.backend().Execute(ctx, g.backendCell(sc, c.cloud), c.app, c.env, p, g.Model)
 	if err != nil {
 		return 0, false, err
 	}
@@ -520,10 +400,6 @@ type RunOptions struct {
 	Context context.Context
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// NoCache disables the environment cache: every scenario builds
-	// and measures its own cloud. Results are byte-identical either
-	// way; the knob exists for debugging and for proving exactly that.
-	NoCache bool
 	// Emit, when non-nil, receives every Result in expansion order, each
 	// as soon as it and all its predecessors have completed — the
 	// streaming hook the incremental report writer hangs off.
@@ -550,11 +426,34 @@ type RunOptions struct {
 
 // RunStream expands the grid and executes every scenario across the
 // worker pool, streaming results through opts.Emit in expansion order
-// and aggregating incrementally. Full Results are not retained; what
-// still grows with grid size is small and flat — the expanded scenario
-// list and a few float64s per scenario for the percentile aggregates —
-// so streaming sweeps are bounded by disk long before memory. Returns
-// the grid echo, per-algorithm aggregates and cache counters.
+// and aggregating incrementally. Returns the grid echo, per-algorithm
+// aggregates and the cell-sharing counts.
+//
+// The unit of work is a cell group: the to-run scenarios whose cell keys
+// share a MeasurementKey, in first-appearance order. One worker runs a
+// whole group (see cellGroup), so every algorithm of a cell runs on the
+// one cloud and measurement the group built, with no state shared
+// between workers. For snapshot cells and live keys a group is one
+// cell; for sequence cells it also covers the cells that differ only in
+// interarrival or sequence length, which share one cloud. That has two
+// costs:
+//
+//   - Coarser work units. List-scheduling the perfbench grids' 4-seed
+//     passes on 2 workers, with each scenario's -workers 1 time, gives
+//     a pass makespan 0.1% longer with group units than with scenario
+//     units on the snapshot grid and 7.5% longer on the sequence grid
+//     (12 groups of 12 scenarios per pass; 2-vCPU host). The model
+//     leaves out the waits on another worker's build that scenario
+//     units had.
+//   - A deeper reorder buffer. A group's results are spread over one
+//     expansion block (algorithms × seeds, times the sequence
+//     coordinates), so the buffer can hold up to about one block of
+//     results per worker rather than the workers' skew.
+//
+// Full Results are otherwise not retained: what grows with grid size is
+// the expanded scenario list, which already exceeds any expansion
+// block, and a few float64s per scenario for the percentile aggregates,
+// so streaming sweeps are bounded by disk long before memory.
 func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 	ctx := opts.Context
 	if ctx == nil {
@@ -564,20 +463,13 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.NoCache && g.backendName() != "sim" {
-		// Without the cache every scenario rebuilds its cell, which on a
-		// live backend means one full mesh measurement per *algorithm* —
-		// N× the measurement traffic, and the algorithms of a cell group
-		// would be compared against different (drifted) mesh snapshots,
-		// invalidating the per-cell comparison the report implies.
-		return nil, fmt.Errorf("sweep: disabling the environment cache is sim-only: the %s backend must measure each cell's mesh exactly once so every algorithm faces the same snapshot", g.backendName())
-	}
 	// included: the expansion indices this run covers, in order (a shard
-	// slice, or the whole grid). toRun drops the prefilled ones — only
-	// those execute; prefilled results replay through the same ordered
-	// delivery below.
-	var included, toRun []int
-	counts := make(map[envcache.Key]int)
+	// slice, or the whole grid). groups partitions the ones that are not
+	// prefilled — only those execute; prefilled results replay through
+	// the same ordered delivery below.
+	var included []int
+	var groups [][]int
+	groupOf := make(map[CellKey]int)
 	for i := range scenarios {
 		if opts.Include != nil && !opts.Include(i) {
 			continue
@@ -586,32 +478,17 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 		if _, done := opts.Prefilled[i]; done {
 			continue
 		}
-		toRun = append(toRun, i)
-		counts[g.CellKey(scenarios[i])]++
-	}
-	var cache *envcache.Cache
-	if !opts.NoCache {
-		// The cache's eviction plan counts each cell's actual fetches in
-		// this run, not the full grid's: a shard or resume may touch only
-		// part of a cell group, and a uniform per-algorithm count would
-		// leave those entries pinned. The last planned fetch evicts, so
-		// resident entries track the in-flight set.
-		cache = envcache.NewPlanned(counts)
-		if g.Mode == Sequence {
-			// Measurement sub-layer plan: each cell key built this run
-			// fetches its cloud measurement exactly once, so a measurement
-			// key's budget is the number of distinct cell keys sharing it —
-			// cells differing only in arrival process measure one cloud.
-			measCounts := make(map[envcache.Key]int)
-			for k := range counts {
-				measCounts[k.MeasurementKey()]++
-			}
-			cache.PlanMeasurements(measCounts)
+		key := g.CellKey(scenarios[i]).MeasurementKey()
+		gi, ok := groupOf[key]
+		if !ok {
+			gi = len(groups)
+			groupOf[key] = gi
+			groups = append(groups, nil)
 		}
+		groups[gi] = append(groups[gi], i)
 	}
 
 	ro := newRunObs(opts.Obs)
-	ro.registerCacheFuncs(cache)
 	wallStart := time.Now()
 	ro.start(&g, len(scenarios), opts.Workers)
 	outcome := "error"
@@ -623,10 +500,11 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 	// in expansion order. rank maps an expansion index to its position
 	// in the run's emission sequence (they differ once Include skips
 	// indices). Holding completed-but-not-yet-due results in a map
-	// bounds its size by worker skew, not grid size — and once the run
-	// is doomed (a scenario or the emit destination failed, so the
-	// output will be discarded), the buffer is dropped and the rest of
-	// the grid skipped rather than simulated into the void.
+	// bounds its size by about one expansion block per worker, not grid
+	// size — and once the run is doomed (a scenario or the emit
+	// destination failed, so the output will be discarded), the buffer
+	// is dropped and the rest of the grid skipped rather than simulated
+	// into the void.
 	rank := make(map[int]int, len(included))
 	for pos, i := range included {
 		rank[i] = pos
@@ -679,30 +557,36 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 		}
 	}
 
-	err = Parallel(len(toRun), opts.Workers, func(k int) error {
-		if aborted.Load() {
-			return nil
+	var stats CacheStats
+	err = Parallel(len(groups), opts.Workers, func(k int) error {
+		grp := cellGroup{g: &g, ro: ro}
+		for _, i := range groups[k] {
+			if aborted.Load() {
+				return nil
+			}
+			sc := scenarios[i]
+			span := ro.cellSpan(sc)
+			cctx := ctx
+			if span.ID() != 0 {
+				cctx = obs.ContextWithSpan(ctx, span)
+			}
+			cellStart := time.Now()
+			r, err := grp.run(cctx, sc)
+			if err != nil {
+				span.End(obs.String("outcome", "error"))
+				aborted.Store(true)
+				mu.Lock()
+				pending = nil
+				mu.Unlock()
+				return err
+			}
+			ro.cellDone(time.Since(cellStart))
+			span.End(obs.String("outcome", "ok"))
+			deliver(rank[i], r)
 		}
-		i := toRun[k]
-		sc := scenarios[i]
-		span := ro.cellSpan(sc)
-		cctx := ctx
-		if span.ID() != 0 {
-			cctx = obs.ContextWithSpan(ctx, span)
-		}
-		cellStart := time.Now()
-		r, err := g.runScenario(cctx, sc, cache, ro)
-		if err != nil {
-			span.End(obs.String("outcome", "error"))
-			aborted.Store(true)
-			mu.Lock()
-			pending = nil
-			mu.Unlock()
-			return err
-		}
-		ro.cellDone(time.Since(cellStart))
-		span.End(obs.String("outcome", "ok"))
-		deliver(rank[i], r)
+		mu.Lock()
+		stats.add(grp.counts)
+		mu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -710,14 +594,6 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 	}
 	if emitErr != nil {
 		return nil, fmt.Errorf("sweep: emitting results: %w", emitErr)
-	}
-	stats := cache.Stats()
-	if stats.Resident != 0 || stats.MeasurementResident != 0 {
-		// The per-key plans above make the last fetch of every cell (and
-		// of every shared measurement) evict it; anything left resident
-		// means the accounting over-counted.
-		return nil, fmt.Errorf("sweep: internal: %d environment-cache entries and %d measurements left pinned after the run",
-			stats.Resident, stats.MeasurementResident)
 	}
 	aggs, err := agg.Aggregates()
 	if err != nil {
@@ -734,7 +610,6 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 // Run expands the grid and executes every scenario across the worker
 // pool, collecting the full per-scenario report in memory (the
 // convenient API for modest grids; RunStream is the bounded-memory one).
-// The environment cache is on.
 func Run(g Grid, workers int) (*Report, error) {
 	return RunCollect(g, RunOptions{Workers: workers})
 }

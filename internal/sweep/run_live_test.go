@@ -1,7 +1,7 @@
 package sweep
 
 // End-to-end live-mesh sweep tests: the whole path — grid expansion →
-// loopback choreo-agent mesh → environment cache → reorder buffer →
+// loopback choreo-agent mesh → cell groups → reorder buffer →
 // JSONL stream — runs hermetically against real sockets, and the
 // resulting report must be schema-compatible with the simulated path
 // (same line shapes, same identity machinery, resumable).
@@ -15,7 +15,6 @@ import (
 
 	"choreo/internal/sweep/backend"
 	"choreo/internal/sweep/backend/livetest"
-	"choreo/internal/sweep/envcache"
 )
 
 // liveGrid builds a tiny two-cell grid over a live backend: 1 topology
@@ -60,8 +59,8 @@ func liveGrid(t *testing.T, agents []string) Grid {
 
 // TestLiveSweepStreamsReport drives a full streaming sweep against an
 // in-process agent mesh and checks the report end to end: echo carries
-// the backend, every cell measured the real mesh exactly once (cache
-// threading), result lines carry the snapshot schema, and the JSONL
+// the backend, every cell measured the real mesh exactly once (one
+// measurement per cell group), result lines carry the snapshot schema, and the JSONL
 // round-trips through the resume loader — the same identity machinery
 // shards and merges use.
 func TestLiveSweepStreamsReport(t *testing.T) {
@@ -157,9 +156,9 @@ func TestLiveSweepStreamsReport(t *testing.T) {
 	}
 }
 
-// TestLiveCellKeysCarryBackendAndEpoch pins the cache-identity rule:
+// TestLiveCellKeysCarryBackendAndEpoch pins the cell-identity rule:
 // live cells are keyed by backend name and mesh epoch, so they can
-// never alias sim entries or another epoch's measurements.
+// never alias sim cells or another epoch's measurements.
 func TestLiveCellKeysCarryBackendAndEpoch(t *testing.T) {
 	mesh, err := livetest.Start(2)
 	if err != nil {
@@ -225,12 +224,11 @@ func TestLiveGridCapacityValidated(t *testing.T) {
 	}
 }
 
-// liveMeasurementNeverShared double-checks the envcache contract the
-// live backend relies on, at the cache level: two different live cell
-// keys never resolve to one measurement entry even when planned
-// together.
+// TestLiveMeasurementNeverShared double-checks the grouping contract
+// the live backend relies on: two different live cell keys never share
+// a measurement key, so RunStream never puts them in one cell group.
 func TestLiveMeasurementNeverShared(t *testing.T) {
-	a := envcache.Key{Topology: "t", CloudSeed: 1, Backend: "live", Epoch: 1, Interarrival: 5, SeqApps: 2}
+	a := CellKey{Topology: "t", CloudSeed: 1, Backend: "live", Epoch: 1, Interarrival: 5, SeqApps: 2}
 	b := a
 	b.Interarrival = 9
 	if a.MeasurementKey() == b.MeasurementKey() {
@@ -280,20 +278,4 @@ func loadPriorForTest(t *testing.T, g Grid, data []byte) (map[int]Result, error)
 		out[pos] = res
 	}
 	return out, nil
-}
-
-// TestLiveNoCacheRejected pins the precise error for disabling the
-// environment cache on a live backend: every algorithm would re-measure
-// the mesh and be compared against a different snapshot.
-func TestLiveNoCacheRejected(t *testing.T) {
-	mesh, err := livetest.Start(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mesh.Close()
-	g := liveGrid(t, mesh.Addrs())
-	_, err = RunStream(g, RunOptions{Workers: 2, NoCache: true})
-	if err == nil || !strings.Contains(err.Error(), "disabling the environment cache is sim-only") {
-		t.Errorf("NoCache live run error = %v, want the cache-is-mandatory error", err)
-	}
 }

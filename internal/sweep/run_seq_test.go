@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"choreo/internal/profile"
-	"choreo/internal/sweep/envcache"
 	"choreo/internal/units"
 	"choreo/internal/workload"
 )
@@ -61,41 +60,13 @@ func tinySeqGrid() Grid {
 	return g
 }
 
-// seqStream runs a sequence grid through the JSONL pipeline and returns
-// the stream bytes.
-func seqStream(t *testing.T, g Grid, workers int, noCache bool) string {
-	t.Helper()
-	var buf bytes.Buffer
-	sw := NewStreamWriter(&buf)
-	hdr, err := g.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Header(hdr); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := RunStream(g, RunOptions{Workers: workers, NoCache: noCache, Emit: sw.Result})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Finish(sum.Algorithms); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
 // TestSequenceStreamDeterministic extends the engine's core guarantee to
-// sequence cells: byte-identical JSONL across worker counts and cache
-// states, even where migrations stop and restart flows mid-simulation.
+// sequence cells: byte-identical JSONL across worker counts, even where
+// migrations stop and restart flows mid-simulation.
 func TestSequenceStreamDeterministic(t *testing.T) {
-	base := seqStream(t, tinySeqGrid(), 1, false)
-	for _, v := range []struct {
-		workers int
-		noCache bool
-	}{{8, false}, {1, true}, {8, true}} {
-		if got := seqStream(t, tinySeqGrid(), v.workers, v.noCache); got != base {
-			t.Fatalf("sequence stream differs at workers=%d noCache=%v", v.workers, v.noCache)
-		}
+	base := streamGrid(t, tinySeqGrid(), 1)
+	if got := streamGrid(t, tinySeqGrid(), 8); got != base {
+		t.Fatal("sequence stream differs between -workers 1 and -workers 8")
 	}
 	lines := strings.Split(strings.TrimSpace(base), "\n")
 	if want := 8 + 2; len(lines) != want {
@@ -165,9 +136,9 @@ func TestSequenceResultShape(t *testing.T) {
 	if rep.Cache.Hits != 6 {
 		t.Errorf("cache hits = %d, want 6", rep.Cache.Hits)
 	}
-	// The 2 cells differ only in interarrival, so they rebuild a
-	// bit-identical cloud — which the measurement sub-layer measures
-	// exactly once and shares.
+	// The 2 cells differ only in interarrival, so they share a
+	// bit-identical cloud — which their cell group measures exactly
+	// once.
 	if rep.Cache.MeasurementMisses != 1 {
 		t.Errorf("measured %d clouds, want 1 (cells differing only in interarrival share the measurement)", rep.Cache.MeasurementMisses)
 	}
@@ -328,7 +299,7 @@ func TestSequenceExpandOrder(t *testing.T) {
 	}
 	// Cell identity: the 8 scenarios form 2 cell groups — reeval and
 	// algorithm share a built cell, interarrival does not.
-	keys := map[envcache.Key]bool{}
+	keys := map[CellKey]bool{}
 	for _, sc := range scenarios {
 		keys[g.CellKey(sc)] = true
 	}

@@ -68,10 +68,10 @@ func reportJSON(t *testing.T, g Grid, workers int) []byte {
 
 // TestDeterministicAcrossWorkerCountsAndCache is the engine's core
 // guarantee: the same grid and seeds produce byte-identical JSON whether
-// scenarios run sequentially or spread over eight workers, and whether
-// the environment cache serves the cell group or every scenario rebuilds
-// its own cloud. Under -race this also shakes out data races in the pool
-// and the cache's singleflight path.
+// cell groups run sequentially or spread over eight workers. Under
+// -race this also shakes out data races in the pool and the reorder
+// buffer. TestGroupSharingDeterministic covers what sharing a cell
+// across its algorithms could leak.
 func TestDeterministicAcrossWorkerCountsAndCache(t *testing.T) {
 	sequential := reportJSON(t, goldenGrid(), 1)
 	for _, workers := range []int{2, 8} {
@@ -80,17 +80,11 @@ func TestDeterministicAcrossWorkerCountsAndCache(t *testing.T) {
 			t.Fatalf("report differs between -workers 1 and -workers %d", workers)
 		}
 	}
-	for _, workers := range []int{1, 8} {
-		uncached := reportJSONOpts(t, goldenGrid(), RunOptions{Workers: workers, NoCache: true})
-		if !bytes.Equal(sequential, uncached) {
-			t.Fatalf("report differs between cache on and off at -workers %d", workers)
-		}
-	}
 }
 
 // TestEnvCacheBuildsEachCellOnce proves the cell-group sharing: one
 // build-and-measure per unique cell, every other scenario (and the
-// optimal reference) served from the cache.
+// optimal reference) run on the cell its group already built.
 func TestEnvCacheBuildsEachCellOnce(t *testing.T) {
 	g := goldenGrid()
 	rep, err := RunCollect(g, RunOptions{Workers: 4})
@@ -110,39 +104,35 @@ func TestEnvCacheBuildsEachCellOnce(t *testing.T) {
 	}
 }
 
-// TestStreamWriterDeterministic drives the incremental JSONL pipeline and
-// checks the stream bytes are identical across worker counts and cache
-// states, and structurally sound (header + one line per scenario +
-// aggregates).
-func TestStreamWriterDeterministic(t *testing.T) {
-	stream := func(workers int, noCache bool) string {
-		g := goldenGrid()
-		var buf bytes.Buffer
-		sw := NewStreamWriter(&buf)
-		hdr, err := g.Summary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.Header(hdr); err != nil {
-			t.Fatal(err)
-		}
-		sum, err := RunStream(g, RunOptions{Workers: workers, NoCache: noCache, Emit: sw.Result})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.Finish(sum.Algorithms); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+// streamGrid runs g through the JSONL pipeline and returns the stream.
+func streamGrid(t *testing.T, g Grid, workers int) string {
+	t.Helper()
+	var buf bytes.Buffer
+	sw := NewStreamWriter(&buf)
+	hdr, err := g.Summary()
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := stream(1, false)
-	for _, v := range []struct {
-		workers int
-		noCache bool
-	}{{8, false}, {1, true}, {8, true}} {
-		if got := stream(v.workers, v.noCache); got != base {
-			t.Fatalf("stream differs at workers=%d noCache=%v", v.workers, v.noCache)
-		}
+	if err := sw.Header(hdr); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := RunStream(g, RunOptions{Workers: workers, Emit: sw.Result})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Finish(sum.Algorithms); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestStreamWriterDeterministic drives the incremental JSONL pipeline and
+// checks the stream bytes are identical across worker counts, and
+// structurally sound (header + one line per scenario + aggregates).
+func TestStreamWriterDeterministic(t *testing.T) {
+	base := streamGrid(t, goldenGrid(), 1)
+	if got := streamGrid(t, goldenGrid(), 8); got != base {
+		t.Fatal("stream differs between -workers 1 and -workers 8")
 	}
 
 	lines := strings.Split(strings.TrimSpace(base), "\n")

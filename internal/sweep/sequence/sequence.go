@@ -7,9 +7,9 @@
 // The package is the cell runner between the sweep grid and the core
 // orchestrator. Generate draws a cell-deterministic arrival sequence
 // from the cell's seeded rng; Run plays it with one algorithm on a
-// fresh simulator over the cell's cloud, against a cloned static
-// measurement from the environment cache, and flattens core.RunSequence's outcome into the
-// per-application event records a sequence result line carries. Both
+// fresh simulator over the cell's cloud, against a clone of the static
+// measurement its cell group took, and flattens core.RunSequence's
+// outcome into the per-application event records a sequence result line carries. Both
 // are pure functions of their inputs, which is what lets sequence cells
 // ride the engine's byte-reproducibility guarantee unchanged.
 package sequence
@@ -108,8 +108,8 @@ func Generate(rng *rand.Rand, cfg workload.Config, p Params) ([]*profile.Applica
 // traffic), re-evaluated every p.Reeval, and migrated when the
 // predicted completion improves by at least p.MigrationGain. env is
 // this run's private, mutable copy of the cell's static measurement
-// (see envcache.Cell.CloneEnv); algorithms that never re-measure place
-// every arrival against it.
+// (the sweep hands every run a Clone); algorithms that never re-measure
+// place every arrival against it.
 func Run(orch *core.Choreo, seq []*profile.Application, alg core.Algorithm, env *place.Environment, p Params) (CellResult, error) {
 	if err := p.Validate(); err != nil {
 		return CellResult{}, err

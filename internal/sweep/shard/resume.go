@@ -14,8 +14,8 @@ import (
 // or a shard file, complete or interrupted mid-write — and returns the
 // results it already contains, keyed by the current grid's expansion
 // indices for use as sweep.RunOptions.Prefilled. Matching is by
-// scenario identity (the envcache.Key-derived cell coordinates plus the
-// algorithm), never by file position, so a resumed run re-executes
+// scenario identity (the sweep.CellKey-derived cell coordinates plus
+// the algorithm), never by file position, so a resumed run re-executes
 // exactly the cells with no result line.
 //
 // The prior file's grid echo must match the current grid byte for byte;

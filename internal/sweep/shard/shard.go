@@ -7,9 +7,8 @@
 //
 //   - Plan strides the expanded scenario list across n shards at cell-
 //     group granularity: every algorithm of a cell lands in the same
-//     shard, so each shard's environment cache still builds every cell
-//     it touches exactly once and no cell is built twice across the
-//     fleet.
+//     shard, so each shard builds every cell it touches exactly once
+//     and no cell is built twice across the fleet.
 //   - Writer emits a self-describing JSONL shard: the full grid echo
 //     (byte-identical to the unsharded stream header), a shard header
 //     carrying the grid hash and shard coordinates, the slice's result
@@ -26,9 +25,8 @@
 // so a resumed run re-executes only the missing cells.
 //
 // Scenario identity is the cell-group coordinate plus the algorithm —
-// the same inputs envcache.Key derives the cell's content key from —
-// so matching result lines to grid cells never depends on file
-// position.
+// the same inputs sweep.CellKey derives the cell's key from — so
+// matching result lines to grid cells never depends on file position.
 package shard
 
 import (
@@ -41,7 +39,6 @@ import (
 	"time"
 
 	"choreo/internal/sweep"
-	"choreo/internal/sweep/envcache"
 )
 
 // Spec names one slice of a sharded sweep: shard Index of Count, with
@@ -76,7 +73,7 @@ func (s Spec) validate() error {
 }
 
 // Identity names one scenario of a grid: the cell-group coordinates
-// (which also derive envcache.Key) plus the algorithm — and, for
+// (which also derive sweep.CellKey) plus the algorithm — and, for
 // sequence cells, the swept arrival-process and re-evaluation
 // coordinates, which are all zero on snapshot cells. Result lines carry
 // exactly these fields, so identity — not file position — is what ties
@@ -135,10 +132,10 @@ func scenarioIdentity(sc sweep.Scenario) Identity {
 
 // Plan returns the expansion indices shard spec executes, as a set.
 // Scenarios are assigned at cell-group granularity — all algorithms of
-// one cell (one envcache.Key) go to the same shard, groups striding
+// one cell (one sweep.CellKey) go to the same shard, groups striding
 // round-robin across shards in first-appearance order — so every shard
-// sees complete cell groups, its environment cache builds each of its
-// cells exactly once, and no cell is built on two machines. The
+// sees complete cell groups, builds each of its cells exactly once, and
+// no cell is built on two machines. The
 // assignment is a pure function of the grid and the spec: every machine
 // running Plan over the same grid computes the same partition.
 func Plan(g sweep.Grid, spec Spec) (map[int]bool, error) {
@@ -149,7 +146,7 @@ func Plan(g sweep.Grid, spec Spec) (map[int]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	groups := make(map[envcache.Key]int)
+	groups := make(map[sweep.CellKey]int)
 	include := make(map[int]bool)
 	for _, sc := range scenarios {
 		key := g.CellKey(sc)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"choreo/internal/sweep"
-	"choreo/internal/sweep/envcache"
 	"choreo/internal/units"
 )
 
@@ -93,7 +92,7 @@ func TestSequenceShardPlanKeepsCellGroupsWhole(t *testing.T) {
 	}
 	const n = 2
 	covered := 0
-	cellShard := make(map[envcache.Key]int)
+	cellShard := make(map[sweep.CellKey]int)
 	for s := 1; s <= n; s++ {
 		include, err := Plan(g, Spec{Index: s, Count: n})
 		if err != nil {
@@ -192,7 +191,7 @@ func TestSequenceResumeRerunsOnlyMissingCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	missingCells := make(map[envcache.Key]bool)
+	missingCells := make(map[sweep.CellKey]bool)
 	rerun := 0
 	for i := range scenarios {
 		if _, done := prior[i]; done {
@@ -226,8 +225,5 @@ func TestSequenceResumeRerunsOnlyMissingCells(t *testing.T) {
 	}
 	if want := int64(rerun - len(missingCells)); sum.Cache.Hits != want {
 		t.Errorf("resume cache hits = %d, want %d", sum.Cache.Hits, want)
-	}
-	if sum.Cache.Resident != 0 {
-		t.Errorf("resume left %d cache entries pinned", sum.Cache.Resident)
 	}
 }

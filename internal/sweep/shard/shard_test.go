@@ -10,7 +10,6 @@ import (
 	"choreo/internal/place"
 	"choreo/internal/profile"
 	"choreo/internal/sweep"
-	"choreo/internal/sweep/envcache"
 	"choreo/internal/units"
 	"choreo/internal/workload"
 )
@@ -117,7 +116,7 @@ func TestParseSpec(t *testing.T) {
 
 // TestPlanPartitionsWholeCellGroups: the n shard plans partition the
 // expanded scenario list exactly (disjoint, no gaps), and never split a
-// cell group — all algorithms of one envcache cell land in one shard,
+// cell group — all algorithms of one cell land in one shard,
 // so no cell is ever built on two machines.
 func TestPlanPartitionsWholeCellGroups(t *testing.T) {
 	g := testGrid()
@@ -127,7 +126,7 @@ func TestPlanPartitionsWholeCellGroups(t *testing.T) {
 	}
 	const n = 3
 	shardOf := make(map[int]int)
-	cellShard := make(map[envcache.Key]int)
+	cellShard := make(map[sweep.CellKey]int)
 	for s := 1; s <= n; s++ {
 		include, err := Plan(g, Spec{Index: s, Count: n})
 		if err != nil {
@@ -429,7 +428,7 @@ func TestMergeRejectsMismatchedShards(t *testing.T) {
 
 // TestResumeTruncatedShard is the incremental-resume acceptance
 // criterion: -resume on a truncated shard re-runs only the missing
-// cells — proven by the environment cache's hit/miss/build counters —
+// cells — proven by the run's cell hit/miss counts —
 // and reproduces the complete shard byte for byte.
 func TestResumeTruncatedShard(t *testing.T) {
 	g := testGrid()
@@ -463,7 +462,7 @@ func TestResumeTruncatedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	rerun := 0
-	cells := make(map[envcache.Key]bool)
+	cells := make(map[sweep.CellKey]bool)
 	for i := range include {
 		if _, done := prior[i]; done {
 			continue
@@ -484,9 +483,6 @@ func TestResumeTruncatedShard(t *testing.T) {
 	}
 	if want := int64(rerun - len(cells)); sum.Cache.Hits != want {
 		t.Errorf("resume cache hits = %d, want %d", sum.Cache.Hits, want)
-	}
-	if sum.Cache.Resident != 0 {
-		t.Errorf("resume left %d cache entries pinned", sum.Cache.Resident)
 	}
 }
 

@@ -167,7 +167,7 @@ func TestBuildJellyfishErrors(t *testing.T) {
 }
 
 // TestRoutesDeterministicAcrossRebuilds is the ECMP determinism guarantee
-// the envcache rests on: rebuilding the identical fabric and asking for
+// cell sharing rests on: rebuilding the identical fabric and asking for
 // the same pair key must return the identical link sequence — across all
 // three fabric families.
 func TestRoutesDeterministicAcrossRebuilds(t *testing.T) {
