@@ -86,7 +86,7 @@ sweep-shard-smoke: build
 # JSONL across worker counts, and the same grid run as
 # 2 shards and merged must reproduce the unsharded stream exactly.
 SEQ_FLAGS = -mode sequence -topologies tworack -workloads shuffle -vms 6 -mean-mb 200 \
-	-interarrival 3s,10s -seq-apps 4 -reeval 0,5s -algorithms choreo,random -seeds 1
+	-interarrival 3s,10s -seq-apps 4 -reeval 0,5s -algorithms choreo,random -seeds 2
 
 sweep-seq-smoke: build
 	$(BIN)/choreo sweep $(SEQ_FLAGS) -workers 1 -stream -out $(BIN)/seq-s1.jsonl

@@ -23,10 +23,11 @@ import (
 //
 // Reports are deterministic: the same flags and seeds produce
 // byte-identical output regardless of -workers (CI diffs -workers 1
-// against -workers 8 to enforce exactly that). One worker runs each
-// cell group, so every algorithm of a cell — and its optimal reference
-// — shares one built and measured cloud; -cache-stats prints how many
-// cells were built and how many scenarios reused one. The default
+// against -workers 8 to enforce exactly that). One worker builds each
+// cell group, and its scenarios then run on any worker, so every
+// algorithm of a cell — and its optimal reference — shares one built
+// and measured cloud; -cache-stats prints how many cells were built and
+// how many scenarios reused one. The default
 // collecting mode holds every scenario in memory; -stream switches to
 // the incremental JSON-lines pipeline for grids too large for that;
 // -shard i/n runs one deterministic slice of the grid as a

@@ -115,7 +115,8 @@ func (c *Choreo) RunSequence(apps []*profile.Application, alg Algorithm, opts Se
 
 	// A measurement taken before any application runs; reused when
 	// re-measurement is disabled. A caller-provided StaticEnv (the sweep
-	// cell cache) stands in for it without spending the packet trains.
+	// cell's measurement) stands in for it without spending the packet
+	// trains.
 	staticEnv := opts.StaticEnv
 	if staticEnv == nil {
 		env, err := c.MeasureEnvironment()

@@ -118,9 +118,8 @@ type Backend interface {
 	Name() string
 
 	// Measure returns the cell's placement environment: the full-mesh
-	// rate matrix plus per-VM CPU capacity. The sweep's environment
-	// cache calls it once per cell group. A canceled context aborts a
-	// live mesh mid-pair.
+	// rate matrix plus per-VM CPU capacity. The sweep calls it once per
+	// cell group. A canceled context aborts a live mesh mid-pair.
 	Measure(ctx context.Context, c Cell) (*place.Environment, error)
 
 	// Execute returns the completion of placement p of app on the
@@ -140,7 +139,7 @@ type Backend interface {
 	// MeshEpoch tags the backend's current measurement epoch. Sim
 	// measurements are pure functions of the cell and always report 0;
 	// live meshes drift, so live backends report a non-zero epoch that
-	// keys their cache entries — two epochs never share a measurement.
+	// the sweep's cell keys carry — two epochs never share a measurement.
 	MeshEpoch() int64
 
 	// CheckCapacity reports whether the backend can measure cells of up

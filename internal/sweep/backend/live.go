@@ -29,8 +29,8 @@ type LiveConfig struct {
 	// MemBus is the intra-machine rate on the environment's diagonal
 	// (default 4 Gbit/s; the paper models it as effectively infinite).
 	MemBus units.Rate
-	// Epoch tags this backend's measurement epoch (default 1). Cache
-	// entries carry it, so measurements from different epochs — the
+	// Epoch tags this backend's measurement epoch (default 1). Sweep
+	// cell keys carry it, so measurements from different epochs — the
 	// mesh drifts between sweeps — are never conflated.
 	Epoch int64
 	// Obs, when non-nil, instruments every mesh the backend runs:

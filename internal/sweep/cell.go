@@ -84,10 +84,11 @@ func (s *CacheStats) add(o CacheStats) {
 
 // cell is one built cell: the measured cloud its group shares and the
 // cell key's placement problem — a single application for snapshot
-// cells, a Start-ordered arrival sequence for sequence cells. env, cloud
-// and the applications are read-only: placement algorithms read them,
-// executions run fresh simulators over cloud, and sequence runs take a
-// clone of env because they re-measure mid-run.
+// cells, a Start-ordered arrival sequence for sequence cells. A cell is
+// complete before any of its scenarios runs, and from then on it is
+// read-only, so a group's scenarios run on it concurrently: placement
+// algorithms read it, executions run fresh simulators over cloud, and
+// sequence runs take a clone of env because they re-measure mid-run.
 type cell struct {
 	env *place.Environment
 	// cloud is the group's pristine simulated cloud (nil on live
@@ -97,62 +98,63 @@ type cell struct {
 	app   *profile.Application
 	seq   []*profile.Application
 
-	// The snapshot cell's exact-optimum reference, computed by the first
-	// scenario that needs it (see Grid.computeReference).
-	refDone bool
-	refVal  float64
-	refOK   bool
+	// hasRef reports whether the snapshot cell carries its exact-optimum
+	// reference ref (see Grid.computeReference): buildGroup computes it
+	// when one of the cell's scenarios needs it and the search finishes.
+	hasRef bool
+	ref    float64
 }
 
-// cellGroup is what one worker holds while it runs a cell group: the
-// current cell, its key and the group's sharing counts. A group's
-// scenarios arrive in expansion order, in which its cell keys are
-// contiguous (they vary slower than algorithm and re-evaluation
-// period), so each distinct key is built once. The group is a local of
-// its worker's loop: the cloud, the measurement and the applications
-// are released when its last scenario finishes.
-type cellGroup struct {
-	g      *Grid
-	ro     *runObs
-	counts CacheStats
-	key    CellKey
-	cell   *cell
-}
-
-// run executes sc on its cell, building the cell first when sc is the
-// first scenario of its key.
-func (cg *cellGroup) run(ctx context.Context, sc Scenario) (Result, error) {
-	if key := cg.g.CellKey(sc); cg.cell != nil && key == cg.key {
-		cg.counts.Hits++
-	} else {
-		c, err := cg.g.buildCell(ctx, sc, cg.cell, cg.ro)
-		if err != nil {
-			return Result{}, err
-		}
-		cg.counts.Misses++
-		if cg.cell == nil {
-			cg.counts.MeasurementMisses++
+// buildGroup builds a cell group's cells: the cloud and its measurement
+// once, each distinct cell key's application or arrival sequence once,
+// and each snapshot cell's optimal reference once if a scenario needs
+// it. cells[j] is scs[j]'s cell, and counts the group's CacheStats. scs
+// must be in expansion order, in which cell keys are contiguous.
+func (g *Grid) buildGroup(ctx context.Context, scs []Scenario, ro *runObs) (cells []*cell, counts CacheStats, err error) {
+	cells = make([]*cell, len(scs))
+	var c *cell
+	var key CellKey
+	refTried := false
+	for j, sc := range scs {
+		if k := g.CellKey(sc); c != nil && k == key {
+			counts.Hits++
 		} else {
-			cg.counts.MeasurementHits++
+			prev := c
+			if c, err = g.buildCell(ctx, sc, prev, ro); err != nil {
+				return nil, CacheStats{}, err
+			}
+			key, refTried = k, false
+			counts.Misses++
+			if prev == nil {
+				counts.MeasurementMisses++
+			} else {
+				counts.MeasurementHits++
+			}
 		}
-		cg.cell, cg.key = c, key
+		cells[j] = c
+		// A snapshot cell small enough for the exact search carries the
+		// reference, unless its only scenarios run the optimum itself.
+		if !refTried && g.Mode != Sequence && g.OptimalMaxTasks > 0 && c.app.Tasks() <= g.OptimalMaxTasks &&
+			(sc.Algorithm.Core != core.AlgOptimal || sc.Algorithm.ILP) {
+			if c.ref, c.hasRef, err = g.computeReference(ctx, sc, c); err != nil {
+				return nil, CacheStats{}, err
+			}
+			refTried = true
+		}
 	}
-	if cg.g.Mode == Sequence {
-		return cg.g.runSequenceScenario(sc, cg.cell, cg.ro)
-	}
-	return cg.g.runScenario(ctx, sc, cg.cell, cg.ro)
+	return cells, counts, nil
 }
 
 // buildCell builds sc's cell: its application, or arrival sequence in
 // sequence mode, on the group's measured cloud. prev is the group's
 // previous cell, whose cloud and measurement the new cell shares; for a
 // group's first cell (prev nil) the cloud is built and measured. The
-// build and measure spans parent under the calling scenario's span
-// (stashed in ctx); a live backend's cluster.mesh span parents under
-// the measure span the same way.
+// build and measure spans parent under the span stashed in ctx (the
+// run span); a live backend's cluster.mesh span parents under the
+// measure span the same way.
 func (g *Grid) buildCell(ctx context.Context, sc Scenario, prev *cell, ro *runObs) (c *cell, err error) {
 	buildStart := time.Now()
-	bspan := ro.span(obs.SpanFromContext(ctx), "sweep.build")
+	bspan := ro.o.StartSpan(obs.SpanFromContext(ctx), "sweep.build")
 	defer func() {
 		if err != nil {
 			bspan.End(obs.String("outcome", "error"))
@@ -174,37 +176,26 @@ func (g *Grid) buildCell(ctx context.Context, sc Scenario, prev *cell, ro *runOb
 		c.env, c.cloud = prev.env, prev.cloud
 		return c, nil
 	}
-	if c.env, c.cloud, err = g.measureCloud(ctx, bspan, sc, ro); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// measureCloud builds the scenario's cloud on the sim backend (a live
-// backend's cloud is the real mesh) and measures it through the
-// backend.
-func (g *Grid) measureCloud(ctx context.Context, parent obs.Span, sc Scenario, ro *runObs) (*place.Environment, *topology.Provider, error) {
+	// Build the cloud on the sim backend (a live backend's cloud is the
+	// real mesh) and measure it through the backend.
 	measureStart := time.Now()
-	mspan := ro.span(parent, "sweep.measure")
+	mspan := ro.o.StartSpan(bspan, "sweep.measure")
 	if mspan.ID() != 0 {
 		ctx = obs.ContextWithSpan(ctx, mspan)
 	}
-	var cloud *topology.Provider
-	var err error
 	if _, sim := g.backend().(*backend.Sim); sim {
-		cloud, err = core.NewCloud(sc.Topology.Profile, sc.cloudSeed(), sc.VMs)
+		c.cloud, err = core.NewCloud(sc.Topology.Profile, sc.cloudSeed(), sc.VMs)
 	}
-	var env *place.Environment
 	if err == nil {
-		env, err = g.backend().Measure(ctx, g.backendCell(sc, cloud))
+		c.env, err = g.backend().Measure(ctx, g.backendCell(sc, c.cloud))
 	}
 	if err != nil {
 		mspan.End(obs.String("outcome", "error"))
-		return nil, nil, fmt.Errorf("sweep: measuring %s: %w", sc.Topology.Name, err)
+		return nil, fmt.Errorf("sweep: measuring %s: %w", sc.Topology.Name, err)
 	}
 	mspan.End(obs.String("outcome", "ok"))
 	ro.phase("measure", measureStart)
-	return env, cloud, nil
+	return c, nil
 }
 
 // buildSequence draws a sequence cell's arrival sequence. Cells that

@@ -2,7 +2,9 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -33,18 +35,32 @@ func resultLines(stream string) []string {
 	return lines[1 : len(lines)-1]
 }
 
-// TestGroupSharingDeterministic shows that running the algorithms of a
-// cell one after another on one shared cell leaks nothing between them:
-// each algorithm, swept alone as a one-algorithm grid, writes exactly
-// the result lines it writes inside the full grid. The cloud seed and
-// the Random baseline's rng do not depend on the algorithm, so any
+// sharingGrid is goldenGrid plus the Random baseline and ec2-2013's
+// skewed rates, so that a run which changed its cell's measurement
+// would change what a later algorithm of the cell places.
+func sharingGrid() Grid {
+	g := goldenGrid()
+	tp, _ := TopologyByName("ec2-2013")
+	g.Topologies = append(g.Topologies, tp)
+	alg, _ := AlgorithmByName("random")
+	g.Algorithms = append(g.Algorithms, alg)
+	return g
+}
+
+// TestGroupSharingDeterministic shows that running a group's scenarios
+// on its one shared cell leaks nothing between them. Each result line
+// of the full grid's stream must equal both the line its algorithm
+// writes when swept alone as a one-algorithm grid, and the line its
+// scenario writes when run on a cell built for it alone. The cloud seed
+// and the Random baseline's rng do not depend on the algorithm, so any
 // difference would be state one run left on the shared cloud,
-// measurement, application or optimal reference for the next.
+// measurement, application or optimal reference for another.
 func TestGroupSharingDeterministic(t *testing.T) {
-	for name, grid := range map[string]func() Grid{"snapshot": goldenGrid, "sequence": tinySeqGrid} {
+	for name, grid := range map[string]func() Grid{"snapshot": sharingGrid, "sequence": tinySeqGrid} {
 		full := grid()
+		lines := resultLines(streamGrid(t, full, 4))
 		byAlg := map[string][]string{}
-		for _, ln := range resultLines(streamGrid(t, full, 4)) {
+		for _, ln := range lines {
 			var r Result
 			if err := json.Unmarshal([]byte(ln), &r); err != nil {
 				t.Fatalf("%s: bad result line %q: %v", name, ln, err)
@@ -66,7 +82,75 @@ func TestGroupSharingDeterministic(t *testing.T) {
 				}
 			}
 		}
+
+		// Run each cell group's scenarios one after another on its
+		// shared cells, and each scenario on cells built for it alone:
+		// both must write the full grid's line, and afterwards the
+		// shared cells must still equal freshly built ones.
+		scs, err := full.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var order []CellKey
+		groups := map[CellKey][]int{}
+		for i, sc := range scs {
+			key := full.CellKey(sc).MeasurementKey()
+			if _, ok := groups[key]; !ok {
+				order = append(order, key)
+			}
+			groups[key] = append(groups[key], i)
+		}
+		for _, key := range order {
+			idx := groups[key]
+			grp := make([]Scenario, len(idx))
+			for j, i := range idx {
+				grp[j] = scs[i]
+			}
+			shared := buildCells(t, full, grp)
+			for j, i := range idx {
+				for arm, c := range []*cell{shared[j], buildCells(t, full, grp[j:j+1])[0]} {
+					if got := runLine(t, full, grp[j], c); got != lines[i] {
+						t.Errorf("%s scenario %d differs on %s cell:\ngot:  %s\nfull: %s",
+							name, i, []string{"its group's shared", "a"}[arm], got, lines[i])
+					}
+				}
+			}
+			// The clouds are left out: two builds of one cloud are not
+			// DeepEqual, and a changed cloud would change a later
+			// execution's completion above.
+			for j, c := range buildCells(t, full, grp) {
+				s := *shared[j]
+				s.cloud = c.cloud
+				if !reflect.DeepEqual(s, *c) {
+					t.Errorf("%s scenario %d: its group's runs changed the shared cell", name, idx[j])
+				}
+			}
+		}
 	}
+}
+
+// buildCells builds scs's cells as one cell group.
+func buildCells(t *testing.T, g Grid, scs []Scenario) []*cell {
+	t.Helper()
+	cells, _, err := g.buildGroup(context.Background(), scs, newRunObs(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells
+}
+
+// runLine runs sc on c and returns the stream line its result writes.
+func runLine(t *testing.T, g Grid, sc Scenario, c *cell) string {
+	t.Helper()
+	r, err := g.runOn(context.Background(), sc, c, newRunObs(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := NewStreamWriter(&buf).Result(r); err != nil {
+		t.Fatal(err)
+	}
+	return strings.TrimSpace(buf.String())
 }
 
 // TestSequenceBuildSpansCountCells: a sequence cell group opens one

@@ -680,8 +680,8 @@ func (sc Scenario) cloudSeed() int64 {
 	// for any interarrival mean, so sweeping the arrival or migration
 	// dimensions is a same-cloud, same-applications comparison — the
 	// §6.3 analogue of every algorithm in a cell group facing the
-	// identical cloud. The cells remain distinct in the environment
-	// cache, whose Key carries the sequence coordinates explicitly.
+	// identical cloud. The cells stay distinct: their CellKey carries
+	// the sequence coordinates explicitly.
 	// Keep it positive and well away from zero for rand.NewSource.
 	return int64(h&0x7fffffffffffffff) | 1
 }

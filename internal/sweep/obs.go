@@ -27,7 +27,7 @@ type runObs struct {
 	utilization  *obs.Gauge        // choreo_sweep_worker_utilization
 	acc          *obs.Accuracy     // choreo_prediction_* (executed cells)
 
-	busyNs atomic.Int64 // total cell wall-clock, for utilization
+	busyNs atomic.Int64 // worker wall-clock in cells and group builds, for utilization
 }
 
 func newRunObs(o *obs.Observer) *runObs {
@@ -35,7 +35,7 @@ func newRunObs(o *obs.Observer) *runObs {
 	return &runObs{
 		o: o,
 		cellSeconds: r.Histogram("choreo_sweep_cell_seconds",
-			"Wall-clock duration of one sweep cell (build + place + execute).",
+			"Wall-clock duration of one sweep cell (place + execute; its group's build is the build phase).",
 			obs.DurationBuckets()),
 		phaseSeconds: r.HistogramVec("choreo_sweep_phase_seconds",
 			"Wall-clock duration of sweep cell phases.", obs.DurationBuckets(), "phase"),
@@ -44,7 +44,7 @@ func newRunObs(o *obs.Observer) *runObs {
 		workersGauge: r.Gauge("choreo_sweep_workers",
 			"Worker pool size of the current sweep run."),
 		utilization: r.Gauge("choreo_sweep_worker_utilization",
-			"Fraction of worker wall-clock spent inside cells over the last run."),
+			"Fraction of worker wall-clock spent inside cells and cell-group builds over the last run."),
 		acc: obs.NewAccuracy(r),
 	}
 }
@@ -62,7 +62,7 @@ func (ro *runObs) start(g *Grid, scenarios, workers int) {
 }
 
 // finish closes the run span and derives worker utilization: the share
-// of (workers × wall-clock) actually spent inside cells.
+// of (workers × wall-clock) actually spent inside cells and group builds.
 func (ro *runObs) finish(wall time.Duration, outcome string) {
 	workers := ro.workersGauge.Value()
 	if workers > 0 && wall > 0 {
@@ -71,38 +71,13 @@ func (ro *runObs) finish(wall time.Duration, outcome string) {
 	ro.runSpan.End(obs.String("outcome", outcome))
 }
 
-// phase records one phase duration. Nil-safe: runScenario is reachable
-// from the exported Run* entry points only, which always build a runObs,
-// but the guard keeps a future direct caller from tripping.
+// phase records one phase that started at start.
 func (ro *runObs) phase(name string, start time.Time) {
-	if ro == nil {
-		return
-	}
 	ro.phaseSeconds.With(name).Observe(time.Since(start).Seconds())
-}
-
-// phaseDur records a phase whose duration the caller already measured
-// (placement latency is part of the result contract, not re-timed).
-func (ro *runObs) phaseDur(name string, d time.Duration) {
-	if ro == nil {
-		return
-	}
-	ro.phaseSeconds.With(name).Observe(d.Seconds())
-}
-
-// span opens a span on the run's observer under the given parent.
-func (ro *runObs) span(parent obs.Span, name string, attrs ...obs.Attr) obs.Span {
-	if ro == nil {
-		return obs.Span{}
-	}
-	return ro.o.StartSpan(parent, name, attrs...)
 }
 
 // cellSpan opens one cell's span under the run span.
 func (ro *runObs) cellSpan(sc Scenario) obs.Span {
-	if ro == nil {
-		return obs.Span{}
-	}
 	return ro.o.StartSpan(ro.runSpan, "sweep.cell",
 		obs.String("topology", sc.Topology.Name),
 		obs.String("workload", sc.Workload.Name),
@@ -113,26 +88,6 @@ func (ro *runObs) cellSpan(sc Scenario) obs.Span {
 
 // cellDone folds a finished cell into the histograms.
 func (ro *runObs) cellDone(d time.Duration) {
-	if ro == nil {
-		return
-	}
 	ro.cellSeconds.Observe(d.Seconds())
 	ro.busyNs.Add(d.Nanoseconds())
-}
-
-// recordAccuracy folds one executed cell's predicted and measured
-// completion (seconds) into the accuracy plane.
-func (ro *runObs) recordAccuracy(algorithm, topology string, predicted, measured float64) {
-	if ro == nil {
-		return
-	}
-	ro.acc.RecordExecution(algorithm, topology, predicted, measured)
-}
-
-// depth records the reorder buffer's occupancy after a delivery.
-func (ro *runObs) depth(n int) {
-	if ro == nil {
-		return
-	}
-	ro.reorderDepth.Set(float64(n))
 }

@@ -266,7 +266,7 @@ func (a *Aggregator) Aggregates() ([]Aggregate, error) {
 
 // WriteJSON encodes the report as indented JSON. The encoding is
 // byte-identical for identical grids and seeds regardless of worker
-// count, host speed or cache state.
+// count or host speed.
 func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

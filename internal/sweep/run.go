@@ -232,6 +232,14 @@ func (g *Grid) sequenceParams(sc Scenario) sequence.Params {
 	}
 }
 
+// runOn runs sc on its built cell.
+func (g *Grid) runOn(ctx context.Context, sc Scenario, c *cell, ro *runObs) (Result, error) {
+	if g.Mode == Sequence {
+		return g.runSequenceScenario(sc, c, ro)
+	}
+	return g.runScenario(ctx, sc, c, ro)
+}
+
 // runSequenceScenario executes one sequence scenario on its built cell:
 // play the arrival sequence with the scenario's algorithm on a fresh
 // simulator over the cell's cloud — the cloud its measurement saw, with
@@ -280,14 +288,13 @@ func (g *Grid) runSequenceScenario(sc Scenario, c *cell, ro *runObs) (Result, er
 // runScenario executes one snapshot scenario on its built cell: place
 // with the scenario's algorithm, execute the placement through the
 // backend (simulated byte transfer on sim, predicted completion on
-// live), and attach the slowdown-vs-optimal reference, which the cell
-// computes once for its whole group.
+// live), and attach the slowdown-vs-optimal reference the cell carries.
 func (g *Grid) runScenario(ctx context.Context, sc Scenario, c *cell, ro *runObs) (Result, error) {
 	var rng *rand.Rand
 	if sc.Algorithm.Core == core.AlgRandom && !sc.Algorithm.ILP {
 		rng = rand.New(rand.NewSource(sc.cloudSeed() + 1))
 	}
-	pspan := ro.span(obs.SpanFromContext(ctx), "sweep.place",
+	pspan := ro.o.StartSpan(obs.SpanFromContext(ctx), "sweep.place",
 		obs.String("algorithm", sc.Algorithm.Name))
 	start := time.Now()
 	p, err := g.place(sc, c, rng)
@@ -298,7 +305,7 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, c *cell, ro *runObs
 			sc.Topology.Name, sc.Workload.Name, sc.Algorithm.Name, sc.Seed, err)
 	}
 	pspan.End(obs.String("outcome", "ok"))
-	ro.phaseDur("place", latency)
+	ro.phaseSeconds.With("place").Observe(latency.Seconds()) // the result's latency, not re-timed
 	execStart := time.Now()
 	exec, err := g.backend().Execute(ctx, g.backendCell(sc, c.cloud), c.app, c.env, p, g.Model)
 	if err != nil {
@@ -326,24 +333,16 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, c *cell, ro *runObs
 			pct := 100 * (pred - meas) / meas
 			res.ErrorPct = &pct
 		}
-		ro.recordAccuracy(sc.Algorithm.Name, sc.Topology.Name, pred, meas)
+		ro.acc.RecordExecution(sc.Algorithm.Name, sc.Topology.Name, pred, meas)
 	}
 
 	if g.OptimalMaxTasks > 0 && c.app.Tasks() <= g.OptimalMaxTasks {
-		var opt float64
-		var computed bool
+		// The cell carries the reference its group computed, unless the
+		// scenario ran the optimum itself: then its own completion is
+		// the reference.
+		opt, computed := c.ref, c.hasRef
 		if sc.Algorithm.Core == core.AlgOptimal && !sc.Algorithm.ILP {
-			// The scenario ran the optimum itself: its own completion is
-			// the reference.
 			opt, computed = res.CompletionSeconds, true
-		} else {
-			if !c.refDone {
-				if c.refVal, c.refOK, err = g.computeReference(ctx, sc, c); err != nil {
-					return Result{}, err
-				}
-				c.refDone = true
-			}
-			opt, computed = c.refVal, c.refOK
 		}
 		if computed {
 			res.OptimalSeconds = &opt
@@ -373,7 +372,7 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, c *cell, ro *runObs
 // slowdowns slightly below 1 are genuine.) The second return reports
 // whether a reference was computed at all (branch and bound can exhaust
 // its node budget). The value is a pure function of the cell, which is
-// what lets the cell keep it for the rest of its group.
+// what lets buildGroup compute it once for all of the cell's scenarios.
 func (g *Grid) computeReference(ctx context.Context, sc Scenario, c *cell) (float64, bool, error) {
 	p, err := place.Optimal(c.app, c.env, g.Model, g.OptimalMaxNodes)
 	if errors.Is(err, place.ErrSearchBudget) {
@@ -429,26 +428,24 @@ type RunOptions struct {
 // and aggregating incrementally. Returns the grid echo, per-algorithm
 // aggregates and the cell-sharing counts.
 //
-// The unit of work is a cell group: the to-run scenarios whose cell keys
-// share a MeasurementKey, in first-appearance order. One worker runs a
-// whole group (see cellGroup), so every algorithm of a cell runs on the
-// one cloud and measurement the group built, with no state shared
-// between workers. For snapshot cells and live keys a group is one
-// cell; for sequence cells it also covers the cells that differ only in
-// interarrival or sequence length, which share one cloud. That has two
-// costs:
+// One worker builds each cell group (Grid.buildGroup): the to-run
+// scenarios whose cell keys share a MeasurementKey, in first-appearance
+// order — one cell for snapshot and live keys; for sequence keys also
+// the cells that differ only in interarrival or sequence length, which
+// share one cloud. The built cells are read-only, so the group's
+// scenarios then run on any worker, and the cells go out of scope with
+// the last of them. That has two costs:
 //
-//   - Coarser work units. List-scheduling the perfbench grids' 4-seed
-//     passes on 2 workers, with each scenario's -workers 1 time, gives
-//     a pass makespan 0.1% longer with group units than with scenario
-//     units on the snapshot grid and 7.5% longer on the sequence grid
-//     (12 groups of 12 scenarios per pass; 2-vCPU host). The model
-//     leaves out the waits on another worker's build that scenario
-//     units had.
-//   - A deeper reorder buffer. A group's results are spread over one
-//     expansion block (algorithms × seeds, times the sequence
-//     coordinates), so the buffer can hold up to about one block of
-//     results per worker rather than the workers' skew.
+//   - A group's scenarios wait until one worker has built all of its
+//     cells and optimal references.
+//   - A deeper reorder buffer. A group's results are spread over an
+//     expansion block (algorithms × seeds × sequence coordinates), so
+//     the buffer holds about one block, more while a slow group holds
+//     the front back, rather than the workers' skew. Streaming the
+//     default grids with -seeds 64 (snapshot, 192-result blocks) and
+//     -seeds 32 (sequence, 384) on 2 vCPUs peaked at 181–580 and
+//     339–520 results at 2 and 8 workers, against 65–188 and 17–68
+//     with scenarios as the unit of building.
 //
 // Full Results are otherwise not retained: what grows with grid size is
 // the expanded scenario list, which already exceeds any expansion
@@ -464,9 +461,10 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 		return nil, err
 	}
 	// included: the expansion indices this run covers, in order (a shard
-	// slice, or the whole grid). groups partitions the ones that are not
-	// prefilled — only those execute; prefilled results replay through
-	// the same ordered delivery below.
+	// slice, or the whole grid); a scenario's position in it is its
+	// position in the emitted stream. groups partitions the positions
+	// that are not prefilled — only those execute; prefilled results
+	// replay through the same ordered delivery below.
 	var included []int
 	var groups [][]int
 	groupOf := make(map[CellKey]int)
@@ -485,7 +483,7 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 			groupOf[key] = gi
 			groups = append(groups, nil)
 		}
-		groups[gi] = append(groups[gi], i)
+		groups[gi] = append(groups[gi], len(included)-1)
 	}
 
 	ro := newRunObs(opts.Obs)
@@ -497,18 +495,12 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 	agg := NewAggregator(g.algorithmNames(), g.Timing)
 
 	// Reorder buffer: workers finish out of order, the stream is emitted
-	// in expansion order. rank maps an expansion index to its position
-	// in the run's emission sequence (they differ once Include skips
-	// indices). Holding completed-but-not-yet-due results in a map
-	// bounds its size by about one expansion block per worker, not grid
+	// in expansion order. Holding completed-but-not-yet-due results in a map
+	// bounds its size by about one expansion block (see above), not grid
 	// size — and once the run is doomed (a scenario or the emit
 	// destination failed, so the output will be discarded), the buffer
 	// is dropped and the rest of the grid skipped rather than simulated
 	// into the void.
-	rank := make(map[int]int, len(included))
-	for pos, i := range included {
-		rank[i] = pos
-	}
 	var mu sync.Mutex
 	pending := make(map[int]Result)
 	next := 0
@@ -521,18 +513,18 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 			return
 		}
 		pending[pos] = r
-		ro.depth(len(pending))
+		ro.reorderDepth.Set(float64(len(pending)))
 		for {
 			due, ok := pending[next]
 			if !ok {
 				return
 			}
 			delete(pending, next)
-			ro.depth(len(pending))
+			ro.reorderDepth.Set(float64(len(pending)))
 			next++
 			agg.Add(due)
 			if opts.Emit != nil {
-				rspan := ro.span(ro.runSpan, "sweep.report", obs.Int("pos", int64(next-1)))
+				rspan := ro.o.StartSpan(ro.runSpan, "sweep.report", obs.Int("pos", int64(next-1)))
 				reportStart := time.Now()
 				emitErr = opts.Emit(due)
 				ro.phase("report", reportStart)
@@ -551,42 +543,73 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 	// Seed the buffer with the prior run's results; leading ones flush
 	// to the destination immediately, interleaved ones wait for their
 	// predecessors like any other completed-but-not-due result.
-	for _, i := range included {
+	for pos, i := range included {
 		if r, done := opts.Prefilled[i]; done {
-			deliver(rank[i], r)
+			deliver(pos, r)
 		}
 	}
 
+	// Each group is built on one worker; its scenarios then go back to
+	// the pool, each running on its built cell. The cells are read-only
+	// by then, and they go out of scope with the group's last scenario.
+	type job struct {
+		pos int
+		c   *cell
+	}
+	abort := func() {
+		aborted.Store(true)
+		mu.Lock()
+		pending = nil
+		mu.Unlock()
+	}
+	bctx := ctx
+	if ro.runSpan.ID() != 0 {
+		bctx = obs.ContextWithSpan(ctx, ro.runSpan)
+	}
 	var stats CacheStats
-	err = Parallel(len(groups), opts.Workers, func(k int) error {
-		grp := cellGroup{g: &g, ro: ro}
-		for _, i := range groups[k] {
-			if aborted.Load() {
-				return nil
-			}
-			sc := scenarios[i]
-			span := ro.cellSpan(sc)
-			cctx := ctx
-			if span.ID() != 0 {
-				cctx = obs.ContextWithSpan(ctx, span)
-			}
-			cellStart := time.Now()
-			r, err := grp.run(cctx, sc)
-			if err != nil {
-				span.End(obs.String("outcome", "error"))
-				aborted.Store(true)
-				mu.Lock()
-				pending = nil
-				mu.Unlock()
-				return err
-			}
-			ro.cellDone(time.Since(cellStart))
-			span.End(obs.String("outcome", "ok"))
-			deliver(rank[i], r)
+	err = fanOut(len(groups), opts.Workers, func(k int) ([]job, error) {
+		if aborted.Load() {
+			return nil, nil
+		}
+		scs := make([]Scenario, len(groups[k]))
+		for j, pos := range groups[k] {
+			scs[j] = scenarios[included[pos]]
+		}
+		buildStart := time.Now()
+		cells, counts, err := g.buildGroup(bctx, scs, ro)
+		ro.busyNs.Add(time.Since(buildStart).Nanoseconds())
+		if err != nil {
+			abort()
+			return nil, err
 		}
 		mu.Lock()
-		stats.add(grp.counts)
+		stats.add(counts)
 		mu.Unlock()
+		jobs := make([]job, len(cells))
+		for j, pos := range groups[k] {
+			jobs[j] = job{pos, cells[j]}
+		}
+		return jobs, nil
+	}, func(jb job) error {
+		if aborted.Load() {
+			return nil
+		}
+		sc := scenarios[included[jb.pos]]
+		span := ro.cellSpan(sc)
+		cctx := ctx
+		if span.ID() != 0 {
+			cctx = obs.ContextWithSpan(ctx, span)
+		}
+		cellStart := time.Now()
+		r, err := g.runOn(cctx, sc, jb.c, ro)
+		if err != nil {
+			span.End(obs.String("outcome", "error"))
+			abort()
+			return err
+		}
+		ro.cellDone(time.Since(cellStart))
+		span.End(obs.String("outcome", "ok"))
+		deliver(jb.pos, r)
 		return nil
 	})
 	if err != nil {

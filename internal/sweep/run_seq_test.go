@@ -62,15 +62,18 @@ func tinySeqGrid() Grid {
 
 // TestSequenceStreamDeterministic extends the engine's core guarantee to
 // sequence cells: byte-identical JSONL across worker counts, even where
-// migrations stop and restart flows mid-simulation.
+// migrations stop and restart flows mid-simulation. Two seeds make two
+// cell groups, so 8 workers build groups and run scenarios at once.
 func TestSequenceStreamDeterministic(t *testing.T) {
-	base := streamGrid(t, tinySeqGrid(), 1)
-	if got := streamGrid(t, tinySeqGrid(), 8); got != base {
+	g := tinySeqGrid()
+	g.Seeds = []int64{1, 2}
+	base := streamGrid(t, g, 1)
+	if got := streamGrid(t, g, 8); got != base {
 		t.Fatal("sequence stream differs between -workers 1 and -workers 8")
 	}
 	lines := strings.Split(strings.TrimSpace(base), "\n")
-	if want := 8 + 2; len(lines) != want {
-		t.Fatalf("stream has %d lines, want header + 8 scenarios + aggregates", len(lines))
+	if want := 16 + 2; len(lines) != want {
+		t.Fatalf("stream has %d lines, want header + 16 scenarios + aggregates", len(lines))
 	}
 	if !strings.Contains(lines[0], `"mode":"sequence"`) {
 		t.Errorf("grid echo does not declare sequence mode: %s", lines[0])

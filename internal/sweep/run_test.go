@@ -68,7 +68,7 @@ func reportJSON(t *testing.T, g Grid, workers int) []byte {
 
 // TestDeterministicAcrossWorkerCountsAndCache is the engine's core
 // guarantee: the same grid and seeds produce byte-identical JSON whether
-// cell groups run sequentially or spread over eight workers. Under
+// the scenarios run on one worker or spread over eight. Under
 // -race this also shakes out data races in the pool and the reorder
 // buffer. TestGroupSharingDeterministic covers what sharing a cell
 // across its algorithms could leak.

@@ -11,7 +11,7 @@ import (
 // expansion order, and one final aggregates line. Results are written
 // as they stream in rather than collected, so a 100k-scenario sweep
 // retains only its aggregate series in memory — and the bytes are
-// identical for a given grid regardless of worker count or cache state.
+// identical for a given grid regardless of worker count.
 //
 //	{"grid":{...}}
 //	{"topology":"ec2-2013","workload":"shuffle",...}

@@ -209,6 +209,63 @@ func TestParallelReturnsSmallestIndexError(t *testing.T) {
 	}
 }
 
+// TestFanOutRunsEveryTaskOnce: every build runs once, every task a
+// build returns runs once after it, for any worker count; a build that
+// returns many tasks spreads them over the pool.
+func TestFanOutRunsEveryTaskOnce(t *testing.T) {
+	for _, workers := range []int{0, 1, 3, 16} {
+		var builds [5]int32
+		var runs [5][7]int32
+		err := fanOut(len(builds), workers, func(k int) ([][2]int, error) {
+			atomic.AddInt32(&builds[k], 1)
+			tasks := make([][2]int, len(runs[k]))
+			for j := range tasks {
+				tasks[j] = [2]int{k, j}
+			}
+			return tasks, nil
+		}, func(t [2]int) error {
+			if atomic.LoadInt32(&builds[t[0]]) != 1 {
+				return fmt.Errorf("task %v ran before its build", t)
+			}
+			atomic.AddInt32(&runs[t[0]][t[1]], 1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range runs {
+			for j, c := range runs[k] {
+				if builds[k] != 1 || c != 1 {
+					t.Fatalf("workers=%d: build %d ran %d times, its task %d %d times", workers, k, builds[k], j, c)
+				}
+			}
+		}
+	}
+}
+
+// TestFanOutReturnsSmallestBuildError: the error returned is that of the
+// smallest failing build, a failing task counting under its build.
+func TestFanOutReturnsSmallestBuildError(t *testing.T) {
+	wantErr := errors.New("task of build 2")
+	err := fanOut(6, 4, func(k int) ([]int, error) {
+		if k == 4 {
+			return nil, errors.New("build 4")
+		}
+		return []int{k}, nil
+	}, func(k int) error {
+		if k == 2 {
+			return wantErr
+		}
+		return nil
+	})
+	if err != wantErr {
+		t.Errorf("got %v, want the smallest build's error", err)
+	}
+	if err := fanOut(0, 4, func(int) ([]int, error) { return nil, errors.New("never") }, nil); err != nil {
+		t.Errorf("empty fanOut returned %v", err)
+	}
+}
+
 func TestTraceWorkloadRoundTrip(t *testing.T) {
 	g := tinyGrid()
 	g.Apps = 0 // whole trace
