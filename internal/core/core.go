@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"choreo/internal/bottleneck"
@@ -127,8 +128,18 @@ type Choreo struct {
 // New builds an orchestrator. The rng drives measurement noise and the
 // Random baseline.
 func New(net *netsim.Network, vms []topology.VM, rng *rand.Rand, opts Options) (*Choreo, error) {
+	c := &Choreo{net: net, rng: rng}
+	if err := c.init(vms, opts); err != nil {
+		return nil, err
+	}
+	c.medium = packetsim.NewMedium(net, rng)
+	return c, nil
+}
+
+// init sets the orchestrated VMs and the options, defaults filled.
+func (c *Choreo) init(vms []topology.VM, opts Options) error {
 	if len(vms) < 2 {
-		return nil, fmt.Errorf("core: need at least 2 VMs, got %d", len(vms))
+		return fmt.Errorf("core: need at least 2 VMs, got %d", len(vms))
 	}
 	if opts.CPUPerVM <= 0 {
 		opts.CPUPerVM = 4
@@ -136,13 +147,8 @@ func New(net *netsim.Network, vms []topology.VM, rng *rand.Rand, opts Options) (
 	if opts.TrainConfig.Bursts == 0 {
 		opts.TrainConfig = probe.DefaultEC2()
 	}
-	return &Choreo{
-		net:    net,
-		medium: packetsim.NewMedium(net, rng),
-		vms:    vms,
-		rng:    rng,
-		opts:   opts,
-	}, nil
+	c.vms, c.opts = vms, opts
+	return nil
 }
 
 // NewSimulated builds a simulated cloud and its orchestrator: the
@@ -173,12 +179,39 @@ func NewCloud(profile topology.Profile, seed int64, vms int) (*topology.Provider
 	return prov, nil
 }
 
-// NewOnCloud builds an orchestrator over a fresh simulator on a cloud
-// from NewCloud(profile, seed, ...), its rng seeded with seed+1 as
-// NewSimulated's is. Orchestrators on one cloud share nothing mutable.
+// orchestrators holds released orchestrators for NewOnCloud and
+// ExecuteOnCloud to reuse: each keeps its simulator, rng and
+// measurement scratch, which a reuse resets and reseeds. sync.Pool hands
+// an orchestrator to one goroutine at a time.
+var orchestrators = sync.Pool{New: func() any {
+	return &Choreo{net: new(netsim.Network), rng: rand.New(rand.NewSource(0)), medium: new(packetsim.Medium)}
+}}
+
+// NewOnCloud builds an orchestrator on a cloud from NewCloud(profile,
+// seed, ...), its rng seeded with seed+1 as NewSimulated's is. The
+// orchestrator is a released one when there is one: its simulator is
+// Reset onto cloud, its rng reseeded (which replays the stream of a
+// fresh source) and its measurement scratch rebound, so it measures,
+// places and executes bit-identically to one built by New. Call
+// Release when done with it. Orchestrators on one cloud share nothing
+// mutable.
 func NewOnCloud(cloud *topology.Provider, seed int64, opts Options) (*Choreo, error) {
-	return New(netsim.New(cloud), cloud.VMs(), rand.New(rand.NewSource(seed+1)), opts)
+	c := orchestrators.Get().(*Choreo)
+	if err := c.init(cloud.VMs(), opts); err != nil {
+		orchestrators.Put(c)
+		return nil, err
+	}
+	c.net.Reset(cloud)
+	c.rng.Seed(seed + 1)
+	c.medium.Reset(c.net, c.rng)
+	return c, nil
 }
+
+// Release hands an orchestrator from NewOnCloud back for a later
+// NewOnCloud or ExecuteOnCloud to reuse. Neither c nor anything it
+// handed out — its Network, that network's flows, a PairStates slice —
+// may be used afterwards.
+func (c *Choreo) Release() { orchestrators.Put(c) }
 
 // Network exposes the underlying simulator.
 func (c *Choreo) Network() *netsim.Network { return c.net }
@@ -302,32 +335,48 @@ func PlaceWith(app *profile.Application, env *place.Environment, alg Algorithm, 
 // "avoiding any network transmission time"). It returns the application's
 // completion time (not counting measurement, matching §6.2).
 func (c *Choreo) Execute(app *profile.Application, p place.Placement) (time.Duration, error) {
-	return Execute(c.net, c.vms, app, p)
+	return Execute(c.net, c.vms, app, p, nil)
+}
+
+// ExecuteOnCloud is Execute on a released orchestrator's simulator,
+// Reset onto cloud: machine m of the placement is cloud.VMs()[m]. The
+// orchestrator goes back for reuse once the application has drained.
+func ExecuteOnCloud(cloud *topology.Provider, app *profile.Application, p place.Placement, transfers []profile.Transfer) (time.Duration, error) {
+	c := orchestrators.Get().(*Choreo)
+	defer orchestrators.Put(c)
+	c.net.Reset(cloud)
+	return Execute(c.net, cloud.VMs(), app, p, transfers)
 }
 
 // Execute is Choreo.Execute on a bare simulator: machine m of the
-// placement is vms[m]. It draws no randomness, so executing needs no
-// orchestrator or rng — only a simulator over the cloud.
-func Execute(net *netsim.Network, vms []topology.VM, app *profile.Application, p place.Placement) (time.Duration, error) {
+// placement is vms[m]. transfers is app.TM.Transfers(), passed by a
+// caller that executes the application more than once; nil sorts it
+// here. It draws no randomness, so executing needs no orchestrator or
+// rng — only a simulator over the cloud.
+func Execute(net *netsim.Network, vms []topology.VM, app *profile.Application, p place.Placement, transfers []profile.Transfer) (time.Duration, error) {
 	if len(p.MachineOf) != app.Tasks() {
 		return 0, fmt.Errorf("core: placement covers %d tasks, app has %d", len(p.MachineOf), app.Tasks())
+	}
+	if transfers == nil {
+		transfers = app.TM.Transfers()
 	}
 	start := net.Now()
 	outstanding := 0
 	var lastFinish time.Duration
-	for _, tr := range app.TM.Transfers() {
+	finished := func(f *netsim.Flow) {
+		outstanding--
+		if f.Finished() > lastFinish {
+			lastFinish = f.Finished()
+		}
+	}
+	for _, tr := range transfers {
 		srcVM := vms[p.MachineOf[tr.From]]
 		dstVM := vms[p.MachineOf[tr.To]]
 		if srcVM.ID == dstVM.ID {
 			continue // intra-VM: no network transfer
 		}
 		outstanding++
-		_, err := net.StartFlow(srcVM.ID, dstVM.ID, tr.Bytes, app.Name, func(f *netsim.Flow) {
-			outstanding--
-			if f.Finished() > lastFinish {
-				lastFinish = f.Finished()
-			}
-		})
+		_, err := net.StartFlow(srcVM.ID, dstVM.ID, tr.Bytes, app.Name, finished)
 		if err != nil {
 			return 0, err
 		}

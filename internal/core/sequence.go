@@ -33,10 +33,11 @@ type SequenceOptions struct {
 	// terminate. 0 means the default of 3.
 	MaxMigrationsPerApp int
 	// StaticEnv, when non-nil, is used as the pre-sequence measurement
-	// instead of measuring at the start of the run. The sweep engine
-	// passes a mutable clone of a measurement taken
-	// once per cell on the pristine cloud, so every algorithm of a cell
-	// group starts from the identical environment without re-running the
+	// instead of measuring at the start of the run. RunSequence only
+	// reads it (re-measurements build environments of their own), so the
+	// sweep engine passes the measurement its cell group took once on the
+	// pristine cloud to every run at once: every algorithm of the group
+	// starts from the identical environment without re-running the
 	// packet trains.
 	StaticEnv *place.Environment
 }
@@ -201,6 +202,16 @@ func (c *Choreo) RunSequence(apps []*profile.Application, alg Algorithm, opts Se
 
 // launchFlows starts the transfers of tm under ra's placement.
 func (c *Choreo) launchFlows(ra *runningApp, tm *profile.TrafficMatrix, remaining *int, res *SequenceResult) {
+	finished := func(f *netsim.Flow) {
+		delete(ra.flows, f.ID)
+		ra.outstanding--
+		if ra.outstanding == 0 && !ra.paused && !ra.done {
+			ra.done = true
+			ra.finished = c.net.Now()
+			res.PerApp[ra.idx] = ra.finished - ra.started
+			*remaining--
+		}
+	}
 	for _, tr := range tm.Transfers() {
 		srcVM := c.vms[ra.placement.MachineOf[tr.From]]
 		dstVM := c.vms[ra.placement.MachineOf[tr.To]]
@@ -208,16 +219,7 @@ func (c *Choreo) launchFlows(ra *runningApp, tm *profile.TrafficMatrix, remainin
 			continue
 		}
 		ra.outstanding++
-		f, err := c.net.StartFlow(srcVM.ID, dstVM.ID, tr.Bytes, ra.app.Name, func(f *netsim.Flow) {
-			delete(ra.flows, f.ID)
-			ra.outstanding--
-			if ra.outstanding == 0 && !ra.paused && !ra.done {
-				ra.done = true
-				ra.finished = c.net.Now()
-				res.PerApp[ra.idx] = ra.finished - ra.started
-				*remaining--
-			}
-		})
+		f, err := c.net.StartFlow(srcVM.ID, dstVM.ID, tr.Bytes, ra.app.Name, finished)
 		if err != nil {
 			ra.outstanding--
 			continue

@@ -100,12 +100,21 @@ func (h *timerHeap) Pop() interface{} {
 // its route's Resources, so a Network builds nothing per pair: it keeps
 // only per-resource scratch for the filling pass. Many Networks may run
 // on one cloud at once; none writes to the provider.
+//
+// Reset empties a Network and rebinds it to a cloud, keeping its scratch
+// (slots, flow slab, lists and maps) for the next run, so a caller that
+// runs many simulations one after another allocates that scratch once.
 type Network struct {
 	prov *topology.Provider
 
 	flows  map[FlowID]*Flow
 	active []*Flow // in FlowID order: StartFlow appends, removals keep order
 	nextID FlowID
+	// slab holds the flows in chunks of flowChunk, flow i at
+	// slab[i/flowChunk][i%flowChunk]: FlowIDs count from zero after each
+	// Reset, so the next ID is the next free slab entry. Chunks are never
+	// moved, so a *Flow stays valid until the next Reset.
+	slab [][]Flow
 
 	now    time.Duration
 	timers timerHeap
@@ -135,12 +144,58 @@ type slot struct {
 	pos   int32
 }
 
-// New creates a simulator over the provider's fabric and VMs.
+// flowChunk is the number of flows in one slab chunk.
+const flowChunk = 64
+
+// New creates a simulator over the provider's fabric and VMs: Reset on
+// a zero Network.
 func New(prov *topology.Provider) *Network {
-	n := &Network{prov: prov, flows: make(map[FlowID]*Flow)}
-	n.slotCap = prov.Capacities()
-	n.slots = make([]slot, len(n.slotCap))
+	n := new(Network)
+	n.Reset(prov)
 	return n
+}
+
+// Reset empties the network and rebinds it to prov: no flows, no
+// timers, time zero and FlowIDs counting from zero again, exactly the
+// state New(prov) returns, so every run after a Reset is bit-identical
+// to one on a new Network. The scratch is kept and grown when prov has
+// more resources than it covers. Every *Flow the network handed out is
+// invalid afterwards.
+func (n *Network) Reset(prov *topology.Provider) {
+	for c := 0; FlowID(c*flowChunk) < n.nextID; c++ {
+		clear(n.slab[c][:min(flowChunk, n.nextID-FlowID(c*flowChunk))])
+	}
+	if n.flows == nil {
+		n.flows = make(map[FlowID]*Flow)
+	}
+	clear(n.flows)
+	clear(n.active)
+	clear(n.timers)
+	*n = Network{
+		prov:      prov,
+		flows:     n.flows,
+		active:    n.active[:0],
+		slab:      n.slab,
+		timers:    n.timers[:0],
+		slots:     n.slots,
+		slotEpoch: n.slotEpoch,
+		touched:   n.touched,
+		frozen:    n.frozen,
+		probes:    n.probes,
+		finished:  n.finished,
+	}
+	n.fitSlots(prov.Capacities())
+}
+
+// fitSlots sizes the slot scratch to the capacity table caps. The epoch
+// only grows, so slots left over from earlier passes, on this cloud or
+// another, carry older stamps and read as untouched.
+func (n *Network) fitSlots(caps []float64) {
+	n.slotCap = caps
+	if len(caps) > cap(n.slots) {
+		n.slots = append(n.slots[:cap(n.slots)], make([]slot, len(caps)-cap(n.slots))...)
+	}
+	n.slots = n.slots[:len(caps)]
 }
 
 // pathFor returns the route from src to dst. A provider that allocated
@@ -152,10 +207,18 @@ func (n *Network) pathFor(src, dst topology.VMID) (*topology.Path, error) {
 		return nil, err
 	}
 	if caps := n.prov.Capacities(); len(caps) != len(n.slotCap) {
-		n.slotCap = caps
-		n.slots = append(n.slots, make([]slot, len(caps)-len(n.slots))...)
+		n.fitSlots(caps)
 	}
 	return path, nil
+}
+
+// newFlow returns the slab entry of the next FlowID.
+func (n *Network) newFlow() *Flow {
+	c := int(n.nextID / flowChunk)
+	if c == len(n.slab) {
+		n.slab = append(n.slab, make([]Flow, flowChunk))
+	}
+	return &n.slab[c][n.nextID%flowChunk]
 }
 
 // Provider returns the underlying provider.
@@ -170,6 +233,7 @@ func (n *Network) ActiveFlows() int { return len(n.active) }
 // StartFlow begins a transfer of the given size from src to dst. A size of
 // Backlogged (or any negative value) runs until StopFlow. onFinish, if
 // non-nil, is invoked from the event loop when the last byte drains.
+// The returned flow is valid until the network's next Reset.
 func (n *Network) StartFlow(src, dst topology.VMID, size units.ByteSize, tag string, onFinish func(*Flow)) (*Flow, error) {
 	if src == dst {
 		return nil, fmt.Errorf("netsim: flow from %d to itself", src)
@@ -178,7 +242,8 @@ func (n *Network) StartFlow(src, dst topology.VMID, size units.ByteSize, tag str
 	if err != nil {
 		return nil, err
 	}
-	f := &Flow{
+	f := n.newFlow()
+	*f = Flow{
 		ID:       n.nextID,
 		Src:      src,
 		Dst:      dst,

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"choreo/internal/netsim"
@@ -61,11 +62,12 @@ type PathState struct {
 type Medium struct {
 	net *netsim.Network
 	rng *rand.Rand
-	// plan caches PairStates' routes for the last VM set measured: mesh
-	// re-measurement sweeps the same VMs every epoch, so after the first
-	// epoch a snapshot is one batched availability call plus a state
-	// assembled per pair.
-	plan *meshPlan
+	// plan caches PairStates' routes for the last VM set measured, if
+	// planned: mesh re-measurement sweeps the same VMs every epoch, so
+	// after the first epoch a snapshot is one batched availability call
+	// plus a state assembled per pair.
+	plan    meshPlan
+	planned bool
 	// scratch backs RunTrainOnScratch observations; validCfg is the last
 	// train config that passed validation there.
 	scratch  []probe.BurstObservation
@@ -82,9 +84,19 @@ type meshPlan struct {
 	states []PairState
 }
 
-// NewMedium wraps a network; rng drives the measurement noise.
+// NewMedium wraps a network; rng drives the measurement noise. It is
+// Reset on a zero Medium.
 func NewMedium(net *netsim.Network, rng *rand.Rand) *Medium {
-	return &Medium{net: net, rng: rng}
+	m := new(Medium)
+	m.Reset(net, rng)
+	return m
+}
+
+// Reset rebinds the medium to net and rng, as NewMedium does: the next
+// PairStates plans its mesh afresh, on net's cloud. The plan and burst
+// buffers are kept for that plan and later trains to fill.
+func (m *Medium) Reset(net *netsim.Network, rng *rand.Rand) {
+	m.net, m.rng, m.planned = net, rng, false
 }
 
 // StateOf snapshots the path between two VMs right now.
@@ -152,26 +164,19 @@ func (m *Medium) PairStates(vms []topology.VM) ([]PairState, error) {
 	return plan.states, nil
 }
 
-// planFor returns the cached mesh plan for vms, rebuilding it when the
-// VM set differs from the previous snapshot's.
+// planFor returns the cached mesh plan for vms, rebuilding it into the
+// plan's buffers when the VM set differs from the previous snapshot's.
 func (m *Medium) planFor(vms []topology.VM) (*meshPlan, error) {
-	if p := m.plan; p != nil && len(p.ids) == len(vms) {
-		match := true
-		for i := range vms {
-			if p.ids[i] != vms[i].ID {
-				match = false
-				break
-			}
-		}
-		if match {
-			return p, nil
-		}
+	p := &m.plan
+	if m.planned && slices.EqualFunc(p.ids, vms, func(id topology.VMID, vm topology.VM) bool { return id == vm.ID }) {
+		return p, nil
 	}
-	p := &meshPlan{ids: make([]topology.VMID, len(vms))}
-	for i, vm := range vms {
-		p.ids[i] = vm.ID
+	m.planned = false
+	p.ids = p.ids[:0]
+	for _, vm := range vms {
+		p.ids = append(p.ids, vm.ID)
 	}
-	p.refs = make([]netsim.PairRef, 0, len(vms)*(len(vms)-1))
+	p.refs = p.refs[:0]
 	for _, a := range vms {
 		for _, b := range vms {
 			if a.ID == b.ID {
@@ -184,9 +189,9 @@ func (m *Medium) planFor(vms []topology.VM) (*meshPlan, error) {
 			p.refs = append(p.refs, ref)
 		}
 	}
-	p.avs = make([]netsim.PathAvailability, len(p.refs))
-	p.states = make([]PairState, len(p.refs))
-	m.plan = p
+	p.avs = slices.Grow(p.avs[:0], len(p.refs))[:len(p.refs)]
+	p.states = slices.Grow(p.states[:0], len(p.refs))[:len(p.refs)]
+	m.planned = true
 	return p, nil
 }
 

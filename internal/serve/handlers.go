@@ -108,6 +108,8 @@ func decodeBody[T any](w http.ResponseWriter, r *http.Request, decode func([]byt
 	return false
 }
 
+// tenantOf names the request's quota tenant: its X-Choreo-Tenant, or
+// "default" without one. It never returns overflowTenant.
 func tenantOf(r *http.Request) string {
 	if t := r.Header.Get("X-Choreo-Tenant"); t != "" {
 		return t

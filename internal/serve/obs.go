@@ -62,9 +62,15 @@ func (s *Server) initObs() {
 // rejected request for the life of the process.
 const maxTenantLabels = 100
 
+// overflowTenant labels the rejections of every tenant past the first
+// maxTenantLabels. It is empty, which tenantOf never returns (a request
+// without X-Choreo-Tenant is tenant "default"), so no real tenant's
+// series is merged into it.
+const overflowTenant = ""
+
 // tenantLabels hands out the tenant label of a rejection: the tenant
-// itself for the first maxTenantLabels distinct tenants, "other" for
-// every later one.
+// itself for the first maxTenantLabels distinct tenants, overflowTenant
+// for every later one.
 type tenantLabels struct {
 	mu   sync.Mutex
 	seen map[string]bool
@@ -77,7 +83,7 @@ func (l *tenantLabels) label(tenant string) string {
 		return tenant
 	}
 	if len(l.seen) >= maxTenantLabels {
-		return "other"
+		return overflowTenant
 	}
 	if l.seen == nil {
 		l.seen = make(map[string]bool)

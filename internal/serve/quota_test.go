@@ -122,7 +122,8 @@ func TestQuotaSweepKeepsDecisions(t *testing.T) {
 
 // TestQuotaRejectedTenantsBounded rejects 1,000 distinct tenants once
 // each: the rejection counter must keep at most maxTenantLabels tenant
-// series plus tenant="other", and still count every rejection.
+// series plus the overflow series tenant="", and still count every
+// rejection.
 func TestQuotaRejectedTenantsBounded(t *testing.T) {
 	s := New(Config{QuotaRate: 0.001, QuotaBurst: 1})
 	s.quota.now = (&fakeClock{t: time.Unix(1e9, 0)}).now
@@ -158,7 +159,39 @@ func TestQuotaRejectedTenantsBounded(t *testing.T) {
 	if sum != tenants {
 		t.Errorf("rejections sum to %v, want %d", sum, tenants)
 	}
-	if !strings.Contains(expo.String(), `choreo_quota_rejected_total{tenant="other"} 900`) {
-		t.Errorf("overflow tenants not counted under tenant=\"other\"")
+	if !strings.Contains(expo.String(), `choreo_quota_rejected_total{tenant=""} 900`) {
+		t.Errorf("overflow tenants not counted under tenant=\"\"")
+	}
+}
+
+// TestQuotaOverflowSparesTenantOther rejects a real tenant named
+// "other" after the label budget is spent on others: the overflow
+// series and tenant="other" must count their own rejections apart.
+func TestQuotaOverflowSparesTenantOther(t *testing.T) {
+	s := New(Config{QuotaRate: 0.001, QuotaBurst: 1})
+	s.quota.now = (&fakeClock{t: time.Unix(1e9, 0)}).now
+	send := func(tenant string, n int) { // a tenant's first request spends its burst
+		for k := 0; k < n; k++ {
+			req := httptest.NewRequest(http.MethodPost, "/v1/place", nil)
+			req.Header.Set("X-Choreo-Tenant", tenant)
+			s.admit(httptest.NewRecorder(), req)
+		}
+	}
+	send("other", 4)
+	for i := 0; i < maxTenantLabels+5; i++ {
+		send(fmt.Sprintf("tenant-%d", i), 2)
+	}
+	send("other", 2)
+	var expo bytes.Buffer
+	if err := s.Obs().Registry().WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`choreo_quota_rejected_total{tenant="other"} 5`,
+		`choreo_quota_rejected_total{tenant=""} 6`,
+	} {
+		if !strings.Contains(expo.String(), want+"\n") {
+			t.Errorf("exposition lacks %s", want)
+		}
 	}
 }

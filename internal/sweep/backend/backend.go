@@ -10,7 +10,7 @@
 //   - Sim (the default) measures the cell's simulated cloud — built once
 //     per cell from the cell seed — with simulated packet trains, and
 //     executes placements by actually transferring the profiled bytes
-//     on a fresh flow simulator over that same cloud — bit-identical to
+//     on a pristine flow simulator over that same cloud — bit-identical to
 //     the engine's pre-backend behaviour, so golden reports are
 //     unchanged.
 //   - Live maps a cell's VM slots onto real choreo-agent addresses,
@@ -65,6 +65,11 @@ type Cell struct {
 	// executes on it instead of building its own. Ignored by live
 	// backends.
 	Cloud *topology.Provider
+	// Transfers, when set, is the application's app.TM.Transfers(),
+	// sorted once by a caller that executes the cell's application more
+	// than once; the sim backend drains it instead of sorting again.
+	// Ignored by live backends.
+	Transfers []profile.Transfer
 }
 
 // PairFlow is one aggregated inter-machine flow of an executed

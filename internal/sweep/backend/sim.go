@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"choreo/internal/core"
-	"choreo/internal/netsim"
 	"choreo/internal/place"
 	"choreo/internal/profile"
 	"choreo/internal/topology"
@@ -15,10 +14,12 @@ import (
 // Cell.Cloud when the caller built one (the sweep builds one per cell
 // group and keeps it while the group runs), and is otherwise built from
 // the deterministic cell seed. Measure runs simulated packet trains on
-// it; Execute drains the profiled bytes through a fresh flow simulator
-// over it. A cloud is read-only once built and a simulator starts
-// pristine, so every execution of a cell sees the cloud its measurement
-// saw, and executions may run concurrently on one cloud.
+// it; Execute drains the profiled bytes through a flow simulator over
+// it. Both reuse a released orchestrator's simulator and scratch (see
+// core.NewOnCloud), Reset onto the cloud, so a simulator starts
+// pristine without allocating its scratch again. A cloud is read-only
+// once built, so every execution of a cell sees the cloud its
+// measurement saw, and executions may run concurrently on one cloud.
 type Sim struct{}
 
 // NewSim returns the simulated backend.
@@ -64,19 +65,20 @@ func (s *Sim) Measure(ctx context.Context, c Cell) (*place.Environment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("backend: %s: %w", c.Topology, err)
 	}
+	defer orch.Release()
 	return orch.MeasureEnvironment()
 }
 
-// Execute runs the placement on a fresh simulator over the cell's cloud
-// — one flow per task-pair transfer, simulated until the last byte
-// drains. env and model are unused: the simulator is its own ground
-// truth.
+// Execute runs the placement on a pristine simulator over the cell's
+// cloud — one flow per task-pair transfer (c.Transfers when set),
+// simulated until the last byte drains. env and model are unused: the
+// simulator is its own ground truth.
 func (s *Sim) Execute(ctx context.Context, c Cell, app *profile.Application, env *place.Environment, p place.Placement, model place.Model) (Execution, error) {
 	cloud, err := s.cloud(c)
 	if err != nil {
 		return Execution{}, err
 	}
-	d, err := core.Execute(netsim.New(cloud), cloud.VMs(), app, p)
+	d, err := core.ExecuteOnCloud(cloud, app, p, c.Transfers)
 	if err != nil {
 		return Execution{}, err
 	}

@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"choreo/internal/core"
@@ -87,8 +86,8 @@ func (s *CacheStats) add(o CacheStats) {
 // cells, a Start-ordered arrival sequence for sequence cells. A cell is
 // complete before any of its scenarios runs, and from then on it is
 // read-only, so a group's scenarios run on it concurrently: placement
-// algorithms read it, executions run fresh simulators over cloud, and
-// sequence runs take a clone of env because they re-measure mid-run.
+// algorithms and sequence runs read env, and executions and sequence
+// runs put their own simulators over cloud.
 type cell struct {
 	env *place.Environment
 	// cloud is the group's pristine simulated cloud (nil on live
@@ -96,7 +95,10 @@ type cell struct {
 	// is read-only and the group's executions share it.
 	cloud *topology.Provider
 	app   *profile.Application
-	seq   []*profile.Application
+	// transfers is a snapshot cell's app.TM.Transfers(), sorted once for
+	// the greedy placement and every execution.
+	transfers []profile.Transfer
+	seq       []*profile.Application
 
 	// hasRef reports whether the snapshot cell carries its exact-optimum
 	// reference ref (see Grid.computeReference): buildGroup computes it
@@ -167,7 +169,9 @@ func (g *Grid) buildCell(ctx context.Context, sc Scenario, prev *cell, ro *runOb
 	if g.Mode == Sequence {
 		c.seq, err = g.buildSequence(sc)
 	} else {
-		c.app, err = g.buildApplication(sc, sc.cloudSeed())
+		if c.app, err = g.buildApplication(sc, sc.cloudSeed()); err == nil {
+			c.transfers = c.app.TM.Transfers()
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -187,7 +191,7 @@ func (g *Grid) buildCell(ctx context.Context, sc Scenario, prev *cell, ro *runOb
 		c.cloud, err = core.NewCloud(sc.Topology.Profile, sc.cloudSeed(), sc.VMs)
 	}
 	if err == nil {
-		c.env, err = g.backend().Measure(ctx, g.backendCell(sc, c.cloud))
+		c.env, err = g.backend().Measure(ctx, g.backendCell(sc, c))
 	}
 	if err != nil {
 		mspan.End(obs.String("outcome", "error"))
@@ -210,7 +214,8 @@ func (g *Grid) buildSequence(sc Scenario) ([]*profile.Application, error) {
 	}
 	// Same rng offset as the snapshot generator, so the workload stream
 	// never aliases the cloud stream.
-	rng := rand.New(rand.NewSource(sc.cloudSeed() + 2))
+	rng := seededRand(sc.cloudSeed() + 2)
+	defer rngs.Put(rng)
 	seq, err := sequence.Generate(rng, cfg, g.sequenceParams(sc))
 	if err != nil {
 		return nil, fmt.Errorf("sweep: generating %s sequence: %w", sc.Workload.Name, err)

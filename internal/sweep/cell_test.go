@@ -86,7 +86,9 @@ func TestGroupSharingDeterministic(t *testing.T) {
 		// Run each cell group's scenarios one after another on its
 		// shared cells, and each scenario on cells built for it alone:
 		// both must write the full grid's line, and afterwards the
-		// shared cells must still equal freshly built ones.
+		// shared cells must still equal freshly built ones — the
+		// measurement included, which sequence runs read in place and
+		// only the baselines that never re-measure place against.
 		scs, err := full.Expand()
 		if err != nil {
 			t.Fatal(err)

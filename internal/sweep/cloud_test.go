@@ -126,7 +126,7 @@ func TestSharedCloudExecuteMatchesRebuild(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					got, err := g.backend().Execute(ctx, g.backendCell(sc, c.cloud), c.app, c.env, p, g.Model)
+					got, err := g.backend().Execute(ctx, g.backendCell(sc, c), c.app, c.env, p, g.Model)
 					if err != nil {
 						t.Error(err)
 						return

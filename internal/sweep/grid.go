@@ -605,7 +605,16 @@ func (g *Grid) Expand() ([]Scenario, error) {
 	if g.Mode == Sequence {
 		inters, seqApps, reevals = g.Interarrivals, g.SeqApps, g.Reevals
 	}
-	var out []Scenario
+	sizes := 0 // the workloads' transfer sizes, summed
+	for _, wl := range g.Workloads {
+		if wl.Trace != nil {
+			sizes += len(traceSizes)
+		} else {
+			sizes += len(g.MeanSizes)
+		}
+	}
+	out := make([]Scenario, 0, len(g.Topologies)*sizes*len(g.VMCounts)*
+		len(inters)*len(seqApps)*len(reevals)*len(g.Algorithms)*len(g.Seeds))
 	for _, tp := range g.Topologies {
 		for _, wl := range g.Workloads {
 			sizes := g.MeanSizes

@@ -16,7 +16,6 @@ import (
 	"choreo/internal/profile"
 	"choreo/internal/sweep/backend"
 	"choreo/internal/sweep/sequence"
-	"choreo/internal/topology"
 	"choreo/internal/workload"
 )
 
@@ -112,16 +111,31 @@ func (g *Grid) CellKey(sc Scenario) CellKey {
 	return key
 }
 
-// backendCell names the scenario's measurement target for the backend;
-// cloud is the cell's simulated cloud (nil on live backends).
-func (g *Grid) backendCell(sc Scenario, cloud *topology.Provider) backend.Cell {
+// backendCell names the scenario's measurement target for the backend,
+// with c's simulated cloud (nil on live backends) and sorted transfers.
+func (g *Grid) backendCell(sc Scenario, c *cell) backend.Cell {
 	return backend.Cell{
-		Topology: sc.Topology.Name,
-		Profile:  sc.Topology.Profile,
-		VMs:      sc.VMs,
-		Seed:     sc.cloudSeed(),
-		Cloud:    cloud,
+		Topology:  sc.Topology.Name,
+		Profile:   sc.Topology.Profile,
+		VMs:       sc.VMs,
+		Seed:      sc.cloudSeed(),
+		Cloud:     c.cloud,
+		Transfers: c.transfers,
 	}
+}
+
+// rngs holds the sweep's reused rngs. Seed on a reused *rand.Rand
+// replays the stream of a fresh rand.New(rand.NewSource(seed)) without
+// allocating a source. sync.Pool hands an rng to one goroutine at a
+// time.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seededRand returns a reused rng seeded with seed; put it back in rngs
+// when done.
+func seededRand(seed int64) *rand.Rand {
+	rng := rngs.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
 }
 
 // buildApplication draws (or replays) the scenario's placement problem.
@@ -150,7 +164,8 @@ func (g *Grid) buildApplication(sc Scenario, seed int64) (*profile.Application, 
 		}
 		// The workload rng is offset from the cloud rng so the two
 		// streams never alias.
-		rng := rand.New(rand.NewSource(seed + 2))
+		rng := seededRand(seed + 2)
+		defer rngs.Put(rng)
 		for i := 0; i < n; i++ {
 			app, err := workload.Generate(rng, cfg)
 			if err != nil {
@@ -168,11 +183,14 @@ func (g *Grid) buildApplication(sc Scenario, seed int64) (*profile.Application, 
 
 // place runs the scenario's placement policy against the measured cell.
 // rng drives the Random baseline and is nil for every other algorithm;
-// runScenario seeds it freshly from the cell seed (offset +1, the stream
-// the orchestrator's rng always used) so placements are identical across
+// runScenario seeds it from the cell seed (offset +1, the stream the
+// orchestrator's rng always used) so placements are identical across
 // backends, worker counts and the other algorithms run on the cell.
 func (g *Grid) place(sc Scenario, c *cell, rng *rand.Rand) (place.Placement, error) {
-	if !sc.Algorithm.ILP {
+	switch {
+	case sc.Algorithm.Core == core.AlgChoreo && !sc.Algorithm.ILP:
+		return place.GreedyWithTransfers(c.app, c.env, g.Model, c.transfers)
+	case !sc.Algorithm.ILP:
 		return core.PlaceWith(c.app, c.env, sc.Algorithm.Core, g.Model, rng)
 	}
 	in, err := placementInput(c.app, c.env)
@@ -241,23 +259,25 @@ func (g *Grid) runOn(ctx context.Context, sc Scenario, c *cell, ro *runObs) (Res
 }
 
 // runSequenceScenario executes one sequence scenario on its built cell:
-// play the arrival sequence with the scenario's algorithm on a fresh
+// play the arrival sequence with the scenario's algorithm on a pristine
 // simulator over the cell's cloud — the cloud its measurement saw, with
 // no traffic on it yet — placing each application as it arrives under
 // the live cross traffic of the ones already running, and migrating
-// when re-evaluation predicts enough gain. Each run re-measures on its
-// own clone of the cell's measurement. The orchestrator's rng is seeded
-// from the cell seed (offset +1) for every run, so the algorithms of a
-// cell group draw the same measurement noise. There is no optimal
-// reference: the §6.3 comparison is total running time across
-// algorithms, not slowdown vs. an optimum.
+// when re-evaluation predicts enough gain. The run reads the cell's
+// measurement in place: re-measurements build their own environments.
+// The orchestrator's rng is seeded from the cell seed (offset +1) for
+// every run, so the algorithms of a cell group draw the same
+// measurement noise. There is no optimal reference: the §6.3
+// comparison is total running time across algorithms, not slowdown vs.
+// an optimum.
 func (g *Grid) runSequenceScenario(sc Scenario, c *cell, ro *runObs) (Result, error) {
 	exec, err := core.NewOnCloud(c.cloud, sc.cloudSeed(), core.Options{Model: g.Model})
 	if err != nil {
 		return Result{}, fmt.Errorf("sweep: %s: %w", sc.Topology.Name, err)
 	}
 	execStart := time.Now()
-	cres, err := sequence.Run(exec, c.seq, sc.Algorithm.Core, c.env.Clone(), g.sequenceParams(sc))
+	cres, err := sequence.Run(exec, c.seq, sc.Algorithm.Core, c.env, g.sequenceParams(sc))
+	exec.Release()
 	ro.phase("execute", execStart)
 	if err != nil {
 		return Result{}, fmt.Errorf("sweep: sequence %s/%s/%s seed %d: %w",
@@ -292,7 +312,8 @@ func (g *Grid) runSequenceScenario(sc Scenario, c *cell, ro *runObs) (Result, er
 func (g *Grid) runScenario(ctx context.Context, sc Scenario, c *cell, ro *runObs) (Result, error) {
 	var rng *rand.Rand
 	if sc.Algorithm.Core == core.AlgRandom && !sc.Algorithm.ILP {
-		rng = rand.New(rand.NewSource(sc.cloudSeed() + 1))
+		rng = seededRand(sc.cloudSeed() + 1)
+		defer rngs.Put(rng)
 	}
 	pspan := ro.o.StartSpan(obs.SpanFromContext(ctx), "sweep.place",
 		obs.String("algorithm", sc.Algorithm.Name))
@@ -307,7 +328,7 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, c *cell, ro *runObs
 	pspan.End(obs.String("outcome", "ok"))
 	ro.phaseSeconds.With("place").Observe(latency.Seconds()) // the result's latency, not re-timed
 	execStart := time.Now()
-	exec, err := g.backend().Execute(ctx, g.backendCell(sc, c.cloud), c.app, c.env, p, g.Model)
+	exec, err := g.backend().Execute(ctx, g.backendCell(sc, c), c.app, c.env, p, g.Model)
 	if err != nil {
 		return Result{}, fmt.Errorf("sweep: executing %s/%s/%s seed %d: %w",
 			sc.Topology.Name, sc.Workload.Name, sc.Algorithm.Name, sc.Seed, err)
@@ -383,7 +404,7 @@ func (g *Grid) computeReference(ctx context.Context, sc Scenario, c *cell) (floa
 	if err != nil {
 		return 0, false, err
 	}
-	exec, err := g.backend().Execute(ctx, g.backendCell(sc, c.cloud), c.app, c.env, p, g.Model)
+	exec, err := g.backend().Execute(ctx, g.backendCell(sc, c), c.app, c.env, p, g.Model)
 	if err != nil {
 		return 0, false, err
 	}

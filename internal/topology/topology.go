@@ -21,6 +21,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -97,12 +98,14 @@ type Topology struct {
 	mesh bool
 
 	// Routing indexes, filled by index. adj holds the per-node neighbour
-	// lists for mesh routing; reach holds each host's per-tier ancestor
-	// sets for up/down routing (nil for non-hosts and on mesh fabrics).
+	// lists for mesh routing. For up/down routing, reach holds each
+	// host's per-tier ancestor sets (nil for non-hosts) and down each
+	// node's children, ID-sorted; both are nil on mesh fabrics.
 	indexOnce sync.Once
 	indexed   bool
 	adj       [][]NodeID
 	reach     [][][]NodeID
+	down      [][]NodeID
 	reverse   []LinkID // each link's cable in the other direction; every cable is duplex
 }
 
@@ -188,6 +191,10 @@ func (t *Topology) index() {
 			for _, h := range t.hosts {
 				t.reach[h] = t.reachUp(h)
 			}
+			t.down = make([][]NodeID, len(t.Nodes))
+			for i, n := range t.Nodes {
+				t.down[i] = slices.Sorted(slices.Values(n.Down))
+			}
 		}
 		t.indexed = true
 	})
@@ -233,6 +240,22 @@ func (t *Topology) ancestors(n NodeID) []NodeID {
 // chain; within a tier, candidates are ordered by node ID so the pairKey
 // pick is stable across rebuilds of the same fabric.
 func (t *Topology) HostRoute(src, dst NodeID, pairKey uint64) ([]LinkID, error) {
+	return t.hostRoute(new(meshSearch), src, dst, pairKey)
+}
+
+// meshSearch is a breadth-first search's hop counts to one destination
+// of a mesh fabric. They depend on the destination alone, so the routes
+// of every source to it share one search. A search is scratch of one
+// caller: SharedFabric shares a Topology between goroutines.
+type meshSearch struct {
+	dst   NodeID
+	dist  []int32 // nil before the first search
+	queue []NodeID
+}
+
+// hostRoute is HostRoute with mesh routing's search scratch, which it
+// reuses while the destination stays the same.
+func (t *Topology) hostRoute(ms *meshSearch, src, dst NodeID, pairKey uint64) ([]LinkID, error) {
 	if src == dst {
 		return nil, nil
 	}
@@ -242,67 +265,44 @@ func (t *Topology) HostRoute(src, dst NodeID, pairKey uint64) ([]LinkID, error) 
 	}
 	t.index()
 	if t.mesh {
-		return t.meshRoute(src, dst, pairKey)
+		return t.meshRoute(ms, src, dst, pairKey)
 	}
 
 	upSrc := t.reach[src]
 	upDst := t.reach[dst]
 
-	// Find the lowest tier where the two ancestor sets intersect.
-	var meets []NodeID
-	for l := 0; l < t.levels; l++ {
-		if meets = intersectSorted(upSrc[l], upDst[l]); len(meets) > 0 {
-			break
+	// Pick among the ancestors the two share at the lowest tier where
+	// they share any.
+	var meet NodeID
+	n := 0
+	for l := 0; l < t.levels && n == 0; l++ {
+		if n, _ = common(upSrc[l], upDst[l], -1); n > 0 {
+			_, meet = common(upSrc[l], upDst[l], int(pairKey%uint64(n)))
 		}
 	}
-	if len(meets) == 0 {
+	if n == 0 {
 		return nil, fmt.Errorf("topology: hosts %s and %s share no ancestor",
 			t.Nodes[src].Name, t.Nodes[dst].Name)
 	}
-	meet := meets[int(pairKey%uint64(len(meets)))]
 
 	// The meet-to-endpoint walks stay inside each endpoint's ancestor
-	// sets, so every step has at least one candidate child.
-	upNodes, err := t.descendWithin(meet, src, upSrc, pairKey)
+	// sets, so every step has at least one candidate child. The climb
+	// from src is the descent to src walked backwards.
+	path, err := t.descend(make([]LinkID, 0, 2*t.levels), meet, src, upSrc, pairKey)
 	if err != nil {
 		return nil, err
 	}
-	downNodes, err := t.descendWithin(meet, dst, upDst, pairKey)
-	if err != nil {
-		return nil, err
-	}
-
-	var path []LinkID
-	appendHop := func(from, to NodeID) error {
-		id, ok := t.LinkBetween(from, to)
-		if !ok {
-			return fmt.Errorf("topology: no link %s -> %s",
-				t.Nodes[from].Name, t.Nodes[to].Name)
-		}
-		path = append(path, id)
-		return nil
-	}
-	for i := len(upNodes) - 1; i >= 1; i-- {
-		if err := appendHop(upNodes[i], upNodes[i-1]); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i+1 < len(downNodes); i++ {
-		if err := appendHop(downNodes[i], downNodes[i+1]); err != nil {
-			return nil, err
-		}
-	}
-	return path, nil
+	return t.descend(t.reverseRoute(path), meet, dst, upDst, pairKey)
 }
 
-// reverseRoute returns the links of route walked backwards: each cable's
-// other direction, last hop first.
+// reverseRoute turns route, in place, into the route walked backwards:
+// each cable's other direction, last hop first.
 func (t *Topology) reverseRoute(route []LinkID) []LinkID {
-	out := make([]LinkID, len(route))
+	slices.Reverse(route)
 	for i, l := range route {
-		out[len(route)-1-i] = t.reverse[l]
+		route[i] = t.reverse[l]
 	}
-	return out
+	return route
 }
 
 // reachUp returns, per tier, the sorted set of nodes reachable from n by
@@ -334,75 +334,23 @@ func (t *Topology) reachUp(n NodeID) [][]NodeID {
 	return out
 }
 
-// descendWithin walks from top down to bottom, at each tier choosing by
-// pairKey among top's children that are also ancestors of bottom (members
-// of reach, bottom's per-tier ancestor sets). The returned slice runs
-// [top, ..., bottom].
-func (t *Topology) descendWithin(top, bottom NodeID, reach [][]NodeID, pairKey uint64) ([]NodeID, error) {
-	nodes := []NodeID{top}
+// descend appends to path the links of the walk from top down to
+// bottom, at each tier choosing by pairKey among top's children, in ID
+// order, that are also ancestors of bottom (members of reach, bottom's
+// per-tier ancestor sets).
+func (t *Topology) descend(path []LinkID, top, bottom NodeID, reach [][]NodeID, pairKey uint64) ([]LinkID, error) {
 	cur := top
 	for cur != bottom {
 		level := t.Nodes[cur].Level
-		if level == 0 {
+		n := 0
+		if level > 0 {
+			n, _ = common(t.down[cur], reach[level-1], -1)
+		}
+		if n == 0 {
 			return nil, fmt.Errorf("topology: no downward path from %s to %s",
 				t.Nodes[top].Name, t.Nodes[bottom].Name)
 		}
-		var cands []NodeID
-		for _, w := range t.Nodes[cur].Down {
-			if containsSorted(reach[level-1], w) {
-				cands = append(cands, w)
-			}
-		}
-		if len(cands) == 0 {
-			return nil, fmt.Errorf("topology: no downward path from %s to %s",
-				t.Nodes[top].Name, t.Nodes[bottom].Name)
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-		cur = cands[int(pairKey%uint64(len(cands)))]
-		nodes = append(nodes, cur)
-	}
-	return nodes, nil
-}
-
-// meshRoute routes src to dst on a shortest path of the (undirected) link
-// graph, breaking ties among equal-cost next hops by pairKey over
-// ID-sorted candidates — deterministic ECMP for jellyfish-class fabrics.
-func (t *Topology) meshRoute(src, dst NodeID, pairKey uint64) ([]LinkID, error) {
-	adj := t.adj
-
-	// Distance-to-dst by BFS; duplex cables make the graph symmetric.
-	const unreached = -1
-	dist := make([]int, len(t.Nodes))
-	for i := range dist {
-		dist[i] = unreached
-	}
-	dist[dst] = 0
-	queue := []NodeID{dst}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, w := range adj[cur] {
-			if dist[w] == unreached {
-				dist[w] = dist[cur] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	if dist[src] == unreached {
-		return nil, fmt.Errorf("topology: hosts %s and %s are disconnected",
-			t.Nodes[src].Name, t.Nodes[dst].Name)
-	}
-
-	var path []LinkID
-	cur := src
-	for cur != dst {
-		var cands []NodeID
-		for _, w := range adj[cur] {
-			if dist[w] == dist[cur]-1 {
-				cands = append(cands, w)
-			}
-		}
-		next := cands[int(pairKey%uint64(len(cands)))]
+		_, next := common(t.down[cur], reach[level-1], int(pairKey%uint64(n)))
 		id, ok := t.LinkBetween(cur, next)
 		if !ok {
 			return nil, fmt.Errorf("topology: no link %s -> %s",
@@ -414,9 +362,76 @@ func (t *Topology) meshRoute(src, dst NodeID, pairKey uint64) ([]LinkID, error) 
 	return path, nil
 }
 
-// intersectSorted returns the elements common to two ascending slices.
-func intersectSorted(a, b []NodeID) []NodeID {
-	var out []NodeID
+// meshRoute routes src to dst on a shortest path of the (undirected) link
+// graph, breaking ties among equal-cost next hops by pairKey over
+// ID-sorted candidates — deterministic ECMP for jellyfish-class fabrics.
+// ms holds the hop counts to dst, searched again only when its
+// destination differs.
+func (t *Topology) meshRoute(ms *meshSearch, src, dst NodeID, pairKey uint64) ([]LinkID, error) {
+	adj := t.adj
+	if ms.dist == nil || ms.dst != dst {
+		// Distance-to-dst by BFS; duplex cables make the graph symmetric.
+		const unreached = -1
+		ms.dst = dst
+		ms.dist = slices.Grow(ms.dist[:0], len(t.Nodes))[:len(t.Nodes)]
+		for i := range ms.dist {
+			ms.dist[i] = unreached
+		}
+		ms.dist[dst] = 0
+		queue := append(ms.queue[:0], dst)
+		for len(queue) > 0 {
+			cur := queue[0]
+			queue = queue[1:]
+			for _, w := range adj[cur] {
+				if ms.dist[w] == unreached {
+					ms.dist[w] = ms.dist[cur] + 1
+					queue = append(queue, w)
+				}
+			}
+		}
+		ms.queue = queue
+	}
+	dist := ms.dist
+	if dist[src] < 0 {
+		return nil, fmt.Errorf("topology: hosts %s and %s are disconnected",
+			t.Nodes[src].Name, t.Nodes[dst].Name)
+	}
+
+	path := make([]LinkID, 0, dist[src])
+	cur := src
+	for cur != dst {
+		n := 0
+		for _, w := range adj[cur] {
+			if dist[w] == dist[cur]-1 {
+				n++
+			}
+		}
+		k := int(pairKey % uint64(n))
+		var next NodeID
+		for _, w := range adj[cur] {
+			if dist[w] == dist[cur]-1 {
+				if k == 0 {
+					next = w
+					break
+				}
+				k--
+			}
+		}
+		id, ok := t.LinkBetween(cur, next)
+		if !ok {
+			return nil, fmt.Errorf("topology: no link %s -> %s",
+				t.Nodes[cur].Name, t.Nodes[next].Name)
+		}
+		path = append(path, id)
+		cur = next
+	}
+	return path, nil
+}
+
+// common walks the elements two ascending slices share, in order: it
+// returns how many there are and the k-th of them (zero-based; valid
+// when k < n).
+func common(a, b []NodeID, k int) (n int, kth NodeID) {
 	for i, j := 0, 0; i < len(a) && j < len(b); {
 		switch {
 		case a[i] < b[j]:
@@ -424,18 +439,15 @@ func intersectSorted(a, b []NodeID) []NodeID {
 		case a[i] > b[j]:
 			j++
 		default:
-			out = append(out, a[i])
+			if n == k {
+				kth = a[i]
+			}
+			n++
 			i++
 			j++
 		}
 	}
-	return out
-}
-
-// containsSorted reports whether an ascending slice contains id.
-func containsSorted(s []NodeID, id NodeID) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	return i < len(s) && s[i] == id
+	return n, kth
 }
 
 // RouteLatency sums the one-way latency of the links.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"choreo/internal/units"
@@ -169,18 +170,22 @@ func (p *Provider) AllocateVMs(n int) ([]VM, error) {
 
 // routeAll builds the routes of the allocated VM pairs not routed yet,
 // keeping the routed ones, into a table laid out for every allocated VM.
+// It routes destination by destination, so on a mesh fabric one search
+// from each destination serves every source; the search is local to the
+// call because the fabric may be shared between goroutines.
 func (p *Provider) routeAll() error {
 	n, old := len(p.vms), p.routed
 	routes := make([]*Path, n*n)
 	for a := 0; a < old; a++ {
 		copy(routes[a*n:a*n+old], p.routes[a*old:(a+1)*old])
 	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
+	var ms meshSearch
+	for b := 0; b < n; b++ {
+		for a := 0; a < n; a++ {
 			if a == b || routes[a*n+b] != nil {
 				continue
 			}
-			ab, ba, err := p.route(VMID(a), VMID(b))
+			ab, ba, err := p.route(&ms, VMID(a), VMID(b))
 			if err != nil {
 				return err
 			}
@@ -198,8 +203,9 @@ func (p *Provider) routeAll() error {
 // back too (nil on mesh fabrics, whose shortest-path walk is directed).
 // Both directions use the unordered pair's ECMP key, so an up/down route
 // back meets at the same switch and takes the same descents: it is the
-// forward route's cables in reverse order.
-func (p *Provider) route(a, b VMID) (ab, ba *Path, err error) {
+// forward route's cables in reverse order. ms is the caller's mesh
+// search scratch.
+func (p *Provider) route(ms *meshSearch, a, b VMID) (ab, ba *Path, err error) {
 	va, vb := p.vms[a], p.vms[b]
 	if va.Host == vb.Host {
 		return p.newPath(a, b, nil), p.newPath(b, a, nil), nil
@@ -209,14 +215,14 @@ func (p *Provider) route(a, b VMID) (ab, ba *Path, err error) {
 		lo, hi = hi, lo
 	}
 	pairKey := uint64(lo)<<32 | uint64(uint32(hi))
-	links, err := p.Topo.HostRoute(va.Host, vb.Host, pairKey)
+	links, err := p.Topo.hostRoute(ms, va.Host, vb.Host, pairKey)
 	if err != nil {
 		return nil, nil, err
 	}
 	if p.Topo.Mesh() {
 		return p.newPath(a, b, links), nil, nil
 	}
-	return p.newPath(a, b, links), p.newPath(b, a, p.Topo.reverseRoute(links)), nil
+	return p.newPath(a, b, links), p.newPath(b, a, p.Topo.reverseRoute(slices.Clone(links))), nil
 }
 
 // newPath assembles the Path from a to b over links (nil for colocated
