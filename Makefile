@@ -83,8 +83,10 @@ sweep-shard-smoke: build
 
 # The sequence-sweep acceptance check: a tiny §6.3 in-sequence grid
 # (arrivals + re-evaluation/migration cells) must stream byte-identical
-# JSONL across worker counts, and the same grid run as
-# 2 shards and merged must reproduce the unsharded stream exactly.
+# JSONL across worker counts, and the same grid run as 3 shards and
+# merged must reproduce the unsharded stream exactly. Three is the
+# smallest shard count at which planning by cell rather than by cloud
+# would split a cloud between shards: each shard holds whole clouds.
 SEQ_FLAGS = -mode sequence -topologies tworack -workloads shuffle -vms 6 -mean-mb 200 \
 	-interarrival 3s,10s -seq-apps 4 -reeval 0,5s -algorithms choreo,random -seeds 2
 
@@ -92,12 +94,13 @@ sweep-seq-smoke: build
 	$(BIN)/choreo sweep $(SEQ_FLAGS) -workers 1 -stream -out $(BIN)/seq-s1.jsonl
 	$(BIN)/choreo sweep $(SEQ_FLAGS) -workers 8 -stream -out $(BIN)/seq-s8.jsonl
 	cmp $(BIN)/seq-s1.jsonl $(BIN)/seq-s8.jsonl
-	for i in 1 2; do \
-		$(BIN)/choreo sweep $(SEQ_FLAGS) -workers 8 -shard $$i/2 -out $(BIN)/seq-shard$$i.jsonl || exit 1; \
+	for i in 1 2 3; do \
+		$(BIN)/choreo sweep $(SEQ_FLAGS) -workers 8 -shard $$i/3 -out $(BIN)/seq-shard$$i.jsonl || exit 1; \
 	done
-	$(BIN)/choreo merge -out $(BIN)/seq-merged.jsonl $(BIN)/seq-shard1.jsonl $(BIN)/seq-shard2.jsonl
+	$(BIN)/choreo merge -out $(BIN)/seq-merged.jsonl \
+		$(BIN)/seq-shard1.jsonl $(BIN)/seq-shard2.jsonl $(BIN)/seq-shard3.jsonl
 	cmp $(BIN)/seq-s1.jsonl $(BIN)/seq-merged.jsonl
-	@echo "sequence sweep is byte-identical across worker counts and 2-shard merge"
+	@echo "sequence sweep is byte-identical across worker counts and 3-shard merge"
 
 # The live-mesh acceptance check: a small grid swept twice against a
 # loopback fleet of real choreo-agents must produce schema-stable

@@ -90,12 +90,12 @@ func (f *fleetFlags) train() probe.Config {
 
 // liveBackend is the single validation path from the flag group to a
 // live measurement backend: split and check the fleet, assemble the
-// train, stamp the epoch. A non-nil observer instruments every mesh
-// the backend runs (pair/RTT histograms, per-agent failure counters,
-// mesh/pair spans) into the caller's sinks. execute turns predictions
-// into real bulk transfers: every chosen placement's inter-machine
-// flows run over the fleet and the measured completion is recorded
-// next to the predicted one.
+// train. A non-nil observer instruments every mesh the backend runs
+// (pair/RTT histograms, per-agent failure counters, mesh/pair spans)
+// into the caller's sinks. execute turns predictions into real bulk
+// transfers: every chosen placement's inter-machine flows run over the
+// fleet and the measured completion is recorded next to the predicted
+// one.
 func (f *fleetFlags) liveBackend(o *obs.Observer, execute bool) (*backend.Live, error) {
 	addrs, err := f.addrs(2)
 	if err != nil {
@@ -105,10 +105,6 @@ func (f *fleetFlags) liveBackend(o *obs.Observer, execute bool) (*backend.Live, 
 		Agents:  addrs,
 		Timeout: *f.agentTimeout,
 		Train:   f.train(),
-		// Stamp each invocation as its own mesh epoch: a real cloud
-		// drifts between runs, so two runs' measurements must never be
-		// conflated by anything keyed on cell identity.
-		Epoch:   time.Now().Unix(),
 		Obs:     o,
 		Execute: execute,
 	})

@@ -102,14 +102,14 @@ func (a Algorithm) Name() string {
 	return a.String()
 }
 
+// cpuPerVM is each VM's core count; the paper models four. The packet
+// trains always run probe.DefaultEC2.
+const cpuPerVM = 4
+
 // Options configures an orchestrator.
 type Options struct {
-	// TrainConfig parameterizes measurement; zero value uses DefaultEC2.
-	TrainConfig probe.Config
 	// Model is the rate model for greedy/optimal placement.
 	Model place.Model
-	// CPUPerVM is each VM's core count (the paper models four).
-	CPUPerVM float64
 	// UseIdealMeasurement skips packet trains and reads the simulator's
 	// available rates directly (for ablations).
 	UseIdealMeasurement bool
@@ -140,12 +140,6 @@ func New(net *netsim.Network, vms []topology.VM, rng *rand.Rand, opts Options) (
 func (c *Choreo) init(vms []topology.VM, opts Options) error {
 	if len(vms) < 2 {
 		return fmt.Errorf("core: need at least 2 VMs, got %d", len(vms))
-	}
-	if opts.CPUPerVM <= 0 {
-		opts.CPUPerVM = 4
-	}
-	if opts.TrainConfig.Bursts == 0 {
-		opts.TrainConfig = probe.DefaultEC2()
 	}
 	c.vms, c.opts = vms, opts
 	return nil
@@ -236,7 +230,7 @@ func (c *Choreo) MeasureEnvironment() (*place.Environment, error) {
 	}
 	for i := range env.Rates {
 		env.Rates[i] = make([]units.Rate, n)
-		env.CPUCap[i] = c.opts.CPUPerVM
+		env.CPUCap[i] = cpuPerVM
 	}
 	// PairStates returns path states in exactly this loop's pair order
 	// (sources outer, destinations inner), so the trains consume the
@@ -267,7 +261,7 @@ func (c *Choreo) MeasureEnvironment() (*place.Environment, error) {
 			} else {
 				// Scratch variant: the observation is dead once the
 				// estimator has read it, so the burst buffer is reused.
-				obs, err := c.medium.RunTrainOnScratch(&states[next].State, c.opts.TrainConfig)
+				obs, err := c.medium.RunTrainOnScratch(&states[next].State, probe.DefaultEC2())
 				next++
 				if err != nil {
 					return nil, err

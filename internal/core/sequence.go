@@ -25,12 +25,9 @@ type SequenceOptions struct {
 	// MigrationGain is the minimum predicted relative improvement to
 	// justify a migration (default 0.2).
 	MigrationGain float64
-	// MigrationDelay pauses a migrated application's remaining transfers
-	// (default 2s), modelling the cost of moving task state.
-	MigrationDelay time.Duration
 	// MaxMigrationsPerApp bounds how often one application may be moved;
-	// together with the migration delay it guarantees sequences
-	// terminate. 0 means the default of 3.
+	// together with migrationDelay it guarantees sequences terminate. 0
+	// means the default of 3.
 	MaxMigrationsPerApp int
 	// StaticEnv, when non-nil, is used as the pre-sequence measurement
 	// instead of measuring at the start of the run. RunSequence only
@@ -45,6 +42,10 @@ type SequenceOptions struct {
 // defaultMaxMigrationsPerApp is the migration cap applied when
 // SequenceOptions.MaxMigrationsPerApp is zero.
 const defaultMaxMigrationsPerApp = 3
+
+// migrationDelay pauses a migrated application's remaining transfers,
+// modelling the cost of moving task state.
+const migrationDelay = 2 * time.Second
 
 // SequenceResult reports per-application running times. All per-app
 // slices are indexed in arrival order (the order RunSequence plays the
@@ -93,9 +94,6 @@ func (c *Choreo) RunSequence(apps []*profile.Application, alg Algorithm, opts Se
 	}
 	if opts.MigrationGain <= 0 {
 		opts.MigrationGain = 0.2
-	}
-	if opts.MigrationDelay <= 0 {
-		opts.MigrationDelay = 2 * time.Second
 	}
 	if opts.MaxMigrationsPerApp <= 0 {
 		opts.MaxMigrationsPerApp = defaultMaxMigrationsPerApp
@@ -315,7 +313,7 @@ func (c *Choreo) reevaluate(running []*runningApp, opts SequenceOptions, res *Se
 		ra.placement = newPlace
 		ra.migrations++
 		res.Migrations++
-		c.net.Schedule(c.net.Now()+opts.MigrationDelay, func() {
+		c.net.Schedule(c.net.Now()+migrationDelay, func() {
 			ra.paused = false
 			c.launchFlows(ra, restart, remaining, res)
 			if ra.outstanding == 0 && !ra.done {

@@ -18,123 +18,34 @@ type PromStats struct {
 }
 
 // ValidatePrometheus parses r as Prometheus text exposition format
-// (version 0.0.4) and validates it: comment syntax, TYPE-before-samples
-// ordering, metric/label name grammar, label-value escaping, float
-// sample values, and histogram consistency (cumulative buckets, +Inf
-// bucket present and equal to _count for every label set). It is the
-// go-side stand-in for promtool used by CI's serve-smoke — errors carry
-// line numbers. It is deliberately stricter than a scraper needs to be:
-// our own exposition must pass it exactly.
+// (version 0.0.4) and validates it: everything parseExposition checks,
+// plus histogram consistency (cumulative buckets, +Inf bucket present
+// and equal to _count for every label set). It is the go-side stand-in
+// for promtool used by CI's serve-smoke — errors carry line numbers. It
+// is deliberately stricter than a scraper needs to be: our own
+// exposition must pass it exactly.
 func ValidatePrometheus(r io.Reader) (PromStats, error) {
+	text, err := io.ReadAll(r)
+	if err != nil {
+		return PromStats{}, err
+	}
+	fams, order, err := parseExposition(string(text))
+	if err != nil {
+		return PromStats{}, err
+	}
 	var stats PromStats
-	types := make(map[string]string) // family -> declared type
-	sampled := make(map[string]bool) // family -> has samples
-	helped := make(map[string]bool)  // family -> saw HELP
-	type histSeries struct {
-		buckets []bucketSample
-		sum     *float64
-		count   *float64
-	}
-	hists := make(map[string]map[string]*histSeries) // family -> labelKey -> series
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if strings.TrimSpace(text) == "" {
-			continue
+	for _, name := range order {
+		f := fams[name]
+		if f.typ == "" {
+			continue // a HELP without a TYPE declares no family
 		}
-		if strings.HasPrefix(text, "#") {
-			if err := parseComment(text, line, types, helped, sampled); err != nil {
-				return stats, err
-			}
-			continue
-		}
-		name, labels, value, err := parseSample(text, line)
-		if err != nil {
-			return stats, err
-		}
-		fam := familyOf(name, types)
-		if _, ok := types[fam]; !ok {
-			return stats, fmt.Errorf("line %d: sample %s without a # TYPE for %s", line, name, fam)
-		}
-		sampled[fam] = true
-		stats.Samples++
-		if types[fam] == "histogram" {
-			if hists[fam] == nil {
-				hists[fam] = make(map[string]*histSeries)
-			}
-			key, le, hasLE := histLabelKey(labels)
-			hs := hists[fam][key]
-			if hs == nil {
-				hs = &histSeries{}
-				hists[fam][key] = hs
-			}
-			switch {
-			case name == fam+"_bucket":
-				if !hasLE {
-					return stats, fmt.Errorf("line %d: %s_bucket without le label", line, fam)
-				}
-				leVal, err := parseFloatValue(le)
-				if err != nil {
-					return stats, fmt.Errorf("line %d: bad le %q: %v", line, le, err)
-				}
-				hs.buckets = append(hs.buckets, bucketSample{le: leVal, cum: value, line: line})
-			case name == fam+"_sum":
-				v := value
-				hs.sum = &v
-			case name == fam+"_count":
-				v := value
-				hs.count = &v
-			default:
-				return stats, fmt.Errorf("line %d: sample %s not a _bucket/_sum/_count of histogram %s", line, name, fam)
-			}
-		} else if name != fam {
-			return stats, fmt.Errorf("line %d: sample %s does not match declared family %s", line, name, fam)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return stats, err
-	}
-
-	// Histogram consistency.
-	for fam, byKey := range hists {
-		for key, hs := range byKey {
-			where := fam
-			if key != "" {
-				where = fam + "{" + key + "}"
-			}
-			if len(hs.buckets) == 0 {
-				return stats, fmt.Errorf("histogram %s has no buckets", where)
-			}
-			if hs.count == nil || hs.sum == nil {
-				return stats, fmt.Errorf("histogram %s missing _sum or _count", where)
-			}
-			last := hs.buckets[len(hs.buckets)-1]
-			prev := -1.0
-			var prevCum float64
-			for i, b := range hs.buckets {
-				if i > 0 && b.le <= prev {
-					return stats, fmt.Errorf("line %d: histogram %s buckets not ascending (le %g after %g)", b.line, where, b.le, prev)
-				}
-				if b.cum < prevCum {
-					return stats, fmt.Errorf("line %d: histogram %s buckets not cumulative (%g after %g)", b.line, where, b.cum, prevCum)
-				}
-				prev, prevCum = b.le, b.cum
-			}
-			if !isInf(last.le) {
-				return stats, fmt.Errorf("histogram %s missing +Inf bucket", where)
-			}
-			if last.cum != *hs.count {
-				return stats, fmt.Errorf("histogram %s: +Inf bucket %g != _count %g", where, last.cum, *hs.count)
+		if f.typ == "histogram" {
+			if err := checkHistogram(f); err != nil {
+				return PromStats{}, err
 			}
 		}
-	}
-
-	for fam := range types {
-		stats.Names = append(stats.Names, fam)
+		stats.Names = append(stats.Names, name)
+		stats.Samples += len(f.samples)
 	}
 	sort.Strings(stats.Names)
 	stats.Families = len(stats.Names)
@@ -147,13 +58,80 @@ type bucketSample struct {
 	line int
 }
 
-func isInf(v float64) bool { return math.IsInf(v, 1) }
+// checkHistogram checks every series of histogram f (one per label set
+// other than le): ascending, cumulative buckets ending in +Inf, a _sum,
+// and a _count equal to the +Inf bucket.
+func checkHistogram(f *expoFamily) error {
+	type series struct {
+		buckets          []bucketSample
+		hasSum, hasCount bool
+		count            float64
+	}
+	byKey := make(map[string]*series)
+	var keys []string
+	for _, smp := range f.samples {
+		key, le, _ := histLabelKey(smp.labels)
+		hs := byKey[key]
+		if hs == nil {
+			hs = &series{}
+			byKey[key] = hs
+			keys = append(keys, key)
+		}
+		switch smp.name {
+		case f.name + "_bucket":
+			leVal, err := parseFloatValue(le)
+			if err != nil {
+				return fmt.Errorf("line %d: bad le %q: %v", smp.line, le, err)
+			}
+			hs.buckets = append(hs.buckets, bucketSample{le: leVal, cum: smp.value, line: smp.line})
+		case f.name + "_sum":
+			hs.hasSum = true
+		case f.name + "_count":
+			hs.hasCount, hs.count = true, smp.value
+		}
+	}
+	for _, key := range keys {
+		hs := byKey[key]
+		where := f.name
+		if key != "" {
+			where = f.name + "{" + key + "}"
+		}
+		if len(hs.buckets) == 0 {
+			return fmt.Errorf("histogram %s has no buckets", where)
+		}
+		if !hs.hasCount || !hs.hasSum {
+			return fmt.Errorf("histogram %s missing _sum or _count", where)
+		}
+		prev := -1.0
+		var prevCum float64
+		for i, b := range hs.buckets {
+			if i > 0 && b.le <= prev {
+				return fmt.Errorf("line %d: histogram %s buckets not ascending (le %g after %g)", b.line, where, b.le, prev)
+			}
+			if b.cum < prevCum {
+				return fmt.Errorf("line %d: histogram %s buckets not cumulative (%g after %g)", b.line, where, b.cum, prevCum)
+			}
+			prev, prevCum = b.le, b.cum
+		}
+		last := hs.buckets[len(hs.buckets)-1]
+		if !math.IsInf(last.le, 1) {
+			return fmt.Errorf("histogram %s missing +Inf bucket", where)
+		}
+		if last.cum != hs.count {
+			return fmt.Errorf("histogram %s: +Inf bucket %g != _count %g", where, last.cum, hs.count)
+		}
+	}
+	return nil
+}
 
 var promTypes = map[string]bool{
 	"counter": true, "gauge": true, "histogram": true, "summary": true, "untyped": true,
 }
 
-func parseComment(text string, line int, types map[string]string, helped, sampled map[string]bool) error {
+// parseComment reads one # line into its family: a HELP sets the help
+// text once, a TYPE declares the type once. Other comments are
+// free-form.
+func parseComment(text string, line int, family func(string) *expoFamily) error {
 	fields := strings.SplitN(text, " ", 4)
 	if len(fields) < 2 {
 		return nil // bare comment, allowed
@@ -163,14 +141,17 @@ func parseComment(text string, line int, types map[string]string, helped, sample
 		if len(fields) < 3 {
 			return fmt.Errorf("line %d: malformed HELP", line)
 		}
-		fam := fields[2]
-		if !metricNameRe.MatchString(fam) {
-			return fmt.Errorf("line %d: HELP for invalid metric name %q", line, fam)
+		if !metricNameRe.MatchString(fields[2]) {
+			return fmt.Errorf("line %d: HELP for invalid metric name %q", line, fields[2])
 		}
-		if helped[fam] {
-			return fmt.Errorf("line %d: duplicate HELP for %s", line, fam)
+		f := family(fields[2])
+		if f.helped {
+			return fmt.Errorf("line %d: duplicate HELP for %s", line, f.name)
 		}
-		helped[fam] = true
+		f.helped = true
+		if len(fields) == 4 {
+			f.help = fields[3]
+		}
 	case "TYPE":
 		if len(fields) < 4 {
 			return fmt.Errorf("line %d: malformed TYPE", line)
@@ -182,15 +163,13 @@ func parseComment(text string, line int, types map[string]string, helped, sample
 		if !promTypes[typ] {
 			return fmt.Errorf("line %d: unknown type %q for %s", line, typ, fam)
 		}
-		if _, dup := types[fam]; dup {
+		// A family's samples need its TYPE first, so a TYPE after them
+		// is a duplicate.
+		f := family(fam)
+		if f.typ != "" {
 			return fmt.Errorf("line %d: duplicate TYPE for %s", line, fam)
 		}
-		if sampled[fam] {
-			return fmt.Errorf("line %d: TYPE for %s after its samples", line, fam)
-		}
-		types[fam] = typ
-	default:
-		// Other comments are free-form and allowed.
+		f.typ = typ
 	}
 	return nil
 }
@@ -198,10 +177,10 @@ func parseComment(text string, line int, types map[string]string, helped, sample
 // familyOf maps a sample name to its declared family, folding histogram
 // _bucket/_sum/_count suffixes onto the base name when that base was
 // declared as a histogram.
-func familyOf(name string, types map[string]string) string {
+func familyOf(name string, fams map[string]*expoFamily) string {
 	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
 		base := strings.TrimSuffix(name, suffix)
-		if base != name && types[base] == "histogram" {
+		if f := fams[base]; base != name && f != nil && f.typ == "histogram" {
 			return base
 		}
 	}
@@ -317,29 +296,43 @@ type Exposition struct {
 	Text  string
 }
 
-// expoSample is one retained sample line: the full sample name
-// (histogram suffixes included), its labels and value.
+// expoSample is one sample line: the full sample name (histogram
+// suffixes included), its labels, value and line number.
 type expoSample struct {
 	name   string
 	labels map[string]string
 	value  float64
+	line   int
 }
 
-// expoFamily is one retained metric family in input order.
+// expoFamily is one metric family: its declared type and help text and
+// its samples in input order.
 type expoFamily struct {
 	name, typ, help string
+	helped          bool
 	samples         []expoSample
 }
 
-// parseExposition parses text retaining structure (families in
-// declaration order, samples in input order) — the read side of
-// MergeExpositions. Enforces the same TYPE-before-samples rule the
-// validator does; deeper consistency (histogram cumulativity) is left
-// to ValidatePrometheus on the merged output.
+// parseExposition is the one reader of the text format. It parses text
+// retaining structure — families in declaration order, samples in input
+// order — and checks comment syntax, TYPE-before-samples ordering,
+// metric/label name grammar, label-value escaping and float sample
+// values, and that every sample belongs to its declared family (a
+// histogram's samples are its _bucket, with an le label, _sum and
+// _count). ValidatePrometheus adds the histogram consistency checks;
+// MergeExpositions reads its inputs through it.
 func parseExposition(text string) (map[string]*expoFamily, []string, error) {
 	fams := make(map[string]*expoFamily)
 	var order []string
-	types := make(map[string]string)
+	family := func(name string) *expoFamily {
+		f := fams[name]
+		if f == nil {
+			f = &expoFamily{name: name}
+			fams[name] = f
+			order = append(order, name)
+		}
+		return f
+	}
 	sc := bufio.NewScanner(strings.NewReader(text))
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	line := 0
@@ -350,36 +343,8 @@ func parseExposition(text string) (map[string]*expoFamily, []string, error) {
 			continue
 		}
 		if strings.HasPrefix(raw, "#") {
-			fields := strings.SplitN(raw, " ", 4)
-			if len(fields) < 3 {
-				continue
-			}
-			fam := fields[2]
-			switch fields[1] {
-			case "HELP":
-				if f := fams[fam]; f != nil && f.help == "" && len(fields) == 4 {
-					f.help = fields[3]
-				} else if f == nil {
-					f := &expoFamily{name: fam}
-					if len(fields) == 4 {
-						f.help = fields[3]
-					}
-					fams[fam] = f
-					order = append(order, fam)
-				}
-			case "TYPE":
-				if len(fields) < 4 {
-					return nil, nil, fmt.Errorf("line %d: malformed TYPE", line)
-				}
-				typ := strings.TrimSpace(fields[3])
-				f := fams[fam]
-				if f == nil {
-					f = &expoFamily{name: fam}
-					fams[fam] = f
-					order = append(order, fam)
-				}
-				f.typ = typ
-				types[fam] = typ
+			if err := parseComment(raw, line, family); err != nil {
+				return nil, nil, err
 			}
 			continue
 		}
@@ -387,12 +352,25 @@ func parseExposition(text string) (map[string]*expoFamily, []string, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		fam := familyOf(name, types)
+		fam := familyOf(name, fams)
 		f := fams[fam]
 		if f == nil || f.typ == "" {
 			return nil, nil, fmt.Errorf("line %d: sample %s without a # TYPE for %s", line, name, fam)
 		}
-		f.samples = append(f.samples, expoSample{name: name, labels: labels, value: value})
+		if f.typ == "histogram" {
+			switch name {
+			case fam + "_bucket":
+				if _, hasLE := labels["le"]; !hasLE {
+					return nil, nil, fmt.Errorf("line %d: %s_bucket without le label", line, fam)
+				}
+			case fam + "_sum", fam + "_count":
+			default:
+				return nil, nil, fmt.Errorf("line %d: sample %s not a _bucket/_sum/_count of histogram %s", line, name, fam)
+			}
+		} else if name != fam {
+			return nil, nil, fmt.Errorf("line %d: sample %s does not match declared family %s", line, name, fam)
+		}
+		f.samples = append(f.samples, expoSample{name: name, labels: labels, value: value, line: line})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, err

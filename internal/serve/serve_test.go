@@ -198,7 +198,6 @@ func TestLoopbackSnapshotIsolation(t *testing.T) {
 		Agents:  mesh.Addrs(),
 		Timeout: 10 * time.Second,
 		Train:   livetest.QuickTrain(),
-		Epoch:   1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +317,7 @@ func TestRefreshCanceled(t *testing.T) {
 	slow.Bursts = 40
 	slow.Gap = 50 * time.Millisecond
 	live, err := backend.NewLive(backend.LiveConfig{
-		Agents: mesh.Addrs(), Timeout: 10 * time.Second, Train: slow, Epoch: 1,
+		Agents: mesh.Addrs(), Timeout: 10 * time.Second, Train: slow,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -141,12 +141,6 @@ type Backend interface {
 	// record it so executed and predicted-only runs never merge.
 	Executes() bool
 
-	// MeshEpoch tags the backend's current measurement epoch. Sim
-	// measurements are pure functions of the cell and always report 0;
-	// live meshes drift, so live backends report a non-zero epoch that
-	// the sweep's cell keys carry — two epochs never share a measurement.
-	MeshEpoch() int64
-
 	// CheckCapacity reports whether the backend can measure cells of up
 	// to maxVMs slots (the live backend needs one agent per slot).
 	CheckCapacity(ctx context.Context, maxVMs int) error

@@ -14,6 +14,14 @@ import (
 	"choreo/internal/units"
 )
 
+// A live environment gives each VM the paper's four cores, and its
+// diagonal the intra-machine rate, which the paper models as effectively
+// infinite.
+const (
+	liveCPUPerVM = 4
+	liveMemBus   = units.Rate(4e9) // 4 Gbit/s
+)
+
 // LiveConfig parameterizes a live measurement backend.
 type LiveConfig struct {
 	// Agents holds the choreo-agent control addresses (host:port), one
@@ -23,16 +31,6 @@ type LiveConfig struct {
 	Timeout time.Duration
 	// Train parameterizes the packet trains (zero value: probe.DefaultEC2).
 	Train probe.Config
-	// CPUPerVM is each VM's core count in the assembled environment
-	// (default 4, the paper's model).
-	CPUPerVM float64
-	// MemBus is the intra-machine rate on the environment's diagonal
-	// (default 4 Gbit/s; the paper models it as effectively infinite).
-	MemBus units.Rate
-	// Epoch tags this backend's measurement epoch (default 1). Sweep
-	// cell keys carry it, so measurements from different epochs — the
-	// mesh drifts between sweeps — are never conflated.
-	Epoch int64
 	// Obs, when non-nil, instruments every mesh the backend runs:
 	// per-pair/RTT histograms and per-agent failure counters in its
 	// registry, mesh/pair spans in its tracer. Executed placements add
@@ -95,15 +93,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	if err := cfg.Train.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.CPUPerVM <= 0 {
-		cfg.CPUPerVM = 4
-	}
-	if cfg.MemBus <= 0 {
-		cfg.MemBus = units.Gbps(4)
-	}
-	if cfg.Epoch == 0 {
-		cfg.Epoch = 1
-	}
 	l := &Live{cfg: cfg, acc: obs.NewAccuracy(cfg.Obs.Registry())}
 	l.cfg.Agents = append([]string(nil), cfg.Agents...)
 	l.fleet.init()
@@ -112,9 +101,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 
 // Name identifies the backend.
 func (l *Live) Name() string { return "live" }
-
-// MeshEpoch reports the configured measurement epoch (never 0).
-func (l *Live) MeshEpoch() int64 { return l.cfg.Epoch }
 
 // CheckCapacity verifies the fleet has one agent per VM slot.
 func (l *Live) CheckCapacity(ctx context.Context, maxVMs int) error {
@@ -164,10 +150,10 @@ func (l *Live) Measure(ctx context.Context, c Cell) (*place.Environment, error) 
 	}
 	for i := range env.Rates {
 		env.Rates[i] = make([]units.Rate, n)
-		env.CPUCap[i] = l.cfg.CPUPerVM
+		env.CPUCap[i] = liveCPUPerVM
 		for j := range env.Rates[i] {
 			if i == j {
-				env.Rates[i][i] = l.cfg.MemBus
+				env.Rates[i][i] = liveMemBus
 				continue
 			}
 			est := mesh.Rates[i][j]

@@ -126,7 +126,4 @@ func TestNewLiveValidation(t *testing.T) {
 	if live.Name() != "live" {
 		t.Errorf("Name() = %q, want live", live.Name())
 	}
-	if live.MeshEpoch() == 0 {
-		t.Error("MeshEpoch() = 0; live epochs must be non-zero so cache keys never collide with sim")
-	}
 }

@@ -28,10 +28,6 @@ func NewSim() *Sim { return &Sim{} }
 // Name identifies the backend.
 func (s *Sim) Name() string { return "sim" }
 
-// MeshEpoch is always 0: simulated measurements are pure functions of
-// the cell, so entries are shareable wherever the cell keys agree.
-func (s *Sim) MeshEpoch() int64 { return 0 }
-
 // CheckCapacity always succeeds: the simulator allocates as many VMs as
 // the profile's hosts can carry, and per-cell allocation errors surface
 // from Measure with the cell's coordinates attached.

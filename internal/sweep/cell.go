@@ -12,53 +12,9 @@ import (
 	"choreo/internal/sweep/backend"
 	"choreo/internal/sweep/sequence"
 	"choreo/internal/topology"
+	"choreo/internal/units"
 	"choreo/internal/workload"
 )
-
-// CellKey identifies one cell: the deterministic cell seed plus every
-// topology, allocation and workload parameter that shapes the built
-// cloud or the placement problem. Scenarios with equal keys run on a
-// bit-identical cloud, measurement and application; they differ only in
-// algorithm (and, for sequence cells, re-evaluation period).
-type CellKey struct {
-	Topology  string
-	Workload  string
-	CloudSeed int64
-	VMs       int
-	MeanBytes int64
-	MinTasks  int
-	MaxTasks  int
-	Apps      int
-	// Interarrival and SeqApps identify a sequence-mode cell's arrival
-	// process (mean inter-arrival in nanoseconds, applications per
-	// sequence); both are zero for snapshot cells. The re-evaluation
-	// period is deliberately absent: it changes only how a sequence is
-	// run, not the built cloud or the generated arrivals.
-	Interarrival int64
-	SeqApps      int
-	// Backend and Epoch identify the measurement plane. Both are zero
-	// values for the simulated backend, whose measurements are pure
-	// functions of the key. Live backends set Backend to their name and
-	// Epoch to their mesh epoch: a real cloud drifts between
-	// measurements, so cells from different epochs — or from sim and
-	// live runs of the same coordinates — never share one.
-	Backend string
-	Epoch   int64
-}
-
-// MeasurementKey derives the key of the cell's measured cloud, which is
-// the key RunStream groups scenarios by. Simulated sequence cells that
-// differ only in their arrival process (interarrival, sequence length)
-// have a bit-identical cloud, so those coordinates are dropped. Live
-// measurements are never shared across cells: the real cloud drifts, so
-// the full cell key (epoch included) stays the measurement's identity.
-func (k CellKey) MeasurementKey() CellKey {
-	if k.Backend != "" {
-		return k
-	}
-	k.Interarrival, k.SeqApps = 0, 0
-	return k
-}
 
 // CacheStats counts how a run shared what its cell groups built. Misses
 // is the number of cells built and Hits the scenarios that ran on a cell
@@ -82,7 +38,7 @@ func (s *CacheStats) add(o CacheStats) {
 }
 
 // cell is one built cell: the measured cloud its group shares and the
-// cell key's placement problem — a single application for snapshot
+// cell's placement problem — a single application for snapshot
 // cells, a Start-ordered arrival sequence for sequence cells. A cell is
 // complete before any of its scenarios runs, and from then on it is
 // read-only, so a group's scenarios run on it concurrently: placement
@@ -108,17 +64,18 @@ type cell struct {
 }
 
 // buildGroup builds a cell group's cells: the cloud and its measurement
-// once, each distinct cell key's application or arrival sequence once,
-// and each snapshot cell's optimal reference once if a scenario needs
-// it. cells[j] is scs[j]'s cell, and counts the group's CacheStats. scs
-// must be in expansion order, in which cell keys are contiguous.
+// once, each distinct cell's (Coord.cell) application or arrival
+// sequence once, and each snapshot cell's optimal reference once if a
+// scenario needs it. cells[j] is scs[j]'s cell, and counts the group's
+// CacheStats. scs must be one cloud's scenarios in expansion order, in
+// which a cell's scenarios are contiguous.
 func (g *Grid) buildGroup(ctx context.Context, scs []Scenario, ro *runObs) (cells []*cell, counts CacheStats, err error) {
 	cells = make([]*cell, len(scs))
 	var c *cell
-	var key CellKey
+	var key Coord
 	refTried := false
 	for j, sc := range scs {
-		if k := g.CellKey(sc); c != nil && k == key {
+		if k := sc.cell(); c != nil && k == key {
 			counts.Hits++
 		} else {
 			prev := c
@@ -209,7 +166,7 @@ func (g *Grid) buildSequence(sc Scenario) ([]*profile.Application, error) {
 	cfg := workload.Config{
 		MinTasks:  g.MinTasks,
 		MaxTasks:  g.MaxTasks,
-		MeanBytes: sc.MeanBytes,
+		MeanBytes: units.ByteSize(sc.MeanBytes),
 		Patterns:  sc.Workload.Patterns,
 	}
 	// Same rng offset as the snapshot generator, so the workload stream

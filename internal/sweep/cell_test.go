@@ -11,23 +11,6 @@ import (
 	"choreo/internal/obs"
 )
 
-// TestMeasurementKeyStripsArrivalProcess pins which coordinates the
-// measurement key drops: sim cells differing only in arrival process
-// share one measured cloud, everything else stays distinct.
-func TestMeasurementKeyStripsArrivalProcess(t *testing.T) {
-	a := CellKey{Topology: "t", Workload: "w", CloudSeed: 9, VMs: 4, Interarrival: 5, SeqApps: 8}
-	b := a
-	b.Interarrival, b.SeqApps = 30, 12
-	if a.MeasurementKey() != b.MeasurementKey() {
-		t.Error("cells differing only in arrival process do not share a measurement key")
-	}
-	c := a
-	c.CloudSeed = 10
-	if a.MeasurementKey() == c.MeasurementKey() {
-		t.Error("cells with different clouds share a measurement key")
-	}
-}
-
 // resultLines returns the result lines of a stream: everything between
 // the grid echo and the aggregates line.
 func resultLines(stream string) []string {
@@ -93,10 +76,10 @@ func TestGroupSharingDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var order []CellKey
-		groups := map[CellKey][]int{}
+		var order []Coord
+		groups := map[Coord][]int{}
 		for i, sc := range scs {
-			key := full.CellKey(sc).MeasurementKey()
+			key := sc.Cloud()
 			if _, ok := groups[key]; !ok {
 				order = append(order, key)
 			}

@@ -171,7 +171,7 @@ func TestSharedCloudSequenceMatchesRebuild(t *testing.T) {
 		}
 		for i, sc := range scs {
 			seq, err := sequence.Generate(rand.New(rand.NewSource(sc.cloudSeed()+2)), workload.Config{
-				MinTasks: g.MinTasks, MaxTasks: g.MaxTasks, MeanBytes: sc.MeanBytes, Patterns: sc.Workload.Patterns,
+				MinTasks: g.MinTasks, MaxTasks: g.MaxTasks, MeanBytes: units.ByteSize(sc.MeanBytes), Patterns: sc.Workload.Patterns,
 			}, g.sequenceParams(sc))
 			if err != nil {
 				t.Fatal(err)
@@ -188,7 +188,7 @@ func TestSharedCloudSequenceMatchesRebuild(t *testing.T) {
 			if got.CompletionSeconds != want.TotalRunningSeconds || got.Migrations != want.Migrations ||
 				!reflect.DeepEqual(got.Apps, want.Apps) {
 				t.Errorf("%s %s interarrival %v: run on the cell's cloud (%v s, %d migrations) differs from a rebuilt cloud's (%v s, %d)",
-					topo, sc.Algorithm.Name, sc.Interarrival, got.CompletionSeconds, got.Migrations,
+					topo, sc.Algorithm.Name, time.Duration(sc.InterarrivalNs), got.CompletionSeconds, got.Migrations,
 					want.TotalRunningSeconds, want.Migrations)
 			}
 		}

@@ -170,7 +170,7 @@ func TraceWorkload(tr *workload.Trace) Workload {
 	if name == "" {
 		name = "trace"
 	}
-	return Workload{Name: "trace:" + name, Trace: tr}
+	return Workload{Name: tracePrefix + name, Trace: tr}
 }
 
 // Algorithm is one placement policy in the grid.
@@ -417,6 +417,10 @@ func (g *Grid) Validate() error {
 		if w.Trace == nil && w.Name != "mixed" && len(w.Patterns) == 0 {
 			return fmt.Errorf("sweep: workload %q has neither patterns nor a trace", w.Name)
 		}
+		// The echo's expansion tells trace workloads by their name.
+		if trace := strings.HasPrefix(w.Name, tracePrefix); trace != (w.Trace != nil) {
+			return fmt.Errorf("sweep: workload %q: trace workloads, and only they, are named %s<name> (see TraceWorkload)", w.Name, tracePrefix)
+		}
 		if seen[w.Name] {
 			return fmt.Errorf("sweep: duplicate workload %q", w.Name)
 		}
@@ -562,137 +566,37 @@ func (g *Grid) validateMode() error {
 	return nil
 }
 
-// Scenario is one expanded grid cell.
+// Scenario is one expanded grid cell: its coordinates plus the grid
+// entries they name. The Topology, Workload and Algorithm fields shadow
+// the embedded Coord's names of them.
 type Scenario struct {
+	Coord
 	// Index is the cell's position in expansion order; results land at
 	// this index regardless of which worker runs the cell.
 	Index     int
 	Topology  Topology
 	Workload  Workload
 	Algorithm Algorithm
-	Seed      int64
-	// VMs and MeanBytes are the swept allocation size and mean transfer
-	// size of this cell.
-	VMs       int
-	MeanBytes units.ByteSize
-	// Interarrival, SeqApps and Reeval are the swept arrival-process
-	// and migration-policy coordinates of a sequence cell; all zero for
-	// snapshot cells.
-	Interarrival time.Duration
-	SeqApps      int
-	Reeval       time.Duration
 }
 
-// traceSizes is the transfer-size dimension for trace workloads: traces
-// replay recorded transfers, so sweeping the generator's mean size would
-// only duplicate identical cells. The single zero entry keeps the cell
-// honest (meanBytes 0 = not applicable) and the cloud seed stable.
-var traceSizes = []units.ByteSize{0}
-
-// Expand enumerates the cross product in a fixed order: topology,
-// workload, VM count, transfer size, interarrival, sequence length,
-// re-evaluation period, algorithm, seed — the outermost dimension
-// varying slowest. Snapshot grids collapse the three sequence
-// dimensions to single zero placeholders, reducing to the original
-// six-dimension order. Trace workloads skip the transfer-size dimension
-// (see traceSizes).
+// Expand enumerates the grid's scenarios in expansion order (see
+// GridSummary.expand).
 func (g *Grid) Expand() ([]Scenario, error) {
-	g.applyDefaults()
-	if err := g.Validate(); err != nil {
+	sum, err := g.Summary()
+	if err != nil {
 		return nil, err
 	}
-	inters, seqApps, reevals := []time.Duration{0}, []int{0}, []time.Duration{0}
-	if g.Mode == Sequence {
-		inters, seqApps, reevals = g.Interarrivals, g.SeqApps, g.Reevals
-	}
-	sizes := 0 // the workloads' transfer sizes, summed
-	for _, wl := range g.Workloads {
-		if wl.Trace != nil {
-			sizes += len(traceSizes)
-		} else {
-			sizes += len(g.MeanSizes)
-		}
-	}
-	out := make([]Scenario, 0, len(g.Topologies)*sizes*len(g.VMCounts)*
-		len(inters)*len(seqApps)*len(reevals)*len(g.Algorithms)*len(g.Seeds))
-	for _, tp := range g.Topologies {
-		for _, wl := range g.Workloads {
-			sizes := g.MeanSizes
-			if wl.Trace != nil {
-				sizes = traceSizes
-			}
-			for _, vms := range g.VMCounts {
-				for _, size := range sizes {
-					for _, inter := range inters {
-						for _, apps := range seqApps {
-							for _, reeval := range reevals {
-								for _, alg := range g.Algorithms {
-									for _, seed := range g.Seeds {
-										out = append(out, Scenario{
-											Index:        len(out),
-											Topology:     tp,
-											Workload:     wl,
-											Algorithm:    alg,
-											Seed:         seed,
-											VMs:          vms,
-											MeanBytes:    size,
-											Interarrival: inter,
-											SeqApps:      apps,
-											Reeval:       reeval,
-										})
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return out, nil
+	return g.scenarios(&sum), nil
 }
 
-// cloudSeed derives the deterministic per-cell seed. It covers every cell
-// coordinate (topology, workload, VM count, transfer size, grid seed)
-// but not the algorithm, so every algorithm in a cell group faces the
-// identical cloud and application — the comparison the paper's Figure 10
-// makes.
-func (sc Scenario) cloudSeed() int64 {
-	const offset64, prime64 = 1469598103934665603, 1099511628211
-	h := uint64(offset64)
-	mixByte := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			mixByte(s[i])
-		}
-		mixByte(0xff) // separator so "ab"+"c" != "a"+"bc"
-	}
-	mixInt := func(v int64) {
-		// Fold in bytewise for the same avalanche behaviour.
-		for i := 0; i < 8; i++ {
-			mixByte(byte(v >> (8 * i)))
-		}
-	}
-	mix(sc.Topology.Name)
-	mix(sc.Workload.Name)
-	mixInt(int64(sc.VMs))
-	mixInt(int64(sc.MeanBytes))
-	mixInt(sc.Seed)
-	// The sequence coordinates (interarrival, sequence length,
-	// re-evaluation period) are deliberately not mixed in — and not only
-	// to keep every snapshot cell's seed (and hence the golden reports)
-	// stable. Sequence cells that differ only in those coordinates share
-	// one cloud, and GenerateSequence draws the identical applications
-	// for any interarrival mean, so sweeping the arrival or migration
-	// dimensions is a same-cloud, same-applications comparison — the
-	// §6.3 analogue of every algorithm in a cell group facing the
-	// identical cloud. The cells stay distinct: their CellKey carries
-	// the sequence coordinates explicitly.
-	// Keep it positive and well away from zero for rand.NewSource.
-	return int64(h&0x7fffffffffffffff) | 1
+// scenarios expands sum, the grid's echo, into the grid's scenarios.
+func (g *Grid) scenarios(sum *GridSummary) []Scenario {
+	out := make([]Scenario, 0, sum.Scenarios)
+	sum.expand(func(t, w, a int, c Coord) {
+		out = append(out, Scenario{Coord: c, Index: len(out),
+			Topology: g.Topologies[t], Workload: g.Workloads[w], Algorithm: g.Algorithms[a]})
+	})
+	return out
 }
 
 // sortedAlgorithmNames returns the distinct algorithm names in grid

@@ -114,19 +114,19 @@ type GridSummary struct {
 	Scenarios       int  `json:"scenarios"`
 }
 
-// Summary validates and expands the grid's dimensions into the
+// Summary fills the grid's defaults, validates it and returns the
 // serializable echo that heads reports and streams, without running
 // anything.
 func (g *Grid) Summary() (GridSummary, error) {
-	scenarios, err := g.Expand()
-	if err != nil {
+	g.applyDefaults()
+	if err := g.Validate(); err != nil {
 		return GridSummary{}, err
 	}
-	return g.summary(len(scenarios)), nil
+	return g.summary(), nil
 }
 
-// summary builds the grid echo. Call after applyDefaults (Expand does).
-func (g *Grid) summary(scenarios int) GridSummary {
+// summary builds the grid echo. Call after applyDefaults.
+func (g *Grid) summary() GridSummary {
 	sum := GridSummary{
 		Seeds:           append([]int64(nil), g.Seeds...),
 		VMCounts:        append([]int(nil), g.VMCounts...),
@@ -137,7 +137,6 @@ func (g *Grid) summary(scenarios int) GridSummary {
 		OptimalMaxTasks: g.OptimalMaxTasks,
 		OptimalMaxNodes: g.OptimalMaxNodes,
 		Timing:          g.Timing,
-		Scenarios:       scenarios,
 	}
 	for _, size := range g.MeanSizes {
 		sum.MeanBytes = append(sum.MeanBytes, int64(size))
@@ -165,6 +164,7 @@ func (g *Grid) summary(scenarios int) GridSummary {
 		sum.MigrationGain = g.MigrationGain
 		sum.MaxMigrations = g.MaxMigrations
 	}
+	sum.expand(func(int, int, int, Coord) { sum.Scenarios++ })
 	return sum
 }
 

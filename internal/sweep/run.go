@@ -16,6 +16,7 @@ import (
 	"choreo/internal/profile"
 	"choreo/internal/sweep/backend"
 	"choreo/internal/sweep/sequence"
+	"choreo/internal/units"
 	"choreo/internal/workload"
 )
 
@@ -24,23 +25,7 @@ import (
 // latency is kept out of the JSON encoding so reports stay
 // byte-reproducible across runs and worker counts.
 type Result struct {
-	Topology  string `json:"topology"`
-	Workload  string `json:"workload"`
-	Algorithm string `json:"algorithm"`
-	Seed      int64  `json:"seed"`
-	VMs       int    `json:"vms"`
-	// MeanBytes is the swept mean transfer size the cell's workload was
-	// generated with (the recorded sizes for trace workloads).
-	MeanBytes int64 `json:"meanBytes"`
-	// InterarrivalNs, SeqApps and ReevalNs are a sequence cell's swept
-	// arrival-process and migration-policy coordinates (mean Poisson
-	// interarrival and §2.4 re-evaluation period in nanoseconds;
-	// ReevalNs 0 = no re-evaluation). All absent on snapshot cells, so
-	// snapshot result lines are byte-identical to what they were before
-	// sequence mode existed.
-	InterarrivalNs int64 `json:"interarrivalNs,omitempty"`
-	SeqApps        int   `json:"seqApps,omitempty"`
-	ReevalNs       int64 `json:"reevalNs,omitempty"`
+	Coord
 	// Tasks counts the placed tasks: the (combined) application's size
 	// in snapshot mode, the whole arrival sequence's total in sequence
 	// mode.
@@ -84,31 +69,6 @@ type Result struct {
 	// (summed over every arrival's measure+place in sequence mode).
 	// Deliberately excluded from JSON: see Grid.Timing.
 	PlaceLatency time.Duration `json:"-"`
-}
-
-// CellKey returns the scenario's cell key. Scenarios with equal keys
-// differ only in algorithm (and re-evaluation period); the shard planner
-// strides them across machines as one unit. Call after Expand, which
-// fills the defaulted knobs the key covers. Non-sim backends also stamp
-// their name and mesh epoch into the key (see CellKey.Backend).
-func (g *Grid) CellKey(sc Scenario) CellKey {
-	key := CellKey{
-		Topology:     sc.Topology.Name,
-		Workload:     sc.Workload.Name,
-		CloudSeed:    sc.cloudSeed(),
-		VMs:          sc.VMs,
-		MeanBytes:    int64(sc.MeanBytes),
-		MinTasks:     g.MinTasks,
-		MaxTasks:     g.MaxTasks,
-		Apps:         g.Apps,
-		Interarrival: int64(sc.Interarrival),
-		SeqApps:      sc.SeqApps,
-	}
-	if b := g.backend(); b.Name() != "sim" {
-		key.Backend = b.Name()
-		key.Epoch = b.MeshEpoch()
-	}
-	return key
 }
 
 // backendCell names the scenario's measurement target for the backend,
@@ -155,7 +115,7 @@ func (g *Grid) buildApplication(sc Scenario, seed int64) (*profile.Application, 
 		cfg := workload.Config{
 			MinTasks:  g.MinTasks,
 			MaxTasks:  g.MaxTasks,
-			MeanBytes: sc.MeanBytes,
+			MeanBytes: units.ByteSize(sc.MeanBytes),
 			Patterns:  sc.Workload.Patterns,
 		}
 		n := g.Apps
@@ -243,8 +203,8 @@ func placementInput(app *profile.Application, env *place.Environment) (*ilp.Plac
 func (g *Grid) sequenceParams(sc Scenario) sequence.Params {
 	return sequence.Params{
 		Apps:          sc.SeqApps,
-		Interarrival:  sc.Interarrival,
-		Reeval:        sc.Reeval,
+		Interarrival:  time.Duration(sc.InterarrivalNs),
+		Reeval:        time.Duration(sc.ReevalNs),
 		MigrationGain: g.MigrationGain,
 		MaxMigrations: g.MaxMigrations,
 	}
@@ -288,15 +248,7 @@ func (g *Grid) runSequenceScenario(sc Scenario, c *cell, ro *runObs) (Result, er
 		tasks += app.Tasks()
 	}
 	return Result{
-		Topology:          sc.Topology.Name,
-		Workload:          sc.Workload.Name,
-		Algorithm:         sc.Algorithm.Name,
-		Seed:              sc.Seed,
-		VMs:               sc.VMs,
-		MeanBytes:         int64(sc.MeanBytes),
-		InterarrivalNs:    int64(sc.Interarrival),
-		SeqApps:           sc.SeqApps,
-		ReevalNs:          int64(sc.Reeval),
+		Coord:             sc.Coord,
 		Tasks:             tasks,
 		CompletionSeconds: cres.TotalRunningSeconds,
 		Migrations:        cres.Migrations,
@@ -336,12 +288,7 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, c *cell, ro *runObs
 	ro.phase("execute", execStart)
 
 	res := Result{
-		Topology:          sc.Topology.Name,
-		Workload:          sc.Workload.Name,
-		Algorithm:         sc.Algorithm.Name,
-		Seed:              sc.Seed,
-		VMs:               sc.VMs,
-		MeanBytes:         int64(sc.MeanBytes),
+		Coord:             sc.Coord,
 		Tasks:             c.app.Tasks(),
 		CompletionSeconds: exec.Completion.Seconds(),
 		PlaceLatency:      latency,
@@ -450,10 +397,10 @@ type RunOptions struct {
 // aggregates and the cell-sharing counts.
 //
 // One worker builds each cell group (Grid.buildGroup): the to-run
-// scenarios whose cell keys share a MeasurementKey, in first-appearance
-// order — one cell for snapshot and live keys; for sequence keys also
-// the cells that differ only in interarrival or sequence length, which
-// share one cloud. The built cells are read-only, so the group's
+// scenarios of one cloud (Coord.Cloud), in first-appearance order — one
+// cell in snapshot mode; in sequence mode also the cells that differ
+// only in interarrival or sequence length. The built cells are
+// read-only, so the group's
 // scenarios then run on any worker, and the cells go out of scope with
 // the last of them. That has two costs:
 //
@@ -477,10 +424,11 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	scenarios, err := g.Expand()
+	sum, err := g.Summary()
 	if err != nil {
 		return nil, err
 	}
+	scenarios := g.scenarios(&sum)
 	// included: the expansion indices this run covers, in order (a shard
 	// slice, or the whole grid); a scenario's position in it is its
 	// position in the emitted stream. groups partitions the positions
@@ -488,7 +436,7 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 	// replay through the same ordered delivery below.
 	var included []int
 	var groups [][]int
-	groupOf := make(map[CellKey]int)
+	groupOf := make(map[Coord]int)
 	for i := range scenarios {
 		if opts.Include != nil && !opts.Include(i) {
 			continue
@@ -497,7 +445,7 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 		if _, done := opts.Prefilled[i]; done {
 			continue
 		}
-		key := g.CellKey(scenarios[i]).MeasurementKey()
+		key := scenarios[i].Cloud()
 		gi, ok := groupOf[key]
 		if !ok {
 			gi = len(groups)
@@ -645,7 +593,7 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 	}
 	outcome = "ok"
 	return &Summary{
-		Grid:       g.summary(len(scenarios)),
+		Grid:       sum,
 		Algorithms: aggs,
 		Cache:      stats,
 	}, nil

@@ -15,6 +15,7 @@ import (
 
 	"choreo/internal/sweep/backend"
 	"choreo/internal/sweep/backend/livetest"
+	"choreo/internal/units"
 )
 
 // liveGrid builds a tiny two-cell grid over a live backend: 1 topology
@@ -156,39 +157,36 @@ func TestLiveSweepStreamsReport(t *testing.T) {
 	}
 }
 
-// TestLiveCellKeysCarryBackendAndEpoch pins the cell-identity rule:
-// live cells are keyed by backend name and mesh epoch, so they can
-// never alias sim cells or another epoch's measurements.
-func TestLiveCellKeysCarryBackendAndEpoch(t *testing.T) {
-	mesh, err := livetest.Start(2)
+// TestLiveMeasurementNeverShared pins the live grouping rule: a live
+// grid is snapshot-only, so each cell is its own cloud and cell group,
+// and the real mesh is measured once per cell, never shared between
+// cells.
+func TestLiveMeasurementNeverShared(t *testing.T) {
+	mesh, err := livetest.Start(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mesh.Close()
-	live, err := backend.NewLive(backend.LiveConfig{
-		Agents: mesh.Addrs(),
-		Epoch:  99,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := liveGrid(t, mesh.Addrs())
-	g.Backend = live
-	g.VMs = 2
+	g.MeanSizes = []units.ByteSize{32 * units.Megabyte, 64 * units.Megabyte}
 	scenarios, err := g.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := g.CellKey(scenarios[0])
-	if key.Backend != "live" || key.Epoch != 99 {
-		t.Errorf("live cell key = %+v, want Backend live and Epoch 99", key)
+	cells := map[Coord]bool{}
+	for _, sc := range scenarios {
+		if sc.cell() != sc.Cloud() {
+			t.Fatalf("live scenario %s: cell %+v is not its cloud %+v", sc.Coord, sc.cell(), sc.Cloud())
+		}
+		cells[sc.cell()] = true
 	}
-	if mk := key.MeasurementKey(); mk != key {
-		t.Errorf("live MeasurementKey %+v differs from the cell key %+v: live measurements must never be shared across cells", mk, key)
+	sum, err := RunStream(g, RunOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	simKey := (&Grid{}).CellKey(scenarios[0])
-	if simKey.Backend != "" || simKey.Epoch != 0 {
-		t.Errorf("sim cell key %+v carries backend identity; sim keys must keep zero values", simKey)
+	want := CacheStats{Misses: int64(len(cells)), Hits: int64(len(scenarios) - len(cells)), MeasurementMisses: int64(len(cells))}
+	if sum.Cache != want {
+		t.Errorf("live run cache stats = %+v, want %+v (one measurement per cell)", sum.Cache, want)
 	}
 }
 
@@ -221,24 +219,6 @@ func TestLiveGridCapacityValidated(t *testing.T) {
 	g.VMCounts = []int{2, 5}
 	if _, err := g.Expand(); err == nil || !strings.Contains(err.Error(), "only 2 agents") {
 		t.Errorf("over-capacity live grid error = %v, want an only-2-agents error", err)
-	}
-}
-
-// TestLiveMeasurementNeverShared double-checks the grouping contract
-// the live backend relies on: two different live cell keys never share
-// a measurement key, so RunStream never puts them in one cell group.
-func TestLiveMeasurementNeverShared(t *testing.T) {
-	a := CellKey{Topology: "t", CloudSeed: 1, Backend: "live", Epoch: 1, Interarrival: 5, SeqApps: 2}
-	b := a
-	b.Interarrival = 9
-	if a.MeasurementKey() == b.MeasurementKey() {
-		t.Error("live cells differing in arrival process share a measurement key; live clouds drift and must be re-measured")
-	}
-	sa, sb := a, b
-	sa.Backend, sa.Epoch = "", 0
-	sb.Backend, sb.Epoch = "", 0
-	if sa.MeasurementKey() != sb.MeasurementKey() {
-		t.Error("sim cells differing only in arrival process must share a measurement key")
 	}
 }
 

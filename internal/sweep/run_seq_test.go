@@ -293,18 +293,18 @@ func TestSequenceExpandOrder(t *testing.T) {
 	if scenarios[0].Algorithm.Name == scenarios[1].Algorithm.Name {
 		t.Errorf("algorithm should vary fastest")
 	}
-	if scenarios[0].Reeval != scenarios[1].Reeval || scenarios[0].Reeval == scenarios[2].Reeval {
+	if scenarios[0].ReevalNs != scenarios[1].ReevalNs || scenarios[0].ReevalNs == scenarios[2].ReevalNs {
 		t.Errorf("reeval should vary after algorithms: %v %v %v",
-			scenarios[0].Reeval, scenarios[1].Reeval, scenarios[2].Reeval)
+			scenarios[0].ReevalNs, scenarios[1].ReevalNs, scenarios[2].ReevalNs)
 	}
-	if scenarios[0].Interarrival == scenarios[4].Interarrival {
+	if scenarios[0].InterarrivalNs == scenarios[4].InterarrivalNs {
 		t.Errorf("interarrival should vary after reevals")
 	}
 	// Cell identity: the 8 scenarios form 2 cell groups — reeval and
 	// algorithm share a built cell, interarrival does not.
-	keys := map[CellKey]bool{}
+	keys := map[Coord]bool{}
 	for _, sc := range scenarios {
-		keys[g.CellKey(sc)] = true
+		keys[sc.cell()] = true
 	}
 	if len(keys) != 2 {
 		t.Errorf("8 sequence scenarios map to %d cell keys, want 2 (interarrival x seed)", len(keys))

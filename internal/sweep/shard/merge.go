@@ -174,17 +174,17 @@ func Merge(w io.Writer, shards []*Shard) (*sweep.Summary, error) {
 			strings.Join(missing, ","), base.Header.Count)
 	}
 
-	idx, order, err := summaryIndex(base.Grid)
+	idx, err := base.Grid.Index()
 	if err != nil {
 		return nil, err
 	}
-	lines := make([]*resultLine, len(order))
-	owner := make([]*Shard, len(order))
+	lines := make([]*resultLine, len(idx))
+	owner := make([]*Shard, len(idx))
 	for i := 1; i <= base.Header.Count; i++ {
 		sh := byIndex[i]
 		for k := range sh.results {
 			rl := &sh.results[k]
-			id := resultIdentity(rl.res)
+			id := rl.res.Coord
 			pos, ok := idx[id]
 			if !ok {
 				return nil, fmt.Errorf("%s:%d: result %s is not a scenario of the grid", sh.Name, rl.line, id)
@@ -206,8 +206,15 @@ func Merge(w io.Writer, shards []*Shard) (*sweep.Summary, error) {
 		}
 	}
 	if gaps > 0 {
+		var gap sweep.Coord
+		for id, pos := range idx {
+			if pos == firstGap {
+				gap = id
+				break
+			}
+		}
 		return nil, fmt.Errorf("shard: shards cover only %d of %d scenarios (%d missing; first gap: %s)",
-			len(order)-gaps, len(order), gaps, order[firstGap])
+			len(lines)-gaps, len(lines), gaps, gap)
 	}
 
 	if _, err := w.Write(base.gridLine); err != nil {

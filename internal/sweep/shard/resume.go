@@ -13,10 +13,9 @@ import (
 // LoadPrior reads a prior run's JSONL output — a plain -stream report
 // or a shard file, complete or interrupted mid-write — and returns the
 // results it already contains, keyed by the current grid's expansion
-// indices for use as sweep.RunOptions.Prefilled. Matching is by
-// scenario identity (the sweep.CellKey-derived cell coordinates plus
-// the algorithm), never by file position, so a resumed run re-executes
-// exactly the cells with no result line.
+// indices for use as sweep.RunOptions.Prefilled. Matching is by the
+// result's coordinates (sweep.Coord), never by file position, so a
+// resumed run re-executes exactly the cells with no result line.
 //
 // The prior file's grid echo must match the current grid byte for byte;
 // resuming under different flags would silently mix incompatible
@@ -24,10 +23,6 @@ import (
 // interrupted write — is tolerated and dropped; corruption anywhere
 // else is an error.
 func LoadPrior(g sweep.Grid, r io.Reader) (map[int]sweep.Result, error) {
-	scenarios, err := g.Expand()
-	if err != nil {
-		return nil, err
-	}
 	hdr, err := g.Summary()
 	if err != nil {
 		return nil, err
@@ -36,9 +31,9 @@ func LoadPrior(g sweep.Grid, r io.Reader) (map[int]sweep.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := make(map[Identity]int, len(scenarios))
-	for _, sc := range scenarios {
-		idx[scenarioIdentity(sc)] = sc.Index
+	idx, err := hdr.Index()
+	if err != nil {
+		return nil, err
 	}
 
 	done := make(map[int]sweep.Result)
@@ -76,7 +71,7 @@ func LoadPrior(g sweep.Grid, r io.Reader) (map[int]sweep.Result, error) {
 			if err := json.Unmarshal(raw, &res); err != nil {
 				return nil, fmt.Errorf("resume: line %d: bad result line: %v", lineno, err)
 			}
-			id := resultIdentity(res)
+			id := res.Coord
 			pos, ok := idx[id]
 			if !ok {
 				return nil, fmt.Errorf("resume: line %d: result %s is not a scenario of the grid", lineno, id)

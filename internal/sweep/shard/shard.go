@@ -5,10 +5,10 @@
 //
 // Three pieces:
 //
-//   - Plan strides the expanded scenario list across n shards at cell-
-//     group granularity: every algorithm of a cell lands in the same
-//     shard, so each shard builds every cell it touches exactly once
-//     and no cell is built twice across the fleet.
+//   - Plan strides the expanded scenario list across n shards a whole
+//     cloud at a time: every scenario of one cloud lands in the same
+//     shard, so each shard builds and measures every cloud it touches
+//     exactly once and no cloud is measured twice across the fleet.
 //   - Writer emits a self-describing JSONL shard: the full grid echo
 //     (byte-identical to the unsharded stream header), a shard header
 //     carrying the grid hash and shard coordinates, the slice's result
@@ -21,12 +21,12 @@
 //
 // LoadPrior closes the loop for interrupted runs: it reads any prior
 // JSONL output (stream or shard, complete or truncated mid-line) and
-// returns the results it already contains keyed by scenario identity,
-// so a resumed run re-executes only the missing cells.
+// returns the results it already contains keyed by expansion index, so
+// a resumed run re-executes only the missing cells.
 //
-// Scenario identity is the cell-group coordinate plus the algorithm —
-// the same inputs sweep.CellKey derives the cell's key from — so
-// matching result lines to grid cells never depends on file position.
+// Both Merge and LoadPrior tie a result line to its grid cell by its
+// coordinates (sweep.Coord) through the grid echo's expansion
+// (sweep.GridSummary.Index), never by file position.
 package shard
 
 import (
@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"choreo/internal/sweep"
 )
@@ -72,70 +71,12 @@ func (s Spec) validate() error {
 	return nil
 }
 
-// Identity names one scenario of a grid: the cell-group coordinates
-// (which also derive sweep.CellKey) plus the algorithm — and, for
-// sequence cells, the swept arrival-process and re-evaluation
-// coordinates, which are all zero on snapshot cells. Result lines carry
-// exactly these fields, so identity — not file position — is what ties
-// a line in a shard or resume file back to its grid cell.
-type Identity struct {
-	Topology  string
-	Workload  string
-	Algorithm string
-	Seed      int64
-	VMs       int
-	MeanBytes int64
-	// Interarrival and Reeval are in nanoseconds, as result lines carry
-	// them; SeqApps > 0 marks a sequence cell.
-	Interarrival int64
-	SeqApps      int
-	Reeval       int64
-}
-
-func (id Identity) String() string {
-	s := fmt.Sprintf("%s/%s/%s seed %d vms %d meanBytes %d",
-		id.Topology, id.Workload, id.Algorithm, id.Seed, id.VMs, id.MeanBytes)
-	if id.SeqApps > 0 {
-		s += fmt.Sprintf(" interarrival %v apps %d reeval %v",
-			time.Duration(id.Interarrival), id.SeqApps, time.Duration(id.Reeval))
-	}
-	return s
-}
-
-func resultIdentity(r sweep.Result) Identity {
-	return Identity{
-		Topology:     r.Topology,
-		Workload:     r.Workload,
-		Algorithm:    r.Algorithm,
-		Seed:         r.Seed,
-		VMs:          r.VMs,
-		MeanBytes:    r.MeanBytes,
-		Interarrival: r.InterarrivalNs,
-		SeqApps:      r.SeqApps,
-		Reeval:       r.ReevalNs,
-	}
-}
-
-func scenarioIdentity(sc sweep.Scenario) Identity {
-	return Identity{
-		Topology:     sc.Topology.Name,
-		Workload:     sc.Workload.Name,
-		Algorithm:    sc.Algorithm.Name,
-		Seed:         sc.Seed,
-		VMs:          sc.VMs,
-		MeanBytes:    int64(sc.MeanBytes),
-		Interarrival: int64(sc.Interarrival),
-		SeqApps:      sc.SeqApps,
-		Reeval:       int64(sc.Reeval),
-	}
-}
-
 // Plan returns the expansion indices shard spec executes, as a set.
-// Scenarios are assigned at cell-group granularity — all algorithms of
-// one cell (one sweep.CellKey) go to the same shard, groups striding
-// round-robin across shards in first-appearance order — so every shard
-// sees complete cell groups, builds each of its cells exactly once, and
-// no cell is built on two machines. The
+// Scenarios are assigned a whole cloud at a time (sweep.Coord.Cloud),
+// the unit sweep.RunStream builds and measures on one worker: clouds
+// stride round-robin across shards in first-appearance order, so no
+// cloud is built or measured on two machines, and the clouds measured
+// over all shards are the clouds the unsharded run measures. The
 // assignment is a pure function of the grid and the spec: every machine
 // running Plan over the same grid computes the same partition.
 func Plan(g sweep.Grid, spec Spec) (map[int]bool, error) {
@@ -146,16 +87,16 @@ func Plan(g sweep.Grid, spec Spec) (map[int]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	groups := make(map[sweep.CellKey]int)
+	clouds := make(map[sweep.Coord]int)
 	include := make(map[int]bool)
 	for _, sc := range scenarios {
-		key := g.CellKey(sc)
-		gi, ok := groups[key]
+		key := sc.Cloud()
+		ci, ok := clouds[key]
 		if !ok {
-			gi = len(groups)
-			groups[key] = gi
+			ci = len(clouds)
+			clouds[key] = ci
 		}
-		if gi%spec.Count == spec.Index-1 {
+		if ci%spec.Count == spec.Index-1 {
 			include[sc.Index] = true
 		}
 	}
@@ -225,57 +166,4 @@ type lineProbe struct {
 	ShardComplete *footerLine        `json:"shardComplete"`
 	Algorithms    json.RawMessage    `json:"algorithms"`
 	Topology      string             `json:"topology"`
-}
-
-// summaryIndex enumerates a grid echo's scenario identities in
-// expansion order, returning both the identity→index map and the
-// ordered list. It mirrors sweep.Grid.Expand — topology, workload, VM
-// count, transfer size, interarrival, sequence length, re-evaluation
-// period, algorithm, seed, with trace workloads skipping the
-// transfer-size dimension and snapshot grids collapsing the sequence
-// dimensions to single zero placeholders — and a unit test cross-checks
-// the two, so the merger can recover expansion order from nothing but
-// the grid echo at the head of each shard.
-func summaryIndex(s sweep.GridSummary) (map[Identity]int, []Identity, error) {
-	inters, seqApps, reevals := []int64{0}, []int{0}, []int64{0}
-	if s.Mode == "sequence" {
-		inters, seqApps, reevals = s.InterarrivalNs, s.SeqApps, s.ReevalNs
-	}
-	order := make([]Identity, 0, s.Scenarios)
-	idx := make(map[Identity]int, s.Scenarios)
-	for _, tp := range s.Topologies {
-		for _, wl := range s.Workloads {
-			sizes := s.MeanBytes
-			if strings.HasPrefix(wl, "trace:") {
-				sizes = []int64{0}
-			}
-			for _, vms := range s.VMCounts {
-				for _, size := range sizes {
-					for _, inter := range inters {
-						for _, apps := range seqApps {
-							for _, reeval := range reevals {
-								for _, alg := range s.Algorithms {
-									for _, seed := range s.Seeds {
-										id := Identity{Topology: tp, Workload: wl, Algorithm: alg,
-											Seed: seed, VMs: vms, MeanBytes: size,
-											Interarrival: inter, SeqApps: apps, Reeval: reeval}
-										if _, dup := idx[id]; dup {
-											return nil, nil, fmt.Errorf("shard: grid echo repeats scenario %s", id)
-										}
-										idx[id] = len(order)
-										order = append(order, id)
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	if len(order) != s.Scenarios {
-		return nil, nil, fmt.Errorf("shard: grid echo declares %d scenarios but its dimensions expand to %d",
-			s.Scenarios, len(order))
-	}
-	return idx, order, nil
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
@@ -12,8 +11,8 @@ import (
 
 // seqTestGrid is a mixed sequence grid — migration cells (reeval 4s)
 // interleaved with no-migration cells (reeval 0) across two arrival
-// rates — small enough for CI but with 4 cell groups so shard plans,
-// merges and resumes all have real work to partition:
+// rates — small enough for CI but with 4 cells on 2 clouds so shard
+// plans, merges and resumes all have real work to partition:
 // 2 interarrivals x 2 reevals x 2 algorithms x 2 seeds = 16 scenarios
 // over 4 cells.
 func seqTestGrid() sweep.Grid {
@@ -48,42 +47,18 @@ func seqTestGrid() sweep.Grid {
 	return g
 }
 
-// TestSequenceSummaryIndexMatchesExpand pins the merger's expansion
-// order reconstruction for sequence grids: the grid echo's sequence
-// dimensions must replay through summaryIndex exactly as Expand
-// enumerates them.
-func TestSequenceSummaryIndexMatchesExpand(t *testing.T) {
-	g := seqTestGrid()
-	scenarios, err := g.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr, err := g.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, order, err := summaryIndex(hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != len(scenarios) {
-		t.Fatalf("summaryIndex enumerates %d scenarios, Expand %d", len(order), len(scenarios))
-	}
-	for _, sc := range scenarios {
-		id := scenarioIdentity(sc)
-		pos, ok := idx[id]
-		if !ok {
-			t.Fatalf("scenario %d (%s) missing from summary index", sc.Index, id)
-		}
-		if pos != sc.Index {
-			t.Fatalf("scenario %s: summary index %d, expansion index %d", id, pos, sc.Index)
-		}
-	}
+// cellOf is sc's cell: its cloud plus the arrival process. The cells
+// of one cloud differ only in interarrival and sequence length.
+func cellOf(sc sweep.Scenario) sweep.Coord {
+	k := sc.Cloud()
+	k.InterarrivalNs, k.SeqApps = sc.InterarrivalNs, sc.SeqApps
+	return k
 }
 
-// TestSequenceShardPlanKeepsCellGroupsWhole: every reeval and algorithm
-// of one sequence cell lands in the same shard, so no shard re-measures
-// a cell another shard already built.
+// TestSequenceShardPlanKeepsCellGroupsWhole: every cell of one cloud —
+// every interarrival, sequence length, reeval and algorithm — lands in
+// the same shard, so no shard re-measures a cloud another shard already
+// measured.
 func TestSequenceShardPlanKeepsCellGroupsWhole(t *testing.T) {
 	g := seqTestGrid()
 	scenarios, err := g.Expand()
@@ -92,7 +67,8 @@ func TestSequenceShardPlanKeepsCellGroupsWhole(t *testing.T) {
 	}
 	const n = 2
 	covered := 0
-	cellShard := make(map[sweep.CellKey]int)
+	cloudShard := make(map[sweep.Coord]int)
+	cells := make(map[sweep.Coord]bool)
 	for s := 1; s <= n; s++ {
 		include, err := Plan(g, Spec{Index: s, Count: n})
 		if err != nil {
@@ -103,18 +79,19 @@ func TestSequenceShardPlanKeepsCellGroupsWhole(t *testing.T) {
 		}
 		covered += len(include)
 		for i := range include {
-			key := g.CellKey(scenarios[i])
-			if prev, ok := cellShard[key]; ok && prev != s {
-				t.Fatalf("sequence cell group of scenario %d split across shards %d and %d", i, prev, s)
+			key := scenarios[i].Cloud()
+			if prev, ok := cloudShard[key]; ok && prev != s {
+				t.Fatalf("sequence cloud of scenario %d split across shards %d and %d", i, prev, s)
 			}
-			cellShard[key] = s
+			cloudShard[key] = s
+			cells[cellOf(scenarios[i])] = true
 		}
 	}
 	if covered != len(scenarios) {
 		t.Fatalf("shards cover %d of %d scenarios", covered, len(scenarios))
 	}
-	if len(cellShard) != 4 {
-		t.Fatalf("grid has %d cell groups, want 4", len(cellShard))
+	if len(cloudShard) != 2 || len(cells) != 4 {
+		t.Fatalf("grid has %d clouds and %d cells, want 2 and 4", len(cloudShard), len(cells))
 	}
 }
 
@@ -124,25 +101,12 @@ func TestSequenceShardPlanKeepsCellGroupsWhole(t *testing.T) {
 // byte, migration aggregates included.
 func TestSequenceShardMergeByteIdentical(t *testing.T) {
 	g := seqTestGrid()
-	full := streamBytes(t, g, sweep.RunOptions{Workers: 4})
+	full, _ := streamBytes(t, g, sweep.RunOptions{Workers: 4})
 	const n = 3
-	var shards []*Shard
-	for i := 1; i <= n; i++ {
-		b, _ := shardBytes(t, g, Spec{Index: i, Count: n}, nil)
-		sh, err := ReadShard(fmt.Sprintf("seqshard%d", i), bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards = append(shards, sh)
-	}
-	var merged bytes.Buffer
-	sum, err := Merge(&merged, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(merged.Bytes(), full) {
-		t.Fatalf("merged sequence output differs from the unsharded stream:\nmerged:\n%s\nfull:\n%s",
-			merged.Bytes(), full)
+	shards, _ := runShards(t, g, n)
+	merged, sum := mergeBytes(t, shards)
+	if !bytes.Equal(merged, full) {
+		t.Fatalf("merged sequence output differs from the unsharded stream:\nmerged:\n%s\nfull:\n%s", merged, full)
 	}
 	for _, a := range sum.Algorithms {
 		if a.Migrations == nil {
@@ -172,7 +136,7 @@ func TestSequenceShardMergeByteIdentical(t *testing.T) {
 // -resume over sequence cells.
 func TestSequenceResumeRerunsOnlyMissingCells(t *testing.T) {
 	g := seqTestGrid()
-	full := streamBytes(t, g, sweep.RunOptions{Workers: 4})
+	full, _ := streamBytes(t, g, sweep.RunOptions{Workers: 4})
 
 	// Keep the header plus 5 results: the cut lands inside a cell group
 	// (2 algorithms x 2 reevals x 2 seeds interleave), exactly the case
@@ -191,14 +155,14 @@ func TestSequenceResumeRerunsOnlyMissingCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	missingCells := make(map[sweep.CellKey]bool)
+	missingCells := make(map[sweep.Coord]bool)
 	rerun := 0
 	for i := range scenarios {
 		if _, done := prior[i]; done {
 			continue
 		}
 		rerun++
-		missingCells[g.CellKey(scenarios[i])] = true
+		missingCells[cellOf(scenarios[i])] = true
 	}
 
 	var buf bytes.Buffer

@@ -46,7 +46,7 @@ func testGrid() sweep.Grid {
 }
 
 // streamBytes runs the whole grid through the unsharded JSONL pipeline.
-func streamBytes(t *testing.T, g sweep.Grid, opts sweep.RunOptions) []byte {
+func streamBytes(t *testing.T, g sweep.Grid, opts sweep.RunOptions) ([]byte, *sweep.Summary) {
 	t.Helper()
 	var buf bytes.Buffer
 	sw := sweep.NewStreamWriter(&buf)
@@ -65,7 +65,7 @@ func streamBytes(t *testing.T, g sweep.Grid, opts sweep.RunOptions) []byte {
 	if err := sw.Finish(sum.Algorithms); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), sum
 }
 
 // shardBytes plans and runs one shard slice into a shard file.
@@ -99,6 +99,47 @@ func shardBytes(t *testing.T, g sweep.Grid, spec Spec, prefilled map[int]sweep.R
 	return buf.Bytes(), sum
 }
 
+// runShards runs g as n shards and reads each shard file back. sums[i]
+// is shard i+1's run summary.
+func runShards(t *testing.T, g sweep.Grid, n int) (shards []*Shard, sums []*sweep.Summary) {
+	t.Helper()
+	for i := 1; i <= n; i++ {
+		b, sum := shardBytes(t, g, Spec{Index: i, Count: n}, nil)
+		sh, err := ReadShard(fmt.Sprintf("shard%d", i), bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards, sums = append(shards, sh), append(sums, sum)
+	}
+	return shards, sums
+}
+
+// mergeBytes merges shards into one stream.
+func mergeBytes(t *testing.T, shards []*Shard) ([]byte, *sweep.Summary) {
+	t.Helper()
+	var merged bytes.Buffer
+	sum, err := Merge(&merged, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged.Bytes(), sum
+}
+
+// unitTrace records one small generated application as a trace.
+func unitTrace(t *testing.T) *workload.Trace {
+	t.Helper()
+	cfg := workload.Config{MinTasks: 3, MaxTasks: 4, MeanBytes: 4 * 1 << 20}
+	app, err := workload.Generate(rand.New(rand.NewSource(5)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := workload.NewTrace("unit", []*profile.Application{app})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestParseSpec(t *testing.T) {
 	sp, err := ParseSpec("2/3")
 	if err != nil || sp != (Spec{Index: 2, Count: 3}) {
@@ -116,8 +157,8 @@ func TestParseSpec(t *testing.T) {
 
 // TestPlanPartitionsWholeCellGroups: the n shard plans partition the
 // expanded scenario list exactly (disjoint, no gaps), and never split a
-// cell group — all algorithms of one cell land in one shard,
-// so no cell is ever built on two machines.
+// cell group — every scenario of one cloud lands in one shard, so no
+// cloud is ever built on two machines.
 func TestPlanPartitionsWholeCellGroups(t *testing.T) {
 	g := testGrid()
 	scenarios, err := g.Expand()
@@ -126,7 +167,7 @@ func TestPlanPartitionsWholeCellGroups(t *testing.T) {
 	}
 	const n = 3
 	shardOf := make(map[int]int)
-	cellShard := make(map[sweep.CellKey]int)
+	cellShard := make(map[sweep.Coord]int)
 	for s := 1; s <= n; s++ {
 		include, err := Plan(g, Spec{Index: s, Count: n})
 		if err != nil {
@@ -140,7 +181,7 @@ func TestPlanPartitionsWholeCellGroups(t *testing.T) {
 				t.Fatalf("scenario %d assigned to shards %d and %d", i, prev, s)
 			}
 			shardOf[i] = s
-			key := g.CellKey(scenarios[i])
+			key := scenarios[i].Cloud()
 			if prev, ok := cellShard[key]; ok && prev != s {
 				t.Fatalf("cell group of scenario %d split across shards %d and %d", i, prev, s)
 			}
@@ -162,90 +203,23 @@ func TestPlanPartitionsWholeCellGroups(t *testing.T) {
 	}
 }
 
-// TestSummaryIndexMatchesExpand pins the merger's reconstruction of
-// expansion order from the grid echo to the engine's actual Expand —
-// including the trace-workload rule that skips the transfer-size
-// dimension.
-func TestSummaryIndexMatchesExpand(t *testing.T) {
-	g := testGrid()
-	cfg := workload.Config{MinTasks: 3, MaxTasks: 4, MeanBytes: 4 * 1 << 20}
-	rng := rand.New(rand.NewSource(5))
-	var apps []*profile.Application
-	for i := 0; i < 2; i++ {
-		app, err := workload.Generate(rng, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		apps = append(apps, app)
-	}
-	tr, err := workload.NewTrace("unit", apps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Workloads = append(g.Workloads, sweep.TraceWorkload(tr))
-
-	scenarios, err := g.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr, err := g.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, order, err := summaryIndex(hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != len(scenarios) {
-		t.Fatalf("summaryIndex enumerates %d scenarios, Expand %d", len(order), len(scenarios))
-	}
-	for _, sc := range scenarios {
-		id := scenarioIdentity(sc)
-		pos, ok := idx[id]
-		if !ok {
-			t.Fatalf("scenario %d (%s) missing from summary index", sc.Index, id)
-		}
-		if pos != sc.Index {
-			t.Fatalf("scenario %s: summary index %d, expansion index %d", id, pos, sc.Index)
-		}
-	}
-}
-
 // TestShardMergeByteIdentical is the subsystem's acceptance criterion:
 // running the grid as 3 shards and merging them reproduces the
 // unsharded streaming report byte for byte, aggregates included.
 func TestShardMergeByteIdentical(t *testing.T) {
 	g := testGrid()
-	full := streamBytes(t, g, sweep.RunOptions{Workers: 4})
-	const n = 3
-	var shards []*Shard
-	for i := 1; i <= n; i++ {
-		b, _ := shardBytes(t, g, Spec{Index: i, Count: n}, nil)
-		sh, err := ReadShard(fmt.Sprintf("shard%d", i), bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards = append(shards, sh)
-	}
-	var merged bytes.Buffer
-	sum, err := Merge(&merged, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(merged.Bytes(), full) {
-		t.Fatalf("merged output differs from the unsharded stream:\nmerged:\n%s\nfull:\n%s",
-			merged.Bytes(), full)
+	full, _ := streamBytes(t, g, sweep.RunOptions{Workers: 4})
+	shards, _ := runShards(t, g, 3)
+	merged, sum := mergeBytes(t, shards)
+	if !bytes.Equal(merged, full) {
+		t.Fatalf("merged output differs from the unsharded stream:\nmerged:\n%s\nfull:\n%s", merged, full)
 	}
 	if len(sum.Algorithms) != 2 {
 		t.Errorf("merged summary has %d aggregates, want 2", len(sum.Algorithms))
 	}
 	// Merge order must not matter for validation (output order is fixed
 	// by expansion index anyway).
-	var merged2 bytes.Buffer
-	if _, err := Merge(&merged2, []*Shard{shards[2], shards[0], shards[1]}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(merged2.Bytes(), full) {
+	if merged2, _ := mergeBytes(t, []*Shard{shards[2], shards[0], shards[1]}); !bytes.Equal(merged2, full) {
 		t.Error("merge is sensitive to shard argument order")
 	}
 }
@@ -351,15 +325,7 @@ func TestMergeRejectsDuplicateScenarioLine(t *testing.T) {
 func TestMergeRejectsMismatchedShards(t *testing.T) {
 	g := testGrid()
 	const n = 3
-	var shards []*Shard
-	for i := 1; i <= n; i++ {
-		b, _ := shardBytes(t, g, Spec{Index: i, Count: n}, nil)
-		sh, err := ReadShard(fmt.Sprintf("s%d", i), bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards = append(shards, sh)
-	}
+	shards, _ := runShards(t, g, n)
 
 	// A shard of a different sweep (different seed list, same shape).
 	other := testGrid()
@@ -462,13 +428,13 @@ func TestResumeTruncatedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	rerun := 0
-	cells := make(map[sweep.CellKey]bool)
+	cells := make(map[sweep.Coord]bool) // a snapshot cell is its cloud
 	for i := range include {
 		if _, done := prior[i]; done {
 			continue
 		}
 		rerun++
-		cells[g.CellKey(scenarios[i])] = true
+		cells[scenarios[i].Cloud()] = true
 	}
 	if rerun == 0 {
 		t.Fatal("test grid too small: nothing left to re-run")
@@ -492,7 +458,7 @@ func TestResumeTruncatedShard(t *testing.T) {
 // exactly the case the per-key cache plan exists for.
 func TestResumeFullStream(t *testing.T) {
 	g := testGrid()
-	full := streamBytes(t, g, sweep.RunOptions{Workers: 4})
+	full, _ := streamBytes(t, g, sweep.RunOptions{Workers: 4})
 
 	// Keep the header plus 5 results: with 2 algorithms interleaved by
 	// seed, 5 results split a cell group down the middle.
@@ -506,7 +472,7 @@ func TestResumeFullStream(t *testing.T) {
 		t.Fatalf("prior results = %d, want 5", len(prior))
 	}
 
-	resumed := streamBytes(t, g, sweep.RunOptions{Workers: 4, Prefilled: prior})
+	resumed, _ := streamBytes(t, g, sweep.RunOptions{Workers: 4, Prefilled: prior})
 	if !bytes.Equal(resumed, full) {
 		t.Fatal("resumed stream differs from the uninterrupted run")
 	}

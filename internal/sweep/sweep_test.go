@@ -76,38 +76,63 @@ func TestExpandValidates(t *testing.T) {
 	}
 }
 
+// TestCloudSeedDependsOnCellNotAlgorithm pins the two keys a
+// scenario's coordinates derive. The cloud seed and the cloud key
+// (Coord.Cloud) change with exactly the same coordinates — topology,
+// workload, VM count, mean transfer size and grid seed — and never with
+// the algorithm or the sequence coordinates. The cell key (Coord.cell)
+// adds the arrival process: interarrival and sequence length.
 func TestCloudSeedDependsOnCellNotAlgorithm(t *testing.T) {
-	base := Scenario{Topology: Topology{Name: "ec2-2013"}, Workload: Workload{Name: "shuffle"}, Seed: 1}
-	other := base
-	otherAlg, _ := AlgorithmByName("random")
-	other.Algorithm = otherAlg
-	if base.cloudSeed() != other.cloudSeed() {
-		t.Error("cloud seed must not depend on the algorithm")
+	base := Coord{Topology: "ec2-2013", Workload: "shuffle", Algorithm: "choreo", Seed: 1, VMs: 8, MeanBytes: 64,
+		InterarrivalNs: 5, SeqApps: 8, ReevalNs: 3}
+	for name, tc := range map[string]struct {
+		mutate      func(*Coord)
+		cloud, cell bool
+	}{
+		"algorithm":     {func(c *Coord) { c.Algorithm = "random" }, false, false},
+		"reeval":        {func(c *Coord) { c.ReevalNs = 0 }, false, false},
+		"interarrival":  {func(c *Coord) { c.InterarrivalNs = 30 }, false, true},
+		"seqApps":       {func(c *Coord) { c.SeqApps = 12 }, false, true},
+		"grid seed":     {func(c *Coord) { c.Seed = 2 }, true, true},
+		"topology":      {func(c *Coord) { c.Topology = "rackspace" }, true, true},
+		"workload":      {func(c *Coord) { c.Workload = "uniform" }, true, true},
+		"VM count":      {func(c *Coord) { c.VMs += 2 }, true, true},
+		"transfer size": {func(c *Coord) { c.MeanBytes++ }, true, true},
+	} {
+		other := base
+		tc.mutate(&other)
+		if got := base.cloudSeed() != other.cloudSeed(); got != tc.cloud {
+			t.Errorf("%s: cloud seed changes = %v, want %v", name, got, tc.cloud)
+		}
+		if got := base.Cloud() != other.Cloud(); got != tc.cloud {
+			t.Errorf("%s: cloud key changes = %v, want %v", name, got, tc.cloud)
+		}
+		if got := base.cell() != other.cell(); got != tc.cell {
+			t.Errorf("%s: cell key changes = %v, want %v", name, got, tc.cell)
+		}
 	}
-	diffSeed := base
-	diffSeed.Seed = 2
-	if base.cloudSeed() == diffSeed.cloudSeed() {
-		t.Error("cloud seed must depend on the grid seed")
+}
+
+// TestTracePrefixNamesOnlyTraces: the echo's expansion tells trace
+// workloads by their "trace:" name, so a generator workload with that
+// name (or a trace without it) would expand differently in the merger
+// than in Grid.Expand. Validate refuses both.
+func TestTracePrefixNamesOnlyTraces(t *testing.T) {
+	named, _ := WorkloadByName("shuffle")
+	named.Name = "trace:shuffle"
+	unnamed := TraceWorkload(unitTrace(t))
+	unnamed.Name = "unit"
+	for _, wl := range []Workload{named, unnamed} {
+		g := Default()
+		g.Workloads = []Workload{wl}
+		if _, err := g.Expand(); err == nil || !strings.Contains(err.Error(), "trace:") {
+			t.Errorf("workload %q (trace %v): error = %v, want a trace-name error", wl.Name, wl.Trace != nil, err)
+		}
 	}
-	diffTopo := base
-	diffTopo.Topology.Name = "rackspace"
-	if base.cloudSeed() == diffTopo.cloudSeed() {
-		t.Error("cloud seed must depend on the topology")
-	}
-	diffWl := base
-	diffWl.Workload.Name = "uniform"
-	if base.cloudSeed() == diffWl.cloudSeed() {
-		t.Error("cloud seed must depend on the workload")
-	}
-	diffVMs := base
-	diffVMs.VMs = base.VMs + 2
-	if base.cloudSeed() == diffVMs.cloudSeed() {
-		t.Error("cloud seed must depend on the VM count")
-	}
-	diffSize := base
-	diffSize.MeanBytes = base.MeanBytes + 1
-	if base.cloudSeed() == diffSize.cloudSeed() {
-		t.Error("cloud seed must depend on the mean transfer size")
+	g := Default()
+	g.Workloads = []Workload{TraceWorkload(unitTrace(t))}
+	if _, err := g.Expand(); err != nil {
+		t.Errorf("a TraceWorkload is refused: %v", err)
 	}
 }
 
