@@ -11,6 +11,27 @@ import (
 	"choreo/internal/obs"
 )
 
+// TestMeasurementKeyStripsArrivalProcess: the cloud a cell group
+// measures (Coord.Cloud) drops the arrival process, so sequence cells
+// that differ only in interarrival and sequence length share one
+// measurement, while cells on different clouds never do.
+func TestMeasurementKeyStripsArrivalProcess(t *testing.T) {
+	a := Coord{Topology: "t", Workload: "w", Seed: 9, VMs: 4, InterarrivalNs: 5, SeqApps: 8}
+	b := a
+	b.InterarrivalNs, b.SeqApps = 30, 12
+	if a.Cloud() != b.Cloud() {
+		t.Error("cells differing only in arrival process do not share a cloud")
+	}
+	if a.cell() == b.cell() {
+		t.Error("cells differing in arrival process share a cell")
+	}
+	c := a
+	c.Seed = 10
+	if a.Cloud() == c.Cloud() || a.cloudSeed() == c.cloudSeed() {
+		t.Error("cells with different clouds share a cloud")
+	}
+}
+
 // resultLines returns the result lines of a stream: everything between
 // the grid echo and the aggregates line.
 func resultLines(stream string) []string {

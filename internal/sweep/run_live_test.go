@@ -190,6 +190,51 @@ func TestLiveMeasurementNeverShared(t *testing.T) {
 	}
 }
 
+// TestLiveCellKeysCarryBackendAndEpoch pins what keeps live results
+// apart from sim results and from another run's measurements: a live
+// grid's echo names its backend, so resume and merge (which compare
+// echoes verbatim) never splice a live report with a sim one, and no
+// measurement outlives its run, so every run of a live grid measures
+// each cell on the mesh afresh.
+func TestLiveCellKeysCarryBackendAndEpoch(t *testing.T) {
+	mesh, err := livetest.Start(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Close()
+	g := liveGrid(t, mesh.Addrs())
+	hdr, err := g.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := g
+	sim.Backend = nil
+	simHdr, err := sim.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.Backend != "live" || simHdr.Backend != "" {
+		t.Errorf("echo backends = %q live, %q sim; want \"live\" and none", hdr.Backend, simHdr.Backend)
+	}
+	scenarios, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := map[Coord]bool{}
+	for _, sc := range scenarios {
+		cells[sc.cell()] = true
+	}
+	for run := 1; run <= 2; run++ {
+		sum, err := RunStream(g, RunOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sum.Cache.MeasurementMisses, int64(len(cells)); got != want {
+			t.Errorf("run %d measured the mesh %d times, want once per cell (%d)", run, got, want)
+		}
+	}
+}
+
 // TestLiveSequenceRejected pins the precise error for -mode sequence on
 // a live backend.
 func TestLiveSequenceRejected(t *testing.T) {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -53,6 +54,46 @@ func cellOf(sc sweep.Scenario) sweep.Coord {
 	k := sc.Cloud()
 	k.InterarrivalNs, k.SeqApps = sc.InterarrivalNs, sc.SeqApps
 	return k
+}
+
+// TestSequenceSummaryIndexMatchesExpand pins the merger's expansion
+// order reconstruction for sequence grids: the grid echo, read back
+// from its JSON as a shard file carries it, must index every scenario
+// at the position Expand gives it, sequence dimensions included.
+func TestSequenceSummaryIndexMatchesExpand(t *testing.T) {
+	g := seqTestGrid()
+	scenarios, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := g.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var echo sweep.GridSummary
+	if err := json.Unmarshal(b, &echo); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := echo.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx) != len(scenarios) {
+		t.Fatalf("echo indexes %d scenarios, Expand %d", len(idx), len(scenarios))
+	}
+	for _, sc := range scenarios {
+		pos, ok := idx[sc.Coord]
+		if !ok {
+			t.Fatalf("scenario %d (%s) missing from the echo's index", sc.Index, sc.Coord)
+		}
+		if pos != sc.Index {
+			t.Fatalf("scenario %s: echo index %d, expansion index %d", sc.Coord, pos, sc.Index)
+		}
+	}
 }
 
 // TestSequenceShardPlanKeepsCellGroupsWhole: every cell of one cloud —
