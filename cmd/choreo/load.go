@@ -12,6 +12,7 @@ import (
 
 	"choreo/internal/api"
 	"choreo/internal/obs"
+	"choreo/internal/profiling"
 )
 
 // runLoad is the placement-service load harness: -clients concurrent
@@ -35,7 +36,7 @@ func runLoad(args []string) (err error) {
 	tasks := fs.Int("tasks", 6, "tasks in the generated test application")
 	tenant := fs.String("tenant", "load", "tenant header sent with every request")
 	events := fs.String("events", "", "write a schema'd JSONL span log (load.run + one load.request per placement call) to this file; join with the server's -events in `choreo obs report`")
-	prof := registerProfileFlags(fs)
+	prof := profiling.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -45,7 +46,7 @@ func runLoad(args []string) (err error) {
 	if *clients < 1 || *tasks < 2 {
 		return fmt.Errorf("need -clients >= 1 and -tasks >= 2")
 	}
-	stopProf, err := prof.start()
+	stopProf, err := prof.Start()
 	if err != nil {
 		return err
 	}

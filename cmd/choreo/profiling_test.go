@@ -1,10 +1,7 @@
 package main
 
 import (
-	"bytes"
-	"compress/gzip"
 	"context"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +12,7 @@ import (
 	"time"
 
 	"choreo/internal/place"
+	"choreo/internal/profiling"
 	"choreo/internal/serve"
 	"choreo/internal/sweep/backend"
 	"choreo/internal/topology"
@@ -28,31 +26,11 @@ func profilePaths(t *testing.T) (args, paths []string) {
 	return []string{"-cpuprofile", paths[0], "-memprofile", paths[1], "-exectrace", paths[2]}, paths
 }
 
-// checkProfiles fails the test unless the CPU and heap profiles are
-// complete gzip streams and the execution trace carries its header: a
-// CPU profile that was never stopped is empty.
+// checkProfiles fails the test unless the three profiles are finished.
 func checkProfiles(t *testing.T, paths []string) {
 	t.Helper()
-	for _, p := range paths[:2] {
-		f, err := os.Open(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zr, err := gzip.NewReader(f)
-		if err == nil {
-			_, err = io.Copy(io.Discard, zr)
-		}
-		f.Close()
-		if err != nil {
-			t.Errorf("%s is not a finished profile: %v", filepath.Base(p), err)
-		}
-	}
-	data, err := os.ReadFile(paths[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(data, []byte("go 1.")) {
-		t.Errorf("%s has no execution-trace header", filepath.Base(paths[2]))
+	if err := profiling.Check(paths[0], paths[1], paths[2]); err != nil {
+		t.Error(err)
 	}
 }
 

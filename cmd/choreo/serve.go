@@ -15,6 +15,7 @@ import (
 	"choreo/internal/api"
 	"choreo/internal/obs"
 	"choreo/internal/place"
+	"choreo/internal/profiling"
 	"choreo/internal/serve"
 	"choreo/internal/sweep"
 	"choreo/internal/sweep/backend"
@@ -46,7 +47,7 @@ func runServe(args []string) (err error) {
 	quotaBurst := fs.Int("quota-burst", 10, "per-tenant burst depth for -quota-rate")
 	pprofFlag := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (live profiling; exposes process internals — keep the listener private)")
 	fleet := registerFleetFlags(fs)
-	prof := registerProfileFlags(fs)
+	prof := profiling.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -54,7 +55,7 @@ func runServe(args []string) (err error) {
 		return fmt.Errorf("serve: unexpected arguments %q", fs.Args())
 	}
 	set := visited(fs)
-	stopProf, err := prof.start()
+	stopProf, err := prof.Start()
 	if err != nil {
 		return err
 	}

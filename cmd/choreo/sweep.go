@@ -13,6 +13,7 @@ import (
 
 	"choreo/internal/obs"
 	"choreo/internal/place"
+	"choreo/internal/profiling"
 	"choreo/internal/sweep"
 	"choreo/internal/sweep/shard"
 	"choreo/internal/units"
@@ -86,7 +87,7 @@ func runSweep(args []string) (err error) {
 	events := fs.String("events", "", "write a schema'd JSONL span log (run/cell/build/measure/place/report, plus mesh/pair with -backend live and exec.placement/exec.transfer with -execute) to this file; validate with `choreo obs validate-events`")
 	metricsPath := fs.String("metrics", "", "write the run's final Prometheus metrics exposition to this file; validate with `choreo obs validate-prom`")
 	list := fs.Bool("list", false, "list valid topologies, workloads and algorithms, then exit")
-	prof := registerProfileFlags(fs)
+	prof := profiling.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -97,7 +98,7 @@ func runSweep(args []string) (err error) {
 		printGridHelp(os.Stdout)
 		return nil
 	}
-	stopProf, err := prof.start()
+	stopProf, err := prof.Start()
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -74,7 +73,7 @@ func (c *Coordinator) dial(ctx context.Context, addr string) (*session, error) {
 	return &session{
 		conn:    conn,
 		enc:     json.NewEncoder(conn),
-		dec:     json.NewDecoder(bufio.NewReader(conn)),
+		dec:     json.NewDecoder(conn),
 		addr:    addr,
 		timeout: c.timeout,
 		m:       c.m,
@@ -265,52 +264,33 @@ type MeshResult struct {
 // meshPair is one ordered measurement: a train from src to dst.
 type meshPair struct{ src, dst int }
 
-// meshRounds schedules the n(n−1) ordered pairs of n agents into rounds
-// in which no agent appears twice, by the circle method of a
-// round-robin tournament: agent 0 stays put while the others rotate one
-// seat per round, and seat i faces seat m−1−i. An odd fleet gets a
-// phantom seat, and the agent facing it sits the round out. The m−1
-// rotations give each unordered pair one round; a second pass replays
-// them reversed, so every ordered pair runs exactly once over 2(n−1)
-// rounds for even n and 2n for odd n, each of ⌊n/2⌋ pairs.
+// meshRounds schedules the n(n−1) ordered pairs of n agents into n−1
+// duplex rounds: round r (1 ≤ r < n) holds the n pairs i → (i+r) mod n.
+// Each agent sends exactly one train and receives exactly one per
+// round, so two trains from one source never overlap, nor do two into
+// one receiver, and every ordered pair runs exactly once.
 func meshRounds(n int) [][]meshPair {
-	m := n + n%2
-	seat := make([]int, m)
-	for i := range seat {
-		seat[i] = i
-	}
-	rounds := make([][]meshPair, 0, 2*(m-1))
-	for r := 0; r < m-1; r++ {
-		var round []meshPair
-		for i := 0; i < m/2; i++ {
-			a, b := seat[i], seat[m-1-i]
-			if a < n && b < n {
-				round = append(round, meshPair{a, b})
-			}
+	rounds := make([][]meshPair, n-1)
+	for r := range rounds {
+		round := make([]meshPair, n)
+		for i := range round {
+			round[i] = meshPair{i, (i + r + 1) % n}
 		}
-		rounds = append(rounds, round)
-		last := seat[m-1]
-		copy(seat[2:], seat[1:m-1])
-		seat[1] = last
-	}
-	for _, round := range rounds[:m-1] {
-		rev := make([]meshPair, len(round))
-		for i, p := range round {
-			rev[i] = meshPair{p.dst, p.src}
-		}
-		rounds = append(rounds, rev)
+		rounds[r] = round
 	}
 	return rounds
 }
 
-// MeasureMesh measures every ordered pair, in the rounds of meshRounds:
-// the pairs of a round run concurrently, and the rounds run one after
-// another. Overlapping only trains that share no agent follows the
-// paper's finding that a tenant's bottlenecks sit at the VM endpoints
-// (the hose model): two trains with disjoint endpoints do not contend,
-// so a round costs about one train instead of ⌊n/2⌋. Under a
-// pipe-model fabric, concurrent pairs of a round can share a core link
-// and read each other as cross traffic.
+// MeasureMesh measures every ordered pair, in the duplex rounds of
+// meshRounds: the pairs of a round run concurrently, and the rounds run
+// one after another. This follows the paper's finding that a tenant's
+// bottleneck sits at the sending VM's egress (the hose model): trains
+// from one source contend, trains from different sources do not. With
+// full-duplex endpoints an agent's incoming train leaves its outgoing
+// one alone, so a round costs about one train and a mesh n−1 train
+// times. Two caveats: under a pipe-model fabric, concurrent pairs of a
+// round can share a core link and read each other as cross traffic;
+// and two VMs on one host share its memory bus in both directions.
 //
 // Each agent's echo address is resolved once per mesh, by the first
 // pair that targets it. A failing pair aborts the mesh with the pair's
@@ -336,9 +316,9 @@ func (c *Coordinator) MeasureMesh(ctx context.Context, cfg probe.Config) (*MeshR
 	meshSpan := c.obs.StartSpan(obs.SpanFromContext(ctx), "cluster.mesh",
 		obs.Int("agents", int64(n)), obs.Int("pairs", int64(total)))
 	ctx = spanCtx(ctx, meshSpan)
-	// An agent is in at most one pair of a round, and rounds are
-	// separated by a Wait, so pairs never touch the same echo entry or
-	// rate cell at once: the schedule needs no lock.
+	// An agent receives in exactly one pair of a round, and rounds are
+	// separated by a Wait, so one pair at a time fills an echo entry,
+	// and each pair writes its own rate cell: the schedule needs no lock.
 	echo := make([]string, n)
 	for _, round := range meshRounds(n) {
 		p, err := meshPair{}, ctx.Err()

@@ -2,34 +2,34 @@ package cluster
 
 import "testing"
 
-// TestMeshRoundsSchedule checks the round-robin schedule for every
-// fleet size from 2 to 17: each ordered pair runs exactly once, no
-// round holds an agent twice, each round holds ⌊n/2⌋ pairs, and there
-// are 2(n−1) rounds for even n and 2n for odd n.
+// TestMeshRoundsSchedule checks the duplex schedule for every fleet
+// size from 2 to 17: each ordered pair runs exactly once, no agent
+// sends twice or receives twice in a round, each round holds n pairs,
+// and there are n−1 rounds.
 func TestMeshRoundsSchedule(t *testing.T) {
 	for n := 2; n <= 17; n++ {
 		rounds := meshRounds(n)
-		wantRounds := 2 * (n - 1)
-		if n%2 == 1 {
-			wantRounds = 2 * n
-		}
-		if len(rounds) != wantRounds {
-			t.Errorf("n=%d: %d rounds, want %d", n, len(rounds), wantRounds)
+		if len(rounds) != n-1 {
+			t.Errorf("n=%d: %d rounds, want %d", n, len(rounds), n-1)
 		}
 		seen := make(map[meshPair]int)
 		for r, round := range rounds {
-			if len(round) != n/2 {
-				t.Errorf("n=%d round %d: %d pairs, want %d", n, r, len(round), n/2)
+			if len(round) != n {
+				t.Errorf("n=%d round %d: %d pairs, want %d", n, r, len(round), n)
 			}
-			busy := make(map[int]bool)
+			sending := make(map[int]bool)
+			receiving := make(map[int]bool)
 			for _, p := range round {
 				if p.src == p.dst || p.src < 0 || p.dst < 0 || p.src >= n || p.dst >= n {
 					t.Errorf("n=%d round %d: bad pair %v", n, r, p)
 				}
-				if busy[p.src] || busy[p.dst] {
-					t.Errorf("n=%d round %d: agent of pair %v already busy in %v", n, r, p, round)
+				if sending[p.src] {
+					t.Errorf("n=%d round %d: agent %d of pair %v already sends in %v", n, r, p.src, p, round)
 				}
-				busy[p.src], busy[p.dst] = true, true
+				if receiving[p.dst] {
+					t.Errorf("n=%d round %d: agent %d of pair %v already receives in %v", n, r, p.dst, p, round)
+				}
+				sending[p.src], receiving[p.dst] = true, true
 				seen[p]++
 			}
 		}

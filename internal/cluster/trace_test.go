@@ -98,11 +98,12 @@ func TestCrossProcessSpanStitching(t *testing.T) {
 }
 
 // TestMeshRoundsTraceDisjointAndStitched measures a 6-agent mesh and
-// reads the concurrency back from the event log: pair spans do overlap,
-// no two that are open at once share an agent, all 30 end ok, and every
-// agent span is stitched under the pair that issued it rather than
-// under a sibling running at the same time. Overlap is judged by event
-// order, which the tracer serializes, not by clock readings.
+// reads the concurrency back from the event log: more than ⌊n/2⌋ pair
+// spans are open at once, no two that are open at once share a source
+// or share a destination, all 30 end ok, and every agent span is
+// stitched under the pair that issued it rather than under a sibling
+// running at the same time. Overlap is judged by event order, which
+// the tracer serializes, not by clock readings.
 func TestMeshRoundsTraceDisjointAndStitched(t *testing.T) {
 	mesh, err := livetest.Start(6)
 	if err != nil {
@@ -129,7 +130,7 @@ func TestMeshRoundsTraceDisjointAndStitched(t *testing.T) {
 		p := pairSpan{e.Attrs["src"], e.Attrs["dst"], e.Attrs["srcAddr"], e.Attrs["dstAddr"]}
 		for id := range open {
 			q := pairs[id]
-			if p.src == q.src || p.src == q.dst || p.dst == q.src || p.dst == q.dst {
+			if p.src == q.src || p.dst == q.dst {
 				t.Errorf("pair %s->%s started while pair %s->%s was running", p.src, p.dst, q.src, q.dst)
 			}
 		}
@@ -140,8 +141,8 @@ func TestMeshRoundsTraceDisjointAndStitched(t *testing.T) {
 	if len(pairs) != 30 {
 		t.Fatalf("pair spans = %d, want 30", len(pairs))
 	}
-	if maxOpen < 2 {
-		t.Errorf("at most %d pair span open at once; the rounds did not run concurrently", maxOpen)
+	if maxOpen <= 6/2 {
+		t.Errorf("at most %d pair spans open at once; the rounds did not run duplex", maxOpen)
 	}
 
 	// The source runs the RTT probe and sends the train, both naming the

@@ -473,26 +473,37 @@ func Random(app *profile.Application, env *Environment, rng *rand.Rand) (Placeme
 		return Placement{}, err
 	}
 	M := env.Machines()
+	machineOf := make([]int, app.Tasks())
+	cpuLeft := make([]float64, M)
 	// Random draws can dead-end on CPU fragmentation even when a feasible
 	// packing exists; retry with fresh draws like a tenant re-rolling.
 	for attempt := 0; attempt < 100; attempt++ {
-		machineOf := make([]int, app.Tasks())
-		cpuLeft := append([]float64(nil), env.CPUCap...)
+		copy(cpuLeft, env.CPUCap)
 		ok := true
 		for task := range machineOf {
-			var options []int
+			need := app.CPU[task]
+			feasible := 0
 			for m := 0; m < M; m++ {
-				if cpuLeft[m]+1e-9 >= app.CPU[task] {
-					options = append(options, m)
+				if cpuLeft[m]+1e-9 >= need {
+					feasible++
 				}
 			}
-			if len(options) == 0 {
+			if feasible == 0 {
 				ok = false
 				break
 			}
-			m := options[rng.Intn(len(options))]
+			// Walk to the k-th feasible machine in index order.
+			k, m := rng.Intn(feasible), 0
+			for ; ; m++ {
+				if cpuLeft[m]+1e-9 >= need {
+					if k == 0 {
+						break
+					}
+					k--
+				}
+			}
 			machineOf[task] = m
-			cpuLeft[m] -= app.CPU[task]
+			cpuLeft[m] -= need
 		}
 		if ok {
 			return Placement{MachineOf: machineOf}, nil

@@ -181,3 +181,76 @@ func TestMinMachinesMatchesReference(t *testing.T) {
 		t.Fatalf("%d of %d runs failed; the instances do not cover both outcomes", failures, trials)
 	}
 }
+
+// randomReference is Random as first written: a fresh list of the
+// CPU-feasible machines for every task of every draw. It also returns
+// how many draws it made.
+func randomReference(app *profile.Application, env *Environment, rng *rand.Rand) (Placement, int, error) {
+	if err := app.Validate(); err != nil {
+		return Placement{}, 0, err
+	}
+	if err := env.Validate(); err != nil {
+		return Placement{}, 0, err
+	}
+	M := env.Machines()
+	for attempt := 0; attempt < 100; attempt++ {
+		machineOf := make([]int, app.Tasks())
+		cpuLeft := append([]float64(nil), env.CPUCap...)
+		ok := true
+		for task := range machineOf {
+			var options []int
+			for m := 0; m < M; m++ {
+				if cpuLeft[m]+1e-9 >= app.CPU[task] {
+					options = append(options, m)
+				}
+			}
+			if len(options) == 0 {
+				ok = false
+				break
+			}
+			m := options[rng.Intn(len(options))]
+			machineOf[task] = m
+			cpuLeft[m] -= app.CPU[task]
+		}
+		if ok {
+			return Placement{MachineOf: machineOf}, attempt + 1, nil
+		}
+	}
+	return Placement{}, 100, fmt.Errorf("place: no CPU-feasible random placement found")
+}
+
+// TestRandomMatchesReference runs Random and the reference from equal
+// rng states on CPU-tight instances: placements, errors and the rng
+// state left behind must agree, over instances that place at the first
+// draw, after retries, and never.
+func TestRandomMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	var retried, failed int
+	const trials = 5000
+	for trial := 0; trial < trials; trial++ {
+		app, env, _ := tieProneInstance(rng)
+		seed := rng.Int63()
+		gotRng, wantRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		got, gotErr := Random(app, env, gotRng)
+		want, draws, wantErr := randomReference(app, env, wantRng)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("trial %d: error %v, reference %v", trial, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: placement %v, reference %v", trial, got.MachineOf, want.MachineOf)
+		}
+		if g, w := gotRng.Int63(), wantRng.Int63(); g != w {
+			t.Fatalf("trial %d: rng left at %d, reference at %d", trial, g, w)
+		}
+		switch {
+		case wantErr != nil:
+			failed++
+		case draws > 1:
+			retried++
+		}
+	}
+	if retried == 0 || failed == 0 || failed == trials {
+		t.Fatalf("%d retried and %d failed of %d; the instances do not cover every outcome", retried, failed, trials)
+	}
+	t.Logf("%d of %d instances retried, %d failed", retried, trials, failed)
+}

@@ -6,7 +6,7 @@ import "sync"
 // addresses all-or-nothing, blocking while any of them is held. Two
 // cells whose agent subsets are disjoint run their packet trains or
 // executed bulk flows concurrently; overlapping subsets serialize, so
-// no agent NIC ever carries two of our measurements at once.
+// no agent NIC ever carries the traffic of two cells at once.
 //
 // Acquisition is atomic under one mutex — a waiter never holds part of
 // its set while waiting for the rest — so acquires cannot deadlock

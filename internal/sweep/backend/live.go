@@ -57,12 +57,13 @@ type Live struct {
 	// worker pool builds cells concurrently, but overlapping packet
 	// trains (or executed bulk flows) through the same agent NICs would
 	// see each other as cross traffic and corrupt both observations.
-	// Within a mesh, cluster.MeasureMesh runs only trains that share no
-	// agent at once; the address-set lock keeps that true across cells
-	// while letting cells whose agent subsets are disjoint measure and
-	// execute concurrently. Both rest on the paper's finding that tenant
-	// bottlenecks sit at the VM endpoints (the hose model); on a
-	// pipe-model fabric, disjoint trains can still share a core link.
+	// Within a mesh, cluster.MeasureMesh runs at most one outgoing and
+	// one incoming train per agent at once; the address-set lock keeps
+	// that true across cells while letting cells whose agent subsets are
+	// disjoint measure and execute concurrently. Both rest on the
+	// paper's finding that tenant bottlenecks sit at the sending VM's
+	// egress (the hose model) and on full-duplex endpoints; on a
+	// pipe-model fabric, concurrent trains can still share a core link.
 	fleet fleetLock
 	// acc records per-pair rate-error gauges for executed flows into the
 	// observer's registry (nil-safe when uninstrumented).
