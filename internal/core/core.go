@@ -123,6 +123,9 @@ type Choreo struct {
 	vms    []topology.VM
 	rng    *rand.Rand
 	opts   Options
+	// remeasured holds RunSequence's re-measurements: each one overwrites
+	// the last, which was dropped once placed against.
+	remeasured place.Environment
 }
 
 // New builds an orchestrator. The rng drives measurement noise and the
@@ -223,13 +226,27 @@ func (c *Choreo) VMs() []topology.VM { return c.vms }
 // pair order, so the measurement noise stream — and hence every measured
 // rate — is bit-identical to the strictly sequential implementation.
 func (c *Choreo) MeasureEnvironment() (*place.Environment, error) {
-	n := len(c.vms)
-	env := &place.Environment{
-		Rates:  make([][]units.Rate, n),
-		CPUCap: make([]float64, n),
+	env := new(place.Environment)
+	if err := c.measureInto(env); err != nil {
+		return nil, err
 	}
-	for i := range env.Rates {
-		env.Rates[i] = make([]units.Rate, n)
+	return env, nil
+}
+
+// measureInto is MeasureEnvironment into env, whose rate rows and CPU
+// capacities are reused when they already have one entry per VM. It
+// overwrites every entry, and leaves HoseRates and Cross as they are.
+func (c *Choreo) measureInto(env *place.Environment) error {
+	n := len(c.vms)
+	if len(env.Rates) != n || len(env.CPUCap) != n {
+		rates := make([]units.Rate, n*n)
+		env.Rates = make([][]units.Rate, n)
+		for i := range env.Rates {
+			env.Rates[i] = rates[i*n : (i+1)*n : (i+1)*n]
+		}
+		env.CPUCap = make([]float64, n)
+	}
+	for i := range env.CPUCap {
 		env.CPUCap[i] = cpuPerVM
 	}
 	// PairStates returns path states in exactly this loop's pair order
@@ -240,7 +257,7 @@ func (c *Choreo) MeasureEnvironment() (*place.Environment, error) {
 		var err error
 		states, err = c.medium.PairStates(c.vms)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	next := 0
@@ -255,7 +272,7 @@ func (c *Choreo) MeasureEnvironment() (*place.Environment, error) {
 			if c.opts.UseIdealMeasurement {
 				r, err := c.net.AvailableRate(a.ID, b.ID)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				est = r
 			} else {
@@ -264,11 +281,11 @@ func (c *Choreo) MeasureEnvironment() (*place.Environment, error) {
 				obs, err := c.medium.RunTrainOnScratch(&states[next].State, probe.DefaultEC2())
 				next++
 				if err != nil {
-					return nil, err
+					return err
 				}
 				r, err := obs.EstimateThroughput()
 				if err != nil {
-					return nil, fmt.Errorf("core: estimate %d->%d: %w", i, j, err)
+					return fmt.Errorf("core: estimate %d->%d: %w", i, j, err)
 				}
 				est = r
 			}
@@ -278,7 +295,7 @@ func (c *Choreo) MeasureEnvironment() (*place.Environment, error) {
 			env.Rates[i][j] = est
 		}
 	}
-	return env, nil
+	return nil
 }
 
 // DetectModel runs the §3.3 bottleneck survey on the first VMs and picks

@@ -64,6 +64,32 @@ func TestMeasureEnvironment(t *testing.T) {
 	}
 }
 
+// TestMeasureIntoReusesEnvironment: measuring into an environment left
+// over from another cloud keeps its storage and overwrites every entry,
+// giving exactly what MeasureEnvironment returns on an identical
+// orchestrator. RunSequence's re-measurements rely on it.
+func TestMeasureIntoReusesEnvironment(t *testing.T) {
+	want, err := newChoreo(t, 7, 6, Options{}).MeasureEnvironment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := newChoreo(t, 8, 6, Options{}).MeasureEnvironment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Rates[2][2], env.CPUCap[3] = units.Mbps(1), 1
+	row, caps := &env.Rates[5][0], &env.CPUCap[0]
+	if err := newChoreo(t, 7, 6, Options{}).measureInto(env); err != nil {
+		t.Fatal(err)
+	}
+	if &env.Rates[5][0] != row || &env.CPUCap[0] != caps {
+		t.Error("measureInto reallocated an environment of the right size")
+	}
+	if !reflect.DeepEqual(env, want) {
+		t.Errorf("reused environment %v, fresh %v", env, want)
+	}
+}
+
 func TestIdealMeasurementMatchesAvailability(t *testing.T) {
 	c := newChoreo(t, 2, 4, Options{UseIdealMeasurement: true})
 	env, err := c.MeasureEnvironment()

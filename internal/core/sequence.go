@@ -31,7 +31,7 @@ type SequenceOptions struct {
 	MaxMigrationsPerApp int
 	// StaticEnv, when non-nil, is used as the pre-sequence measurement
 	// instead of measuring at the start of the run. RunSequence only
-	// reads it (re-measurements build environments of their own), so the
+	// reads it (re-measurements go to the orchestrator's own), so the
 	// sweep engine passes the measurement its cell group took once on the
 	// pristine cloud to every run at once: every algorithm of the group
 	// starts from the identical environment without re-running the
@@ -74,6 +74,7 @@ type SequenceResult struct {
 type runningApp struct {
 	idx         int
 	app         *profile.Application
+	transfers   []profile.Transfer // app.TM.Transfers(), sorted once on arrival
 	placement   place.Placement
 	flows       map[netsim.FlowID]*netsim.Flow
 	outstanding int
@@ -130,8 +131,8 @@ func (c *Choreo) RunSequence(apps []*profile.Application, alg Algorithm, opts Se
 		env := staticEnv
 		if opts.Remeasure && alg == AlgChoreo {
 			measureStart := time.Now()
-			if e, err := c.MeasureEnvironment(); err == nil {
-				env = e
+			if err := c.measureInto(&c.remeasured); err == nil {
+				env = &c.remeasured
 			} else if firstErr == nil {
 				firstErr = err
 			}
@@ -150,12 +151,13 @@ func (c *Choreo) RunSequence(apps []*profile.Application, alg Algorithm, opts Se
 		ra := &runningApp{
 			idx:       idx,
 			app:       app,
+			transfers: app.TM.Transfers(),
 			placement: p,
 			flows:     make(map[netsim.FlowID]*netsim.Flow),
 			started:   c.net.Now(),
 		}
 		running[idx] = ra
-		c.launchFlows(ra, app.TM, &remaining, &res)
+		c.launchFlows(ra, ra.transfers, &remaining, &res)
 		if ra.outstanding == 0 && !ra.done {
 			ra.done = true
 			ra.finished = c.net.Now()
@@ -198,8 +200,8 @@ func (c *Choreo) RunSequence(apps []*profile.Application, alg Algorithm, opts Se
 	return res, nil
 }
 
-// launchFlows starts the transfers of tm under ra's placement.
-func (c *Choreo) launchFlows(ra *runningApp, tm *profile.TrafficMatrix, remaining *int, res *SequenceResult) {
+// launchFlows starts transfers, in order, under ra's placement.
+func (c *Choreo) launchFlows(ra *runningApp, transfers []profile.Transfer, remaining *int, res *SequenceResult) {
 	finished := func(f *netsim.Flow) {
 		delete(ra.flows, f.ID)
 		ra.outstanding--
@@ -210,7 +212,7 @@ func (c *Choreo) launchFlows(ra *runningApp, tm *profile.TrafficMatrix, remainin
 			*remaining--
 		}
 	}
-	for _, tr := range tm.Transfers() {
+	for _, tr := range transfers {
 		srcVM := c.vms[ra.placement.MachineOf[tr.From]]
 		dstVM := c.vms[ra.placement.MachineOf[tr.To]]
 		if srcVM.ID == dstVM.ID {
@@ -230,8 +232,8 @@ func (c *Choreo) launchFlows(ra *runningApp, tm *profile.TrafficMatrix, remainin
 // place its remaining bytes, and migrate if the predicted completion
 // improves enough.
 func (c *Choreo) reevaluate(running []*runningApp, opts SequenceOptions, res *SequenceResult, remaining *int) {
-	env, err := c.MeasureEnvironment()
-	if err != nil {
+	env := &c.remeasured
+	if err := c.measureInto(env); err != nil {
 		return
 	}
 	for _, ra := range running {
@@ -247,7 +249,7 @@ func (c *Choreo) reevaluate(running []*runningApp, opts SequenceOptions, res *Se
 			remainingByPair[pairKey{int(f.Src), int(f.Dst)}] += f.Remaining()
 		}
 		originalByPair := map[pairKey]units.ByteSize{}
-		for _, tr := range ra.app.TM.Transfers() {
+		for _, tr := range ra.transfers {
 			src := c.vms[ra.placement.MachineOf[tr.From]].ID
 			dst := c.vms[ra.placement.MachineOf[tr.To]].ID
 			if src != dst {
@@ -255,7 +257,7 @@ func (c *Choreo) reevaluate(running []*runningApp, opts SequenceOptions, res *Se
 			}
 		}
 		left := profile.NewTrafficMatrix(ra.app.Tasks())
-		for _, tr := range ra.app.TM.Transfers() {
+		for _, tr := range ra.transfers {
 			src := c.vms[ra.placement.MachineOf[tr.From]].ID
 			dst := c.vms[ra.placement.MachineOf[tr.To]].ID
 			if src == dst {
@@ -298,7 +300,7 @@ func (c *Choreo) reevaluate(running []*runningApp, opts SequenceOptions, res *Se
 		// the floating-point accumulation order of the max-min allocator)
 		// must not depend on map iteration order, or byte-reproducible
 		// sweeps would drift run to run.
-		restart := leftApp.TM
+		restart := leftApp.TM.Transfers()
 		ids := make([]netsim.FlowID, 0, len(ra.flows))
 		for id := range ra.flows {
 			ids = append(ids, id)

@@ -5,8 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
 	"choreo/internal/profile"
@@ -526,5 +530,193 @@ func BenchmarkOptimal(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// TestOptimalTablesMatchReference pins Optimal's set-partition path to
+// the reference search, run without a budget: the same placement and the
+// same error. Its instances are the shapes a sim sweep's snapshot cells
+// hand Optimal (shuffle and uniform applications of 5–6 tasks on 6 and
+// 10 VMs), on which the tables must be the path taken, some with CPU in
+// tenths of a core; and the optimalInstance and lastDepthInstance draws
+// on which the tables run, with tight, tenths-of-a-core and infeasible
+// CPU among them; and instances with CPU figures that are not finite,
+// which the search must answer.
+func TestOptimalTablesMatchReference(t *testing.T) {
+	var tables, infeasible int
+	check := func(name string, app *profile.Application, env *Environment) {
+		t.Helper()
+		got, gotErr := Optimal(app, env, Hose, 0)
+		want, wantErr := optimalReference(app, env, Hose, 0)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: error %v, reference %v", name, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s (%d tasks, %d machines): placement %v, reference %v",
+				name, app.Tasks(), env.Machines(), got.MachineOf, want.MachineOf)
+		}
+		if tablesExact(app, env, defaultMaxNodes) {
+			tables++
+			if wantErr != nil {
+				infeasible++
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(35))
+	for _, pattern := range []workload.Pattern{workload.Shuffle, workload.Uniform} {
+		for _, vms := range []int{6, 10} {
+			cfg := workload.Config{MinTasks: 5, MaxTasks: 6, MeanBytes: 64 * units.Megabyte, Patterns: []workload.Pattern{pattern}}
+			for draw := range 24 {
+				app, err := workload.Generate(rng, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				env := randomEnv(rng, vms)
+				if draw%3 == 2 {
+					for i := range app.CPU {
+						app.CPU[i] = float64(1+rng.Intn(15)) / 10
+					}
+					for m := range env.CPUCap {
+						env.CPUCap[m] = float64(3+rng.Intn(20)) / 10
+					}
+				}
+				name := fmt.Sprintf("%v/%dvms draw %d", pattern, vms, draw)
+				if !tablesExact(app, env, defaultMaxNodes) {
+					t.Fatalf("%s (%d tasks): the search ran, not the tables", name, app.Tasks())
+				}
+				check(name, app, env)
+			}
+		}
+	}
+	sweep := tables
+	for trial := 0; tables-sweep < 150; trial++ {
+		app, env := optimalInstance(rng)
+		if tablesExact(app, env, defaultMaxNodes) && app.Tasks() <= 6 {
+			check(fmt.Sprintf("optimalInstance %d", trial), app, env)
+		}
+	}
+	drawn := tables
+	for trial := 0; tables-drawn < 60; trial++ {
+		app, env := lastDepthInstance(rng, 6, trial%2 == 1)
+		if tablesExact(app, env, defaultMaxNodes) {
+			check(fmt.Sprintf("lastDepthInstance %d", trial), app, env)
+		}
+	}
+	if infeasible == 0 || infeasible == tables {
+		t.Fatalf("%d of %d instances infeasible; the instances do not cover both outcomes", infeasible, tables)
+	}
+
+	// A CPU figure that is not finite sticks to a machine the search has
+	// debited and credited, so such instances are left to the search.
+	cfg := workload.Config{MinTasks: 5, MaxTasks: 6, MeanBytes: 64 * units.Megabyte}
+	for trial := range 40 {
+		app, err := workload.Generate(rng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := randomEnv(rng, 6)
+		switch trial % 4 {
+		case 0:
+			app.CPU[rng.Intn(app.Tasks())] = math.NaN()
+		case 1:
+			app.CPU[rng.Intn(app.Tasks())] = math.Inf(1)
+			env.CPUCap[rng.Intn(6)] = math.Inf(1)
+		case 2:
+			env.CPUCap[rng.Intn(6)] = math.NaN()
+		case 3:
+			env.CPUCap[rng.Intn(6)] = math.Inf(1)
+		}
+		if tablesExact(app, env, defaultMaxNodes) {
+			t.Fatalf("non-finite CPU, trial %d: the tables ran", trial)
+		}
+		check(fmt.Sprintf("non-finite CPU, trial %d", trial), app, env)
+	}
+}
+
+// TestTiedRatesSeedTakesTables checks that FuzzOptimal's tied-rates seed
+// is answered by the set-partition tables, so every go test compares
+// them with the reference on an instance whose optima tie.
+func TestTiedRatesSeedTakesTables(t *testing.T) {
+	data, err := os.ReadFile("testdata/fuzz/FuzzOptimal/hose-tied-rates-6x6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(string(data), "go test fuzz v1\n[]byte(")
+	lit, ok2 := strings.CutSuffix(lit, ")\n")
+	seed, err := strconv.Unquote(lit)
+	if !ok || !ok2 || err != nil {
+		t.Fatalf("not a one-[]byte corpus file: %v", err)
+	}
+	app, env, model, budget := fuzzInstance([]byte(seed))
+	if model != Hose || app.Tasks() != 6 || env.Machines() != 6 || budget != 50_000 {
+		t.Fatalf("seed decodes to %v, %d tasks on %d machines, budget %d; want hose, 6 on 6, 50,000",
+			model, app.Tasks(), env.Machines(), budget)
+	}
+	if !tablesExact(app, env, budget) {
+		t.Fatal("the search answers the seed, not the tables")
+	}
+}
+
+// TestOptimalConcurrentMatchesSerial calls Optimal from several
+// goroutines at once, each walking the instances in its own order, and
+// checks every answer against a serial call. Task and machine counts
+// vary from call to call, so the pooled tables are regrown and
+// resliced, and both the tables and the search answer some of the
+// calls.
+func TestOptimalConcurrentMatchesSerial(t *testing.T) {
+	type call struct {
+		app      *profile.Application
+		env      *Environment
+		model    Model
+		maxNodes int
+		want     string
+	}
+	rng := rand.New(rand.NewSource(36))
+	var calls []call
+	cfg := workload.Config{MinTasks: 5, MaxTasks: 6, MeanBytes: 64 * units.Megabyte}
+	for range 24 {
+		app, err := workload.Generate(rng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls = append(calls, call{app: app, env: randomEnv(rng, 6+4*rng.Intn(2)), model: Hose, maxNodes: defaultMaxNodes})
+		app, env := optimalInstance(rng)
+		calls = append(calls, call{app: app, env: env, model: Model(rng.Intn(2)), maxNodes: 500})
+		app, env = lastDepthInstance(rng, 6+rng.Intn(4), rng.Intn(2) == 0)
+		calls = append(calls, call{app: app, env: env, model: Hose, maxNodes: defaultMaxNodes})
+	}
+	var tables int
+	for i, c := range calls {
+		if c.model == Hose && tablesExact(c.app, c.env, c.maxNodes) {
+			tables++
+		}
+		p, err := Optimal(c.app, c.env, c.model, c.maxNodes)
+		calls[i].want = fmt.Sprint(p.MachineOf, err)
+	}
+	if tables == 0 || tables == len(calls) {
+		t.Fatalf("the tables answer %d of %d calls; both paths must run", tables, len(calls))
+	}
+
+	const workers = 4
+	var wg sync.WaitGroup
+	errs := make(chan string, workers*len(calls))
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range calls {
+				c := calls[(k*(2*w+1)+w)%len(calls)]
+				p, err := Optimal(c.app, c.env, c.model, c.maxNodes)
+				if got := fmt.Sprint(p.MachineOf, err); got != c.want {
+					errs <- fmt.Sprintf("worker %d: %s, serially %s", w, got, c.want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
 	}
 }
