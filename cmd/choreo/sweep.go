@@ -40,9 +40,9 @@ import (
 // -mode sequence switches every cell from a single static placement
 // (§6.2) to an in-sequence arrival/migration experiment (§6.3),
 // crossing three extra dimensions: -interarrival, -seq-apps and
-// -reeval. Shared dimension flags the user leaves unset fall back to
-// mode-appropriate defaults in the "sequence" branch of the mode
-// switch below, matching sweep.DefaultSequence.
+// -reeval. Each mode starts from its stock grid, sweep.Default or
+// sweep.DefaultSequence, and only the flags the user sets override it;
+// the flags' help derives its defaults from those grids.
 //
 // -backend live swaps the measurement plane: instead of building a
 // simulated cloud per cell, every cell's VM slots map onto real
@@ -53,30 +53,40 @@ import (
 // but the grid echo carries the backend, so the two can never be
 // merged or resumed into each other.
 func runSweep(args []string) (err error) {
+	def, seqDef := sweep.Default(), sweep.DefaultSequence()
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	// dimension registers a flag shared by both modes, defaulting to the
+	// snapshot grid's value and naming the sequence grid's where it
+	// differs.
+	dimension := func(name string, value func(sweep.Grid) string, usage string) *string {
+		if seq := value(seqDef); seq != value(def) {
+			usage += fmt.Sprintf(" (-mode sequence: %s)", seq)
+		}
+		return fs.String(name, value(def), usage)
+	}
 	mode := fs.String("mode", "snapshot", "cell mode: snapshot (§6.2 single placements) or sequence (§6.3 in-sequence arrivals + migration)")
-	topologies := fs.String("topologies", "ec2-2013,rackspace,fattree-4,jellyfish-12", "comma-separated provider profiles (see -list)")
-	workloads := fs.String("workloads", "shuffle,uniform", "comma-separated workload presets (see -list)")
-	algorithms := fs.String("algorithms", "choreo,random,round-robin", "comma-separated placement algorithms (see -list)")
-	seedSpec := fs.String("seeds", "2", "seed count (from -seed) or explicit comma list")
-	baseSeed := fs.Int64("seed", 1, "base seed when -seeds is a count")
-	vms := fs.String("vms", "6,10", "comma-separated tenant VM counts to sweep")
-	apps := fs.Int("apps", 0, "applications combined per scenario (0 = one generated app, or the whole trace; snapshot mode)")
-	minTasks := fs.Int("min-tasks", 4, "minimum tasks per generated application")
-	maxTasks := fs.Int("max-tasks", 6, "maximum tasks per generated application")
-	meanMB := fs.String("mean-mb", "64,200", "comma-separated mean transfer sizes (MB) to sweep")
-	interarrival := fs.String("interarrival", "5s,20s", "comma-separated mean Poisson inter-arrival times to sweep (sequence mode)")
-	seqApps := fs.String("seq-apps", "8", "comma-separated sequence lengths (applications per sequence) to sweep (sequence mode)")
-	reeval := fs.String("reeval", "0,10s", "comma-separated §2.4 re-evaluation periods to sweep, 0 = never migrate (sequence mode)")
-	migrationGain := fs.Float64("migration-gain", 0.2, "minimum predicted relative improvement to migrate (sequence mode)")
-	maxMigrations := fs.Int("max-migrations", 3, "migration cap per application (sequence mode)")
-	model := fs.String("model", "hose", "rate model: hose or pipe")
+	topologies := dimension("topologies", topologyList, "comma-separated provider profiles (see -list)")
+	workloads := dimension("workloads", workloadList, "comma-separated workload presets (see -list)")
+	algorithms := dimension("algorithms", algorithmList, "comma-separated placement algorithms (see -list)")
+	seedSpec := fs.String("seeds", strconv.Itoa(len(def.Seeds)), "seed count (from -seed) or explicit comma list")
+	baseSeed := fs.Int64("seed", def.Seeds[0], "base seed when -seeds is a count")
+	vms := dimension("vms", vmList, "comma-separated tenant VM counts to sweep")
+	apps := fs.Int("apps", def.Apps, "applications combined per scenario (0 = one generated app, or the whole trace; snapshot mode)")
+	minTasks := fs.Int("min-tasks", def.MinTasks, "minimum tasks per generated application")
+	maxTasks := fs.Int("max-tasks", def.MaxTasks, "maximum tasks per generated application")
+	meanMB := dimension("mean-mb", meanMBList, "comma-separated mean transfer sizes (MB) to sweep")
+	interarrival := fs.String("interarrival", durationList(seqDef.Interarrivals), "comma-separated mean Poisson inter-arrival times to sweep (sequence mode)")
+	seqApps := fs.String("seq-apps", join(seqDef.SeqApps, strconv.Itoa), "comma-separated sequence lengths (applications per sequence) to sweep (sequence mode)")
+	reeval := fs.String("reeval", durationList(seqDef.Reevals), "comma-separated §2.4 re-evaluation periods to sweep, 0 = never migrate (sequence mode)")
+	migrationGain := fs.Float64("migration-gain", seqDef.MigrationGain, "minimum predicted relative improvement to migrate (sequence mode)")
+	maxMigrations := fs.Int("max-migrations", seqDef.MaxMigrations, "migration cap per application (sequence mode)")
+	model := fs.String("model", def.Model.String(), "rate model: hose or pipe")
 	backendName := fs.String("backend", "sim", "measurement backend: sim (deterministic netsim cloud) or live (real choreo-agent mesh)")
 	execute := fs.Bool("execute", false, "run every chosen placement as real bulk transfers over the agent fleet and record measured next to predicted completion (requires -backend live)")
 	fleet := registerFleetFlags(fs)
 	tracePath := fs.String("trace", "", "JSON trace file to replay as an extra workload")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool size (0 = GOMAXPROCS)")
-	optMaxTasks := fs.Int("optimal-max-tasks", 6, "compute the slowdown-vs-optimal reference up to this many tasks (0 disables)")
+	optMaxTasks := fs.Int("optimal-max-tasks", def.OptimalMaxTasks, "compute the slowdown-vs-optimal reference up to this many tasks (a negative value disables it)")
 	timing := fs.Bool("timing", false, "add wall-clock placement-latency aggregates (nondeterministic)")
 	outPath := fs.String("out", "-", "report destination ('-' = stdout): JSON, or JSONL with -stream/-shard")
 	csvPath := fs.String("csv", "", "also write a per-scenario CSV report here (collecting mode only)")
@@ -108,14 +118,8 @@ func runSweep(args []string) (err error) {
 		}
 	}()
 
-	g := sweep.Grid{
-		Apps:            *apps,
-		MinTasks:        *minTasks,
-		MaxTasks:        *maxTasks,
-		OptimalMaxTasks: *optMaxTasks,
-		Timing:          *timing,
-	}
 	set := visited(fs)
+	g := def
 	switch *mode {
 	case "snapshot":
 		// A sequence-only flag on a snapshot sweep would be silently
@@ -126,72 +130,83 @@ func runSweep(args []string) (err error) {
 			}
 		}
 	case "sequence":
-		g.Mode = sweep.Sequence
-		// The snapshot defaults make poor sequence grids: 64 unique
-		// clouds per run, sizes too small for arrivals to overlap.
-		// Shared dimension flags the user did not set fall back to the
-		// sequence defaults (matching sweep.DefaultSequence).
-		if !set["topologies"] {
-			*topologies = "ec2-2013,rackspace"
+		g = seqDef
+		if set["interarrival"] {
+			if g.Interarrivals, err = parseDurationList(*interarrival); err != nil {
+				return fmt.Errorf("-interarrival: %w", err)
+			}
 		}
-		if !set["workloads"] {
-			*workloads = "shuffle"
+		if set["seq-apps"] {
+			if g.SeqApps, err = parseIntList(*seqApps); err != nil {
+				return fmt.Errorf("-seq-apps: %w", err)
+			}
 		}
-		if !set["vms"] {
-			*vms = "6"
-		}
-		if !set["mean-mb"] {
-			*meanMB = "400"
-		}
-		if g.Interarrivals, err = parseDurationList(*interarrival); err != nil {
-			return fmt.Errorf("-interarrival: %w", err)
-		}
-		if g.SeqApps, err = parseIntList(*seqApps); err != nil {
-			return fmt.Errorf("-seq-apps: %w", err)
-		}
-		if g.Reevals, err = parseDurationList(*reeval); err != nil {
-			return fmt.Errorf("-reeval: %w", err)
+		if set["reeval"] {
+			if g.Reevals, err = parseDurationList(*reeval); err != nil {
+				return fmt.Errorf("-reeval: %w", err)
+			}
 		}
 		// The engine treats zero migration knobs as "use the default"
 		// (3 moves, 0.2 gain); accepting an explicit 0 here would
 		// silently re-enable what the user asked to turn off.
-		if *maxMigrations == 0 {
-			return fmt.Errorf("-max-migrations 0 would silently mean the default cap of 3; to disable migration entirely use -reeval 0")
+		if set["max-migrations"] {
+			if *maxMigrations == 0 {
+				return fmt.Errorf("-max-migrations 0 would silently mean the default cap of 3; to disable migration entirely use -reeval 0")
+			}
+			g.MaxMigrations = *maxMigrations
 		}
-		if *migrationGain == 0 {
-			return fmt.Errorf("-migration-gain 0 would silently mean the default threshold of 0.2; pass a value in (0, 1)")
+		if set["migration-gain"] {
+			if *migrationGain == 0 {
+				return fmt.Errorf("-migration-gain 0 would silently mean the default threshold of 0.2; pass a value in (0, 1)")
+			}
+			g.MigrationGain = *migrationGain
 		}
-		g.MigrationGain = *migrationGain
-		g.MaxMigrations = *maxMigrations
 	default:
 		return fmt.Errorf("unknown -mode %q (snapshot or sequence)", *mode)
 	}
-	if g.VMCounts, err = parseIntList(*vms); err != nil {
-		return fmt.Errorf("-vms: %w", err)
+	if set["optimal-max-tasks"] {
+		// Likewise, the engine reads 0 as "use the default of 6".
+		if *optMaxTasks == 0 {
+			return fmt.Errorf("-optimal-max-tasks 0 would silently mean the default of %d; to disable the optimal reference use -optimal-max-tasks -1", def.OptimalMaxTasks)
+		}
+		g.OptimalMaxTasks = *optMaxTasks
 	}
-	sizes, err := parseFloatList(*meanMB)
-	if err != nil {
-		return fmt.Errorf("-mean-mb: %w", err)
+	if set["apps"] {
+		g.Apps = *apps
 	}
-	for _, mb := range sizes {
-		g.MeanSizes = append(g.MeanSizes, units.ByteSize(mb*1e6))
+	if set["min-tasks"] {
+		g.MinTasks = *minTasks
 	}
-	if g.Model, err = place.ParseModel(*model); err != nil {
-		return fmt.Errorf("-model: %w", err)
+	if set["max-tasks"] {
+		g.MaxTasks = *maxTasks
 	}
-	for _, name := range splitList(*topologies) {
-		tp, err := sweep.TopologyByName(name)
-		if err != nil {
+	if set["timing"] {
+		g.Timing = *timing
+	}
+	if set["vms"] {
+		if g.VMCounts, err = parseIntList(*vms); err != nil {
+			return fmt.Errorf("-vms: %w", err)
+		}
+	}
+	if set["mean-mb"] {
+		if g.MeanSizes, err = parseMBList(*meanMB); err != nil {
+			return fmt.Errorf("-mean-mb: %w", err)
+		}
+	}
+	if set["model"] {
+		if g.Model, err = place.ParseModel(*model); err != nil {
+			return fmt.Errorf("-model: %w", err)
+		}
+	}
+	if set["topologies"] {
+		if g.Topologies, err = byName(*topologies, sweep.TopologyByName); err != nil {
 			return err
 		}
-		g.Topologies = append(g.Topologies, tp)
 	}
-	for _, name := range splitList(*workloads) {
-		wl, err := sweep.WorkloadByName(name)
-		if err != nil {
+	if set["workloads"] {
+		if g.Workloads, err = byName(*workloads, sweep.WorkloadByName); err != nil {
 			return err
 		}
-		g.Workloads = append(g.Workloads, wl)
 	}
 	if *tracePath != "" {
 		f, err := os.Open(*tracePath)
@@ -205,18 +220,16 @@ func runSweep(args []string) (err error) {
 		}
 		g.Workloads = append(g.Workloads, sweep.TraceWorkload(tr))
 	}
-	for _, name := range splitList(*algorithms) {
-		alg, err := sweep.AlgorithmByName(name)
-		if err != nil {
+	if set["algorithms"] {
+		if g.Algorithms, err = byName(*algorithms, sweep.AlgorithmByName); err != nil {
 			return err
 		}
-		g.Algorithms = append(g.Algorithms, alg)
 	}
-	seeds, err := sweep.ParseSeeds(*seedSpec, *baseSeed)
-	if err != nil {
-		return err
+	if set["seeds"] || set["seed"] {
+		if g.Seeds, err = sweep.ParseSeeds(*seedSpec, *baseSeed); err != nil {
+			return err
+		}
 	}
-	g.Seeds = seeds
 
 	observer, closeEvents, err := eventsObserver(*events)
 	if err != nil {
@@ -451,8 +464,39 @@ func printGridHelp(w io.Writer) {
 	fmt.Fprintf(w, "dimensions: snapshot: -topologies x -workloads x -vms x -mean-mb x -algorithms x -seeds\n")
 	fmt.Fprintf(w, "            sequence: -topologies x -workloads x -vms x -mean-mb x -interarrival x -seq-apps x -reeval x -algorithms x -seeds\n")
 	fmt.Fprintf(w, "            (sequence scalar knobs, not swept: -migration-gain, -max-migrations;\n")
-	fmt.Fprintf(w, "             unset -topologies/-workloads/-vms/-mean-mb default to ec2-2013,rackspace / shuffle / 6 / 400 in sequence mode)\n")
+	seq := sweep.DefaultSequence()
+	fmt.Fprintf(w, "             unset -topologies/-workloads/-vms/-mean-mb default to %s / %s / %s / %s in sequence mode)\n",
+		topologyList(seq), workloadList(seq), vmList(seq), meanMBList(seq))
 }
+
+// join renders a grid dimension as a flag's comma list.
+func join[T any](xs []T, format func(T) string) string {
+	parts := make([]string, len(xs))
+	for i, x := range xs {
+		parts[i] = format(x)
+	}
+	return strings.Join(parts, ",")
+}
+
+func topologyList(g sweep.Grid) string {
+	return join(g.Topologies, func(t sweep.Topology) string { return t.Name })
+}
+
+func workloadList(g sweep.Grid) string {
+	return join(g.Workloads, func(w sweep.Workload) string { return w.Name })
+}
+
+func algorithmList(g sweep.Grid) string {
+	return join(g.Algorithms, func(a sweep.Algorithm) string { return a.Name })
+}
+
+func vmList(g sweep.Grid) string { return join(g.VMCounts, strconv.Itoa) }
+
+func meanMBList(g sweep.Grid) string {
+	return join(g.MeanSizes, func(b units.ByteSize) string { return strconv.FormatFloat(float64(b)/1e6, 'g', -1, 64) })
+}
+
+func durationList(ds []time.Duration) string { return join(ds, time.Duration.String) }
 
 // writeTo opens dest ('-' = stdout) and runs write against it,
 // surfacing close errors — a failed close can lose buffered bytes.
@@ -500,8 +544,25 @@ func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
 
 func parseIntList(s string) ([]int, error) { return parseList(s, strconv.Atoi) }
 
-func parseFloatList(s string) ([]float64, error) {
-	return parseList(s, func(v string) (float64, error) { return strconv.ParseFloat(v, 64) })
+// parseMBList parses a comma list of decimal megabytes.
+func parseMBList(s string) ([]units.ByteSize, error) {
+	return parseList(s, func(v string) (units.ByteSize, error) {
+		mb, err := strconv.ParseFloat(v, 64)
+		return units.ByteSize(mb * 1e6), err
+	})
+}
+
+// byName looks up every name of a comma list.
+func byName[T any](s string, lookup func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, name := range splitList(s) {
+		v, err := lookup(name)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // parseDurationList parses a comma list of Go durations; a bare "0" is

@@ -132,8 +132,8 @@ func TestAgentCoordinatorMesh(t *testing.T) {
 		addrs = append(addrs, a.Addr())
 	}
 	coord := NewCoordinator(addrs, 10*time.Second)
-	if coord.Agents() != 3 {
-		t.Fatalf("agents = %d", coord.Agents())
+	if len(coord.agents) != 3 {
+		t.Fatalf("agents = %d", len(coord.agents))
 	}
 
 	res, err := coord.MeasureMesh(context.Background(), tinyTrain())

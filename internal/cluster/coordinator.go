@@ -46,12 +46,6 @@ func NewCoordinator(agents []string, timeout time.Duration) *Coordinator {
 	}
 }
 
-// Agents returns the configured agent count.
-func (c *Coordinator) Agents() int { return len(c.agents) }
-
-// Addr returns agent i's control address.
-func (c *Coordinator) Addr(i int) string { return c.agents[i] }
-
 // session is one control connection.
 type session struct {
 	conn    net.Conn

@@ -8,7 +8,6 @@ package crosstraffic
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"choreo/internal/bulk"
@@ -28,30 +27,6 @@ func Estimate(pathRate, foreground units.Rate) (float64, error) {
 		c = 0
 	}
 	return c, nil
-}
-
-// EstimateUnknownCapacity recovers both the cross-traffic level and the
-// path capacity from the paper's two-step probe: r1 is the throughput of a
-// single foreground connection, r2 the per-connection throughput after a
-// second connection is added. Solving r1(c+1) = r2(c+2) = capacity:
-//
-//	c = (2·r2 − r1) / (r1 − r2)
-func EstimateUnknownCapacity(r1, r2 units.Rate) (c float64, capacity units.Rate, err error) {
-	if r1 <= 0 || r2 <= 0 {
-		return 0, 0, fmt.Errorf("crosstraffic: non-positive rates r1=%v r2=%v", r1, r2)
-	}
-	if r2 >= r1 {
-		// Adding a connection did not reduce throughput: the path is not
-		// the constraint and c is indeterminate (effectively zero load on
-		// an over-provisioned path).
-		return 0, 0, fmt.Errorf("crosstraffic: r2 %v >= r1 %v; path not saturated", r2, r1)
-	}
-	c = (2*float64(r2) - float64(r1)) / (float64(r1) - float64(r2))
-	if c < 0 {
-		c = 0
-	}
-	capacity = units.Rate(float64(r1) * (c + 1))
-	return c, capacity, nil
 }
 
 // Point is one timestamped cross-traffic estimate.
@@ -79,29 +54,4 @@ func Series(samples []bulk.Sample, pathRate units.Rate) ([]Point, error) {
 		out = append(out, Point{At: s.At, C: c})
 	}
 	return out, nil
-}
-
-// Rounded returns the estimate rounded to the nearest whole number of
-// connection-equivalents, which is how Figure 4 reads.
-func Rounded(c float64) int {
-	if c < 0 {
-		return 0
-	}
-	return int(math.Round(c))
-}
-
-// PredictShare predicts the throughput each of k new connections would
-// get on a path with the given rate and cross-traffic level: the paper's
-// use of c when placing multiple connections on one path (§3.1).
-func PredictShare(pathRate units.Rate, c float64, k int) (units.Rate, error) {
-	if k <= 0 {
-		return 0, fmt.Errorf("crosstraffic: k=%d connections", k)
-	}
-	if pathRate <= 0 {
-		return 0, fmt.Errorf("crosstraffic: non-positive path rate %v", pathRate)
-	}
-	if c < 0 {
-		c = 0
-	}
-	return units.Rate(float64(pathRate) / (c + float64(k))), nil
 }

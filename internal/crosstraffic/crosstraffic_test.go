@@ -2,9 +2,7 @@ package crosstraffic
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"choreo/internal/bulk"
@@ -50,88 +48,6 @@ func TestEstimateErrors(t *testing.T) {
 	}
 }
 
-func TestEstimateUnknownCapacity(t *testing.T) {
-	// One background connection on a 1 Gbit/s path: r1=500, r2=333.3.
-	c, capacity, err := EstimateUnknownCapacity(units.Mbps(500), units.Mbps(1000.0/3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c-1) > 1e-6 {
-		t.Errorf("c = %v, want 1", c)
-	}
-	if math.Abs(capacity.Mbps()-1000) > 1e-3 {
-		t.Errorf("capacity = %v, want 1 Gbit/s", capacity)
-	}
-	// No reduction => unsaturated path.
-	if _, _, err := EstimateUnknownCapacity(units.Mbps(500), units.Mbps(500)); err == nil {
-		t.Error("r2 >= r1 should fail")
-	}
-	if _, _, err := EstimateUnknownCapacity(0, units.Mbps(1)); err == nil {
-		t.Error("zero rate should fail")
-	}
-}
-
-// Property: EstimateUnknownCapacity inverts the fair-share model for any
-// capacity and integer cross-traffic level.
-func TestUnknownCapacityInversionProperty(t *testing.T) {
-	f := func(capMbps uint16, cross uint8) bool {
-		capacity := float64(capMbps%9000) + 100
-		c := float64(cross % 20)
-		r1 := capacity / (c + 1)
-		r2 := capacity / (c + 2)
-		got, gotCap, err := EstimateUnknownCapacity(units.Mbps(r1), units.Mbps(r2))
-		if err != nil {
-			return false
-		}
-		return math.Abs(got-c) < 1e-6 && math.Abs(gotCap.Mbps()-capacity) < 1e-3
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRounded(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want int
-	}{{2.6, 3}, {2.4, 2}, {0, 0}, {-1, 0}, {9.5, 10}}
-	for _, c := range cases {
-		if got := Rounded(c.in); got != c.want {
-			t.Errorf("Rounded(%v) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
-func TestPredictShare(t *testing.T) {
-	// The paper's example: measured 900 on a 1 Gbit/s link with a
-	// 100 Mbit/s background connection; Choreo sees c≈0.11 and predicts
-	// two connections on the path get ~450 each when c is 1... Using the
-	// formula directly: path 1 Gbit/s, c=0, k=2 => 500 each.
-	r, err := PredictShare(units.Gbps(1), 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.Mbps()-500) > 1e-9 {
-		t.Errorf("share = %v, want 500", r)
-	}
-	r, err = PredictShare(units.Gbps(1), 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.Mbps()-250) > 1e-9 {
-		t.Errorf("share = %v, want 250", r)
-	}
-	if _, err := PredictShare(units.Gbps(1), 0, 0); err == nil {
-		t.Error("k=0 should fail")
-	}
-	if _, err := PredictShare(0, 0, 1); err == nil {
-		t.Error("zero rate should fail")
-	}
-	if r, _ := PredictShare(units.Gbps(1), -5, 1); math.Abs(r.Gbps()-1) > 1e-9 {
-		t.Errorf("negative c should clamp: %v", r)
-	}
-}
-
 func TestSeriesFromSimulatedForeground(t *testing.T) {
 	// Reproduce the Figure 4(a) mechanics in miniature: a foreground bulk
 	// flow on a shared 1 Gbit/s dumbbell with 4 backlogged background
@@ -161,7 +77,7 @@ func TestSeriesFromSimulatedForeground(t *testing.T) {
 		t.Fatal("no points")
 	}
 	for _, p := range pts {
-		if Rounded(p.C) != 4 {
+		if math.Round(p.C) != 4 {
 			t.Errorf("at %v estimated c=%v, want 4", p.At, p.C)
 		}
 	}
@@ -198,12 +114,8 @@ func TestNonBackloggedBackgroundUnderestimates(t *testing.T) {
 	if c > 0.2 {
 		t.Errorf("c = %v, want ~0.11", c)
 	}
-	share, err := PredictShare(units.Gbps(1), c, 2)
-	if err != nil {
-		t.Fatal(err)
+	// Two new connections on the path would each get 1000/(c+2) Mbit/s.
+	if share := 1000 / (c + 2); share < 450 || share > 500 {
+		t.Errorf("predicted 2-connection share = %v Mbit/s, want ~473", share)
 	}
-	if share.Mbps() < 450 || share.Mbps() > 500 {
-		t.Errorf("predicted 2-connection share = %v, want ~473", share)
-	}
-	_ = rand.New // keep import pattern consistent with sibling tests
 }

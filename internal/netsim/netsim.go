@@ -58,12 +58,6 @@ func (f *Flow) Remaining() units.ByteSize {
 	return units.ByteSize(math.Ceil(f.remaining))
 }
 
-// Done reports whether the flow has delivered all its bytes.
-func (f *Flow) Done() bool { return f.done }
-
-// Started returns the simulation time the flow started.
-func (f *Flow) Started() time.Duration { return f.started }
-
 // Finished returns the simulation time the flow completed; zero if it has
 // not.
 func (f *Flow) Finished() time.Duration { return f.finished }

@@ -59,9 +59,6 @@ func (g *OnOffGroup) AddStartedOn(src, dst topology.VMID, mean time.Duration, ta
 // ActiveCount reports how many sources are currently ON.
 func (g *OnOffGroup) ActiveCount() int { return g.onCount }
 
-// Sources returns the registered sources.
-func (g *OnOffGroup) Sources() []*OnOffSource { return g.sources }
-
 // StopAll turns every source off permanently.
 func (g *OnOffGroup) StopAll() {
 	for _, s := range g.sources {
@@ -115,9 +112,6 @@ func (s *OnOffSource) turnOff() {
 	s.on = false
 	s.grp.onCount--
 }
-
-// On reports whether the source is currently transmitting.
-func (s *OnOffSource) On() bool { return s.on }
 
 // Stop turns the source off permanently.
 func (s *OnOffSource) Stop() {

@@ -95,7 +95,7 @@ func workout(t *testing.T, n *netsim.Network) []uint64 {
 	})
 	record(n.RunUntilIdle(time.Hour).Seconds())
 	for _, f := range flows {
-		record(f.Finished().Seconds(), f.Started().Seconds())
+		record(f.Finished().Seconds(), netsim.FlowStarted(f).Seconds())
 	}
 	n.BatchAvailabilityRefs(refs, out)
 	for _, av := range out {

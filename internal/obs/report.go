@@ -118,19 +118,3 @@ func CriticalPath(root *SpanNode) []*SpanNode {
 	}
 	return path
 }
-
-// SlowestSpans returns the n largest-duration spans of one name, sorted
-// slowest first (ties broken by start order for determinism).
-func SlowestSpans(events []Event, name string, n int) []SpanRecord {
-	var of []SpanRecord
-	for _, rec := range FlattenSpans(events) {
-		if rec.Name == name {
-			of = append(of, rec)
-		}
-	}
-	sort.SliceStable(of, func(i, j int) bool { return of[i].DurNs > of[j].DurNs })
-	if n > 0 && len(of) > n {
-		of = of[:n]
-	}
-	return of
-}

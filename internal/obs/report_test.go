@@ -146,11 +146,6 @@ func TestAggregateByNameAndSlowest(t *testing.T) {
 	if x.Count != 3 || x.TotalNs != 600 || x.P50Ns != 200 || x.P99Ns != 300 || x.MaxNs != 300 {
 		t.Errorf("x stats = %+v", x)
 	}
-
-	slow := SlowestSpans(evs, "x", 2)
-	if len(slow) != 2 || slow[0].DurNs != 300 || slow[1].DurNs != 200 {
-		t.Errorf("slowest x = %+v, want durations 300, 200", slow)
-	}
 }
 
 func TestDecodeEventsTruncatedLog(t *testing.T) {

@@ -237,16 +237,6 @@ func (t *Tracer) Flush() error {
 	return t.w.Flush()
 }
 
-// Err reports the first write error, if any.
-func (t *Tracer) Err() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
 // DecodeEvents parses a v1 event log and validates it structurally:
 // every line is one JSON event of the current schema version, every end
 // matches an open span of the same name, parents are previously started

@@ -67,11 +67,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// TotalBytes returns the bytes one train puts on the wire.
-func (c Config) TotalBytes() units.ByteSize {
-	return c.PacketSize * units.ByteSize(c.Bursts*c.BurstLength)
-}
-
 // BurstObservation is what the receiver saw for one burst.
 type BurstObservation struct {
 	Sent     int           // packets the sender emitted (B)

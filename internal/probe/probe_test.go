@@ -33,13 +33,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestTotalBytes(t *testing.T) {
-	c := Config{PacketSize: 1472, Bursts: 10, BurstLength: 200}
-	if got := c.TotalBytes(); got != 1472*2000 {
-		t.Errorf("TotalBytes = %d", got)
-	}
-}
-
 func TestDispersionEstimateCleanBurst(t *testing.T) {
 	// 200 packets of 1472 bytes received over 2.3552 ms = 1 Gbit/s.
 	cfg := Config{PacketSize: 1472, Bursts: 1, BurstLength: 200, MSS: 1460}

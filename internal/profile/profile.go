@@ -126,20 +126,6 @@ func (m *TrafficMatrix) Transfers() []Transfer {
 	return out
 }
 
-// Clone deep-copies the matrix.
-func (m *TrafficMatrix) Clone() *TrafficMatrix {
-	c := NewTrafficMatrix(m.n)
-	copy(c.bytes, m.bytes)
-	return c
-}
-
-// Scale multiplies every entry by f (useful for what-if analyses).
-func (m *TrafficMatrix) Scale(f float64) {
-	for i, b := range m.bytes {
-		m.bytes[i] = units.ByteSize(float64(b) * f)
-	}
-}
-
 // Application is one profiled tenant application: a traffic matrix plus
 // per-task CPU demands (cores) and the observed start time used when
 // applications arrive in sequence (§6.3).
@@ -204,27 +190,4 @@ func Combine(apps []*Application) (*Application, []int, error) {
 		}
 	}
 	return combined, offsets, nil
-}
-
-// FlowRecord is one observed transfer between two tasks, as produced by a
-// network monitor (sFlow samples, tcpdump/pcap decoding, or the simulator).
-type FlowRecord struct {
-	FromTask, ToTask int
-	Bytes            units.ByteSize
-	At               time.Duration // offset within the profiled run
-}
-
-// FromRecords builds a traffic matrix for n tasks by accumulating records.
-// Records mentioning unknown tasks are rejected.
-func FromRecords(n int, records []FlowRecord) (*TrafficMatrix, error) {
-	m := NewTrafficMatrix(n)
-	for _, r := range records {
-		if r.FromTask == r.ToTask {
-			continue // loopback chatter is not placement-relevant
-		}
-		if err := m.Add(r.FromTask, r.ToTask, r.Bytes); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
 }

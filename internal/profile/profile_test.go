@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"choreo/internal/units"
 )
@@ -70,19 +69,6 @@ func TestTransfersOrdering(t *testing.T) {
 	}
 }
 
-func TestCloneAndScale(t *testing.T) {
-	m := NewTrafficMatrix(2)
-	_ = m.Set(0, 1, 100)
-	c := m.Clone()
-	c.Scale(2.5)
-	if m.At(0, 1) != 100 {
-		t.Error("Clone is not independent")
-	}
-	if c.At(0, 1) != 250 {
-		t.Errorf("scaled = %d, want 250", c.At(0, 1))
-	}
-}
-
 func TestApplicationValidate(t *testing.T) {
 	app := &Application{Name: "a", CPU: []float64{1, 1}, TM: NewTrafficMatrix(2)}
 	if err := app.Validate(); err != nil {
@@ -139,28 +125,6 @@ func TestCombineRejectsInvalid(t *testing.T) {
 	bad := &Application{Name: "x", CPU: []float64{1}, TM: NewTrafficMatrix(2)}
 	if _, _, err := Combine([]*Application{bad}); err == nil {
 		t.Error("combine should propagate validation errors")
-	}
-}
-
-func TestFromRecords(t *testing.T) {
-	recs := []FlowRecord{
-		{FromTask: 0, ToTask: 1, Bytes: 100, At: 0},
-		{FromTask: 0, ToTask: 1, Bytes: 200, At: time.Second},
-		{FromTask: 1, ToTask: 1, Bytes: 999, At: 0}, // self: ignored
-		{FromTask: 2, ToTask: 0, Bytes: 50, At: 0},
-	}
-	m, err := FromRecords(3, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(0, 1) != 300 || m.At(2, 0) != 50 {
-		t.Errorf("matrix wrong: %d %d", m.At(0, 1), m.At(2, 0))
-	}
-	if m.Total() != 350 {
-		t.Errorf("Total = %d", m.Total())
-	}
-	if _, err := FromRecords(2, recs); err == nil {
-		t.Error("record with unknown task should fail")
 	}
 }
 

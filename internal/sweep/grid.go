@@ -272,8 +272,9 @@ type Grid struct {
 	Backend backend.Backend
 
 	// OptimalMaxTasks bounds the slowdown-vs-optimal reference: the
-	// exact branch-and-bound optimum is computed only for applications
-	// of at most this many tasks (0 disables the reference entirely).
+	// exact optimum is computed only for applications of at most this
+	// many tasks (0 means the default, 6; a negative value disables the
+	// reference entirely).
 	OptimalMaxTasks int
 	// OptimalMaxNodes caps branch-and-bound (and ILP) search nodes;
 	// 0 means the solvers' generous defaults.

@@ -599,15 +599,10 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 	}, nil
 }
 
-// Run expands the grid and executes every scenario across the worker
-// pool, collecting the full per-scenario report in memory (the
-// convenient API for modest grids; RunStream is the bounded-memory one).
-func Run(g Grid, workers int) (*Report, error) {
-	return RunCollect(g, RunOptions{Workers: workers})
-}
-
-// RunCollect is Run with full options: it layers result collection on
-// top of RunStream, preserving any caller Emit hook.
+// RunCollect expands the grid and executes every scenario across the
+// worker pool, collecting the full per-scenario report in memory (for
+// modest grids; RunStream is the bounded-memory API). It layers result
+// collection on top of RunStream, preserving any caller Emit hook.
 func RunCollect(g Grid, opts RunOptions) (*Report, error) {
 	var results []Result
 	inner := opts.Emit

@@ -183,7 +183,7 @@ func TestSequenceResultShape(t *testing.T) {
 // (and migration) must not lose to network-oblivious random placement
 // on aggregate total running time.
 func TestDefaultSequenceDirectionality(t *testing.T) {
-	rep, err := Run(DefaultSequence(), 0)
+	rep, err := RunCollect(DefaultSequence(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestDefaultSequenceDirectionality(t *testing.T) {
 // TestSequenceCSV: sequence reports swap the optimal/slowdown columns
 // for arrival and migration columns.
 func TestSequenceCSV(t *testing.T) {
-	rep, err := Run(tinySeqGrid(), 2)
+	rep, err := RunCollect(tinySeqGrid(), RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,7 +186,7 @@ func TestGoldenJSONReport(t *testing.T) {
 
 func TestReportShapeAndAggregates(t *testing.T) {
 	g := goldenGrid()
-	rep, err := Run(g, 0)
+	rep, err := RunCollect(g, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestReportShapeAndAggregates(t *testing.T) {
 func TestTimingAddsLatencyAggregates(t *testing.T) {
 	g := tinyGrid()
 	g.Timing = true
-	rep, err := Run(g, 2)
+	rep, err := RunCollect(g, RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestTimingAddsLatencyAggregates(t *testing.T) {
 }
 
 func TestCSVReport(t *testing.T) {
-	rep, err := Run(tinyGrid(), 1)
+	rep, err := RunCollect(tinyGrid(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestILPAlgorithmMatchesOptimal(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Algorithms = []Algorithm{ilpAlg, optAlg}
-	rep, err := Run(g, 2)
+	rep, err := RunCollect(g, RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -318,7 +318,7 @@ func TestTraceWorkloadRoundTrip(t *testing.T) {
 	// Traces replay recorded transfers: the swept transfer-size dimension
 	// must not multiply (or perturb) their cells.
 	g.MeanSizes = []units.ByteSize{8 * units.Megabyte, 32 * units.Megabyte}
-	rep, err := Run(g, 2)
+	rep, err := RunCollect(g, RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,7 @@ func (t *Topology) mustBeOpen() {
 
 // index fills the routing indexes, once; afterwards the fabric is
 // read-only. The builders call it as their last step, NewProvider calls
-// it on whatever fabric a profile built, and HostRoute calls it for a
+// it on whatever fabric a profile built, and hostRoute calls it for a
 // fabric assembled by hand. sync.Once makes the first call visible to
 // every later reader, so concurrent callers on a shared fabric are safe.
 func (t *Topology) index() {
@@ -209,40 +209,6 @@ func (t *Topology) LinkBetween(from, to NodeID) (LinkID, bool) {
 // Hosts returns the IDs of all physical hosts.
 func (t *Topology) Hosts() []NodeID { return t.hosts }
 
-// Levels returns the number of tiers, hosts included.
-func (t *Topology) Levels() int { return t.levels }
-
-// ancestors returns the chain [node, parent, grandparent, ...] following
-// the single-parent links, stopping below the multi-parent (core) tier.
-func (t *Topology) ancestors(n NodeID) []NodeID {
-	chain := []NodeID{n}
-	cur := n
-	for {
-		ups := t.Nodes[cur].Up
-		if len(ups) != 1 {
-			break
-		}
-		cur = ups[0]
-		chain = append(chain, cur)
-	}
-	return chain
-}
-
-// HostRoute computes the directed links from one host to another. The
-// pairKey selects deterministically among equal-cost choices (cores in a
-// provider tree, aggregation planes in a fat tree, shortest paths in a
-// jellyfish mesh). It returns nil for a host routed to itself.
-//
-// Hierarchical fabrics route up/down: climb to the lowest tier where the
-// two hosts share an ancestor, cross there, and descend. Because a node
-// may have several parents (fat-tree ToRs uplink to every pod aggregation
-// switch), ancestors are tracked as per-tier sets rather than a single
-// chain; within a tier, candidates are ordered by node ID so the pairKey
-// pick is stable across rebuilds of the same fabric.
-func (t *Topology) HostRoute(src, dst NodeID, pairKey uint64) ([]LinkID, error) {
-	return t.hostRoute(new(meshSearch), src, dst, pairKey)
-}
-
 // meshSearch is a breadth-first search's hop counts to one destination
 // of a mesh fabric. They depend on the destination alone, so the routes
 // of every source to it share one search. A search is scratch of one
@@ -253,8 +219,19 @@ type meshSearch struct {
 	queue []NodeID
 }
 
-// hostRoute is HostRoute with mesh routing's search scratch, which it
-// reuses while the destination stays the same.
+// hostRoute computes the directed links from one host to another. The
+// pairKey selects deterministically among equal-cost choices (cores in a
+// provider tree, aggregation planes in a fat tree, shortest paths in a
+// jellyfish mesh). It returns nil for a host routed to itself.
+//
+// Hierarchical fabrics route up/down: climb to the lowest tier where the
+// two hosts share an ancestor, cross there, and descend. Because a node
+// may have several parents (fat-tree ToRs uplink to every pod aggregation
+// switch), ancestors are tracked as per-tier sets rather than a single
+// chain; within a tier, candidates are ordered by node ID so the pairKey
+// pick is stable across rebuilds of the same fabric. ms is mesh routing's
+// search scratch, which hostRoute reuses while the destination stays the
+// same.
 func (t *Topology) hostRoute(ms *meshSearch, src, dst NodeID, pairKey uint64) ([]LinkID, error) {
 	if src == dst {
 		return nil, nil

@@ -42,8 +42,8 @@ func TestBuildTreeShape(t *testing.T) {
 	if got := len(topo.Hosts()); got != 64 {
 		t.Errorf("Hosts() = %d, want 64", got)
 	}
-	if topo.Levels() != 5 {
-		t.Errorf("Levels = %d, want 5", topo.Levels())
+	if topo.levels != 5 {
+		t.Errorf("levels = %d, want 5", topo.levels)
 	}
 	// Spines connect to both cores; everything else has one parent.
 	for _, n := range topo.Nodes {

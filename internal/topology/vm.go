@@ -117,10 +117,6 @@ func NewProvider(profile Profile, seed int64) (*Provider, error) {
 	return p, nil
 }
 
-// AmbientUtilization reports the static other-tenant load on a link as a
-// fraction of its capacity.
-func (p *Provider) AmbientUtilization(l LinkID) float64 { return p.ambient[l] }
-
 // Capacities returns the capacity of every resource a flow can draw on,
 // indexed by resource ID (see Provider): each link's capacity less its
 // ambient load, each node's memory-bus rate (used for hosts only) and
@@ -373,15 +369,4 @@ func (p *Provider) TracerouteHops(a, b VMID) (int, error) {
 func (p *Provider) SameRack(a, b VMID) bool {
 	ha, hb := p.vms[a].Host, p.vms[b].Host
 	return p.Topo.Nodes[ha].Up[0] == p.Topo.Nodes[hb].Up[0]
-}
-
-// SameSubtree reports whether two VMs share an ancestor at the given level
-// (level 1 = ToR, 2 = first aggregation tier, ...).
-func (p *Provider) SameSubtree(a, b VMID, level int) bool {
-	ca := p.Topo.ancestors(p.vms[a].Host)
-	cb := p.Topo.ancestors(p.vms[b].Host)
-	if level >= len(ca) || level >= len(cb) {
-		return false
-	}
-	return ca[level] == cb[level]
 }

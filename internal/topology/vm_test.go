@@ -268,25 +268,6 @@ func TestTracerouteUnmaskedEC2(t *testing.T) {
 	}
 }
 
-func TestSameSubtree(t *testing.T) {
-	profile := Dumbbell(3, units.Gbps(1), units.Gbps(1))
-	p, err := NewProvider(profile, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vms, err := p.AllocateVMs(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = vms
-	if !p.SameSubtree(0, 1, 1) {
-		t.Error("vm0 and vm1 should share a ToR")
-	}
-	if p.SameSubtree(0, 3, 1) {
-		t.Error("vm0 and vm3 are on different racks")
-	}
-}
-
 func TestAmbientUtilizationBounds(t *testing.T) {
 	p, err := NewProvider(EC22012(0), 11)
 	if err != nil {

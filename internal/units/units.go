@@ -1,6 +1,6 @@
 // Package units defines the physical quantities used throughout Choreo:
-// network rates in bits per second, data sizes in bytes, and helpers for
-// converting between them over time intervals.
+// network rates in bits per second, data sizes in bytes, and a clamped
+// conversion from seconds to time.Duration.
 //
 // Rates are kept as float64 bits/second rather than integers because the
 // max-min fair allocator divides link capacities into arbitrary fair shares.
@@ -62,9 +62,6 @@ const (
 // Bits returns the size in bits.
 func (b ByteSize) Bits() float64 { return float64(b) * 8 }
 
-// MB returns the size expressed in (decimal) megabytes.
-func (b ByteSize) MB() float64 { return float64(b) / 1e6 }
-
 // String formats the size with an adaptive unit, e.g. "100.0 MB".
 func (b ByteSize) String() string {
 	switch {
@@ -77,22 +74,6 @@ func (b ByteSize) String() string {
 	default:
 		return fmt.Sprintf("%d B", int64(b))
 	}
-}
-
-// TransferTime returns how long moving b bytes at rate r takes.
-// A non-positive rate yields an "infinite" duration clamped to the maximum
-// representable time.Duration, which keeps callers' comparisons safe.
-func TransferTime(b ByteSize, r Rate) time.Duration {
-	if r <= 0 {
-		return time.Duration(1<<63 - 1)
-	}
-	seconds := b.Bits() / float64(r)
-	return Seconds(seconds)
-}
-
-// BytesOver returns how many bytes rate r moves during d.
-func BytesOver(r Rate, d time.Duration) ByteSize {
-	return ByteSize(float64(r) * d.Seconds() / 8)
 }
 
 // Seconds converts a float64 number of seconds to a time.Duration, clamping

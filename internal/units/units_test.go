@@ -3,7 +3,6 @@ package units
 import (
 	"math"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -53,31 +52,6 @@ func TestByteSizeString(t *testing.T) {
 	}
 }
 
-func TestTransferTime(t *testing.T) {
-	// 125 MB at 1 Gbit/s = 1 second.
-	got := TransferTime(125*Megabyte, Gbps(1))
-	if got != time.Second {
-		t.Errorf("TransferTime = %v, want 1s", got)
-	}
-	if got := TransferTime(Megabyte, 0); got != time.Duration(1<<63-1) {
-		t.Errorf("TransferTime at zero rate = %v, want max duration", got)
-	}
-	if got := TransferTime(Megabyte, -5); got != time.Duration(1<<63-1) {
-		t.Errorf("TransferTime at negative rate = %v, want max duration", got)
-	}
-}
-
-func TestBytesOver(t *testing.T) {
-	// 1 Gbit/s for one second is 125 MB.
-	got := BytesOver(Gbps(1), time.Second)
-	if got != 125*Megabyte {
-		t.Errorf("BytesOver = %v, want 125 MB", got)
-	}
-	if got := BytesOver(Mbps(8), 500*time.Millisecond); got != 500*Kilobyte {
-		t.Errorf("BytesOver = %v, want 500 KB", got)
-	}
-}
-
 func TestSecondsClamps(t *testing.T) {
 	if got := Seconds(math.Inf(1)); got != time.Duration(1<<63-1) {
 		t.Errorf("Seconds(+Inf) = %v, want max", got)
@@ -87,25 +61,5 @@ func TestSecondsClamps(t *testing.T) {
 	}
 	if got := Seconds(1.5); got != 1500*time.Millisecond {
 		t.Errorf("Seconds(1.5) = %v, want 1.5s", got)
-	}
-}
-
-// Property: transferring the bytes produced by BytesOver at the same rate
-// takes (approximately) the original duration.
-func TestTransferRoundTripProperty(t *testing.T) {
-	f := func(mbps uint16, millis uint16) bool {
-		r := Mbps(float64(mbps%5000) + 1)
-		d := time.Duration(millis%10000+1) * time.Millisecond
-		b := BytesOver(r, d)
-		back := TransferTime(b, r)
-		diff := back - d
-		if diff < 0 {
-			diff = -diff
-		}
-		// Byte truncation may lose up to 8 bits / rate seconds.
-		return diff <= time.Millisecond
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

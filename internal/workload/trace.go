@@ -79,13 +79,6 @@ func (tr *Trace) ToApplications() ([]*profile.Application, error) {
 	return out, nil
 }
 
-// Write serializes the trace as indented JSON.
-func (tr *Trace) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(tr)
-}
-
 // ReadTrace parses a serialized trace.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	var tr Trace

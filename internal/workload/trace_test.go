@@ -2,11 +2,13 @@ package workload
 
 import (
 	"bytes"
-	"choreo/internal/profile"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
+
+	"choreo/internal/profile"
 )
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -20,7 +22,7 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(tr); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadTrace(&buf)
