@@ -1,6 +1,6 @@
 // Benchmarks wrapping every experiment of the paper's evaluation (one per
-// figure and in-text result; see DESIGN.md's per-experiment index) plus
-// ablation benchmarks for the design choices DESIGN.md calls out.
+// figure and in-text result; experiments.All maps each to its paper
+// artifact) plus ablation benchmarks for single design choices.
 //
 // Benchmarks run the experiments at reduced (Quick) scale so the full
 // `go test -bench=. -benchmem` sweep completes in minutes; the paper-scale

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"choreo/internal/core"
 	"choreo/internal/obs"
 	"choreo/internal/place"
 	"choreo/internal/profiling"
@@ -146,29 +147,33 @@ func runSweep(args []string) (err error) {
 				return fmt.Errorf("-reeval: %w", err)
 			}
 		}
-		// The engine treats zero migration knobs as "use the default"
-		// (3 moves, 0.2 gain); accepting an explicit 0 here would
-		// silently re-enable what the user asked to turn off.
 		if set["max-migrations"] {
-			if *maxMigrations == 0 {
-				return fmt.Errorf("-max-migrations 0 would silently mean the default cap of 3; to disable migration entirely use -reeval 0")
-			}
 			g.MaxMigrations = *maxMigrations
 		}
 		if set["migration-gain"] {
-			if *migrationGain == 0 {
-				return fmt.Errorf("-migration-gain 0 would silently mean the default threshold of 0.2; pass a value in (0, 1)")
-			}
 			g.MigrationGain = *migrationGain
 		}
 	default:
 		return fmt.Errorf("unknown -mode %q (snapshot or sequence)", *mode)
 	}
-	if set["optimal-max-tasks"] {
-		// Likewise, the engine reads 0 as "use the default of 6".
-		if *optMaxTasks == 0 {
-			return fmt.Errorf("-optimal-max-tasks 0 would silently mean the default of %d; to disable the optimal reference use -optimal-max-tasks -1", def.OptimalMaxTasks)
+	// The engine reads a zero knob as "use the default"; accepting an
+	// explicit 0 would silently turn it into that default.
+	for _, z := range []struct {
+		flag string
+		zero bool
+		fix  string
+	}{
+		{"min-tasks", *minTasks == 0, fmt.Sprintf("the default of %d; pass at least 2", def.MinTasks)},
+		{"max-tasks", *maxTasks == 0, fmt.Sprintf("the default of %d; pass at least -min-tasks", def.MaxTasks)},
+		{"optimal-max-tasks", *optMaxTasks == 0, fmt.Sprintf("the default of %d; to disable the optimal reference use -optimal-max-tasks -1", def.OptimalMaxTasks)},
+		{"max-migrations", *maxMigrations == 0, fmt.Sprintf("the default cap of %d; to disable migration entirely use -reeval 0", seqDef.MaxMigrations)},
+		{"migration-gain", *migrationGain == 0, fmt.Sprintf("the default threshold of %g; pass a value in (0, 1)", seqDef.MigrationGain)},
+	} {
+		if set[z.flag] && z.zero {
+			return fmt.Errorf("-%s 0 would silently mean %s", z.flag, z.fix)
 		}
+	}
+	if set["optimal-max-tasks"] {
 		g.OptimalMaxTasks = *optMaxTasks
 	}
 	if set["apps"] {
@@ -350,9 +355,8 @@ func runSweep(args []string) (err error) {
 	return nil
 }
 
-// printThroughput reports sweep throughput in the same cells/sec unit
-// BenchmarkSweepGrid records into the BENCH_*.json trajectory, so a
-// smoke run and the committed benchmark baseline compare directly. It
+// printThroughput reports sweep throughput in cells/sec, the unit of
+// perfbench's sweep workloads (ops_per_s in the BENCH_*.json files). It
 // goes to stderr: wall-clock is nondeterministic, report bytes are not.
 func printThroughput(cells int, elapsed time.Duration) {
 	if sec := elapsed.Seconds(); sec > 0 && cells > 0 {
@@ -459,7 +463,7 @@ func printGridHelp(w io.Writer) {
 	fmt.Fprintf(w, "topologies: %s\n", strings.Join(sweep.TopologyNames(), ", "))
 	fmt.Fprintf(w, "            (fattree-K takes any even K >= 2; jellyfish-N any N >= 4 switches)\n")
 	fmt.Fprintf(w, "workloads:  %s (or -trace file.json; traces are snapshot-only)\n", strings.Join(sweep.WorkloadNames(), ", "))
-	fmt.Fprintf(w, "algorithms: %s (ilp is snapshot-only)\n", strings.Join(sweep.AlgorithmNames(), ", "))
+	fmt.Fprintf(w, "algorithms: %s\n", strings.Join(core.AlgorithmNames(), ", "))
 	fmt.Fprintf(w, "models:     %v, %v\n", place.Hose, place.Pipe)
 	fmt.Fprintf(w, "dimensions: snapshot: -topologies x -workloads x -vms x -mean-mb x -algorithms x -seeds\n")
 	fmt.Fprintf(w, "            sequence: -topologies x -workloads x -vms x -mean-mb x -interarrival x -seq-apps x -reeval x -algorithms x -seeds\n")
@@ -487,7 +491,7 @@ func workloadList(g sweep.Grid) string {
 }
 
 func algorithmList(g sweep.Grid) string {
-	return join(g.Algorithms, func(a sweep.Algorithm) string { return a.Name })
+	return join(g.Algorithms, core.Algorithm.Name)
 }
 
 func vmList(g sweep.Grid) string { return join(g.VMCounts, strconv.Itoa) }

@@ -64,14 +64,31 @@ func TestSweepDefaultsAreStockGrids(t *testing.T) {
 	}
 }
 
-// TestSweepOptimalMaxTasks: 0 would silently mean the default of 6, so
-// the CLI refuses it and names -1, which turns the optimal reference off.
-func TestSweepOptimalMaxTasks(t *testing.T) {
-	err := runSweep([]string{"-optimal-max-tasks", "0", "-out", filepath.Join(t.TempDir(), "out.json")})
-	if err == nil || !strings.Contains(err.Error(), "-optimal-max-tasks -1") {
-		t.Fatalf("-optimal-max-tasks 0: err = %v, want a pointer to -optimal-max-tasks -1", err)
+// TestSweepRefusesZeroKnobs: the engine reads a zero knob as its
+// default, so an explicit 0 on any of these flags is refused rather than
+// silently echoed as the default, and the error names the fix.
+func TestSweepRefusesZeroKnobs(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		fix  string
+	}{
+		{[]string{"-min-tasks", "0"}, "pass at least 2"},
+		{[]string{"-max-tasks", "0"}, "pass at least -min-tasks"},
+		{[]string{"-optimal-max-tasks", "0"}, "-optimal-max-tasks -1"},
+		{[]string{"-mode", "sequence", "-max-migrations", "0"}, "-reeval 0"},
+		{[]string{"-mode", "sequence", "-migration-gain", "0"}, "(0, 1)"},
+	} {
+		flag := tc.args[len(tc.args)-2]
+		err := runSweep(append(tc.args, "-out", filepath.Join(t.TempDir(), "out.json")))
+		if err == nil || !strings.Contains(err.Error(), flag+" 0 would silently mean the default") || !strings.Contains(err.Error(), tc.fix) {
+			t.Errorf("%s: err = %v, want a refusal naming %q", strings.Join(tc.args, " "), err, tc.fix)
+		}
 	}
+}
 
+// TestSweepOptimalMaxTasks: -optimal-max-tasks -1 turns the optimal
+// reference off.
+func TestSweepOptimalMaxTasks(t *testing.T) {
 	lines := sweepLines(t, "-optimal-max-tasks", "-1", "-topologies", "ec2-2013", "-seeds", "1")
 	var echo sweep.GridSummary
 	if err := json.Unmarshal(gridEcho(t, lines[0]), &echo); err != nil {

@@ -7,9 +7,9 @@
 // server").
 //
 // Receive timestamps use time.Now at ReadFrom, the portable stand-in for
-// the paper's SO_TIMESTAMPNS kernel timestamps (documented substitution
-// in DESIGN.md); on datacenter-scale paths the extra noise is microseconds
-// and is amortized over burst length exactly like kernel timestamp noise.
+// the paper's SO_TIMESTAMPNS kernel timestamps; on datacenter-scale paths
+// the extra noise is microseconds and is amortized over burst length
+// exactly like kernel timestamp noise.
 package cluster
 
 import (

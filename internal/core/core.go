@@ -110,9 +110,6 @@ const cpuPerVM = 4
 type Options struct {
 	// Model is the rate model for greedy/optimal placement.
 	Model place.Model
-	// UseIdealMeasurement skips packet trains and reads the simulator's
-	// available rates directly (for ablations).
-	UseIdealMeasurement bool
 }
 
 // Choreo orchestrates measurement, placement and execution over one
@@ -252,42 +249,28 @@ func (c *Choreo) measureInto(env *place.Environment) error {
 	// PairStates returns path states in exactly this loop's pair order
 	// (sources outer, destinations inner), so the trains consume the
 	// slice sequentially — no per-pair map lookup on the hot path.
-	var states []packetsim.PairState
-	if !c.opts.UseIdealMeasurement {
-		var err error
-		states, err = c.medium.PairStates(c.vms)
-		if err != nil {
-			return err
-		}
+	states, err := c.medium.PairStates(c.vms)
+	if err != nil {
+		return err
 	}
 	next := 0
 	memBus := c.net.Provider().Profile.MemBusRate
-	for i, a := range c.vms {
+	for i := range c.vms {
 		env.Rates[i][i] = memBus
-		for j, b := range c.vms {
+		for j := range c.vms {
 			if i == j {
 				continue
 			}
-			var est units.Rate
-			if c.opts.UseIdealMeasurement {
-				r, err := c.net.AvailableRate(a.ID, b.ID)
-				if err != nil {
-					return err
-				}
-				est = r
-			} else {
-				// Scratch variant: the observation is dead once the
-				// estimator has read it, so the burst buffer is reused.
-				obs, err := c.medium.RunTrainOnScratch(&states[next].State, probe.DefaultEC2())
-				next++
-				if err != nil {
-					return err
-				}
-				r, err := obs.EstimateThroughput()
-				if err != nil {
-					return fmt.Errorf("core: estimate %d->%d: %w", i, j, err)
-				}
-				est = r
+			// Scratch variant: the observation is dead once the estimator
+			// has read it, so the burst buffer is reused.
+			obs, err := c.medium.RunTrainOnScratch(&states[next].State, probe.DefaultEC2())
+			next++
+			if err != nil {
+				return err
+			}
+			est, err := obs.EstimateThroughput()
+			if err != nil {
+				return fmt.Errorf("core: estimate %d->%d: %w", i, j, err)
 			}
 			if est <= 0 {
 				est = units.Mbps(1) // keep the environment valid

@@ -90,28 +90,6 @@ func TestMeasureIntoReusesEnvironment(t *testing.T) {
 	}
 }
 
-func TestIdealMeasurementMatchesAvailability(t *testing.T) {
-	c := newChoreo(t, 2, 4, Options{UseIdealMeasurement: true})
-	env, err := c.MeasureEnvironment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range c.VMs() {
-		for j, b := range c.VMs() {
-			if i == j {
-				continue
-			}
-			want, err := c.Network().AvailableRate(a.ID, b.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if env.Rates[i][j] != want {
-				t.Errorf("ideal rate[%d][%d] = %v, want %v", i, j, env.Rates[i][j], want)
-			}
-		}
-	}
-}
-
 func TestDetectModelOnEC2(t *testing.T) {
 	c := newChoreo(t, 3, 6, Options{})
 	model, err := c.DetectModel()
@@ -124,7 +102,7 @@ func TestDetectModelOnEC2(t *testing.T) {
 }
 
 func TestExecuteSimpleApp(t *testing.T) {
-	c := newChoreo(t, 4, 4, Options{UseIdealMeasurement: true, Model: place.Hose})
+	c := newChoreo(t, 4, 4, Options{Model: place.Hose})
 	app := &profile.Application{
 		Name: "simple",
 		CPU:  []float64{1, 1},
@@ -149,7 +127,7 @@ func TestExecuteSimpleApp(t *testing.T) {
 }
 
 func TestExecuteColocatedIsInstant(t *testing.T) {
-	c := newChoreo(t, 5, 4, Options{UseIdealMeasurement: true})
+	c := newChoreo(t, 5, 4, Options{})
 	app := &profile.Application{
 		Name: "coloc",
 		CPU:  []float64{1, 1},

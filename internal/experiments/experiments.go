@@ -6,8 +6,8 @@
 // experiments are independent, RunAll executes them across the sweep
 // engine's worker pool (internal/sweep) with outcomes in paper order.
 //
-// DESIGN.md's per-experiment index maps each function here to its paper
-// artifact; EXPERIMENTS.md records paper-vs-measured values.
+// All maps each function here to its paper artifact; `choreo-bench`
+// prints the measured values.
 package experiments
 
 import (

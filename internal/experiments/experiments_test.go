@@ -9,8 +9,8 @@ import (
 )
 
 // quickCfg runs every experiment at reduced scale; the assertions below
-// check the paper's qualitative shapes (DESIGN.md "Expected result
-// shapes"), which must hold even at quick scale.
+// check the paper's qualitative shapes, which must hold even at quick
+// scale.
 func quickCfg() Config { return Config{Seed: 42, Quick: true} }
 
 func TestFig1Shape(t *testing.T) {

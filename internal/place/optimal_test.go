@@ -42,7 +42,8 @@ type appEnv struct {
 }
 
 // TestOptimalMatchesILP cross-validates the specialized branch-and-bound
-// against the Appendix ILP (pipe model, S=0) on tiny random instances.
+// against the Appendix ILP (pipe model, S=0) on tiny random instances:
+// the ILP's objective and its decoded assignment's completion time.
 func TestOptimalMatchesILP(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 8; trial++ {
@@ -62,6 +63,19 @@ func TestOptimalMatchesILP(t *testing.T) {
 		}
 		if math.Abs(sol.Objective-ot.Seconds()) > 1e-6*(1+sol.Objective) {
 			t.Errorf("trial %d: ILP %.6fs vs branch-and-bound %.6fs", trial, sol.Objective, ot.Seconds())
+		}
+		// The ILP's assignment, not just its objective, is optimal: its
+		// Pipe completion time is the optimum's.
+		machineOf, err := prog.DecodeAssignment(sol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := CompletionTime(app, env, Placement{MachineOf: machineOf}, Pipe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(ct.Seconds()-ot.Seconds()) > 1e-6*(1+ot.Seconds()) {
+			t.Errorf("trial %d: ILP assignment %v completes in %.6fs, optimum %.6fs", trial, machineOf, ct.Seconds(), ot.Seconds())
 		}
 	}
 }

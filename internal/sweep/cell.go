@@ -94,7 +94,7 @@ func (g *Grid) buildGroup(ctx context.Context, scs []Scenario, ro *runObs) (cell
 		// A snapshot cell small enough for the exact search carries the
 		// reference, unless its only scenarios run the optimum itself.
 		if !refTried && g.Mode != Sequence && g.OptimalMaxTasks > 0 && c.app.Tasks() <= g.OptimalMaxTasks &&
-			(sc.Algorithm.Core != core.AlgOptimal || sc.Algorithm.ILP) {
+			sc.Algorithm != core.AlgOptimal {
 			if c.ref, c.hasRef, err = g.computeReference(ctx, sc, c); err != nil {
 				return nil, CacheStats{}, err
 			}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"choreo/internal/core"
 	"choreo/internal/obs"
 )
 
@@ -73,16 +74,16 @@ func TestGroupSharingDeterministic(t *testing.T) {
 		}
 		for _, alg := range full.Algorithms {
 			g := grid()
-			g.Algorithms = []Algorithm{alg}
+			g.Algorithms = []core.Algorithm{alg}
 			alone := resultLines(streamGrid(t, g, 4))
-			want := byAlg[alg.Name]
+			want := byAlg[alg.Name()]
 			if len(alone) != len(want) {
-				t.Fatalf("%s %s: %d result lines alone, %d in the full grid", name, alg.Name, len(alone), len(want))
+				t.Fatalf("%s %s: %d result lines alone, %d in the full grid", name, alg.Name(), len(alone), len(want))
 			}
 			for i := range alone {
 				if alone[i] != want[i] {
 					t.Errorf("%s %s line %d differs when the algorithm runs alone:\nalone: %s\nfull:  %s",
-						name, alg.Name, i, alone[i], want[i])
+						name, alg.Name(), i, alone[i], want[i])
 				}
 			}
 		}

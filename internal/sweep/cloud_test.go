@@ -31,7 +31,7 @@ func cloudGrid(t *testing.T, topo string, g Grid) (Grid, []Scenario) {
 		t.Fatal(err)
 	}
 	g.Topologies, g.Workloads = []Topology{tp}, []Workload{wl}
-	g.Seeds, g.VMs, g.MinTasks, g.MaxTasks = []int64{1, 2}, 6, 3, 6
+	g.Seeds, g.VMCounts, g.MinTasks, g.MaxTasks = []int64{1, 2}, []int{6}, 3, 6
 	g.MeanSizes = []units.ByteSize{64 * units.Megabyte}
 	scs, err := g.Expand()
 	if err != nil {
@@ -59,8 +59,7 @@ func rebuiltCloud(t *testing.T, sc Scenario, opts core.Options) *core.Choreo {
 // TestCellsShareTopologyFabric: every cell of one grid topology builds
 // its cloud on the same fabric; cells of different topologies do not.
 func TestCellsShareTopologyFabric(t *testing.T) {
-	alg, _ := AlgorithmByName("choreo")
-	g, scs := cloudGrid(t, "fattree-4", Grid{Algorithms: []Algorithm{alg}})
+	g, scs := cloudGrid(t, "fattree-4", Grid{Algorithms: []core.Algorithm{core.AlgChoreo}})
 	other, _ := TopologyByName("tworack")
 	g.Topologies = append(g.Topologies, other)
 	if scs, _ = g.Expand(); len(scs) != 4 {
@@ -96,10 +95,9 @@ func TestCellsShareTopologyFabric(t *testing.T) {
 // and, for random placements run concurrently on the shared cloud, every
 // completion time is identical to a freshly rebuilt cloud's.
 func TestSharedCloudExecuteMatchesRebuild(t *testing.T) {
-	alg, _ := AlgorithmByName("random")
 	ctx := context.Background()
 	for _, topo := range cloudTopologies {
-		g, scs := cloudGrid(t, topo, Grid{Algorithms: []Algorithm{alg}})
+		g, scs := cloudGrid(t, topo, Grid{Algorithms: []core.Algorithm{core.AlgRandom}})
 		for _, sc := range scs {
 			c, err := g.buildCell(ctx, sc, nil, newRunObs(nil))
 			if err != nil {
@@ -148,11 +146,7 @@ func TestSharedCloudExecuteMatchesRebuild(t *testing.T) {
 // cloud — matches sequence.Run on a freshly rebuilt cloud, measured on
 // another.
 func TestSharedCloudSequenceMatchesRebuild(t *testing.T) {
-	var algs []Algorithm
-	for _, name := range []string{"choreo", "random"} {
-		alg, _ := AlgorithmByName(name)
-		algs = append(algs, alg)
-	}
+	algs := []core.Algorithm{core.AlgChoreo, core.AlgRandom}
 	for _, topo := range cloudTopologies {
 		g, scs := cloudGrid(t, topo, Grid{
 			Mode:          Sequence,
@@ -180,7 +174,7 @@ func TestSharedCloudSequenceMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := sequence.Run(rebuiltCloud(t, sc, core.Options{Model: g.Model}), seq, sc.Algorithm.Core, env, g.sequenceParams(sc))
+			want, err := sequence.Run(rebuiltCloud(t, sc, core.Options{Model: g.Model}), seq, sc.Algorithm, env, g.sequenceParams(sc))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +182,7 @@ func TestSharedCloudSequenceMatchesRebuild(t *testing.T) {
 			if got.CompletionSeconds != want.TotalRunningSeconds || got.Migrations != want.Migrations ||
 				!reflect.DeepEqual(got.Apps, want.Apps) {
 				t.Errorf("%s %s interarrival %v: run on the cell's cloud (%v s, %d migrations) differs from a rebuilt cloud's (%v s, %d)",
-					topo, sc.Algorithm.Name, time.Duration(sc.InterarrivalNs), got.CompletionSeconds, got.Migrations,
+					topo, sc.Algorithm.Name(), time.Duration(sc.InterarrivalNs), got.CompletionSeconds, got.Migrations,
 					want.TotalRunningSeconds, want.Migrations)
 			}
 		}

@@ -36,7 +36,7 @@ func executedGrid(t *testing.T, agents []string, reg *obs.Registry) Grid {
 	}
 	g := liveGrid(t, agents)
 	g.Backend = live
-	g.MeanBytes = 2 * units.Megabyte
+	g.MeanSizes = []units.ByteSize{2 * units.Megabyte}
 	return g
 }
 

@@ -173,33 +173,14 @@ func TraceWorkload(tr *workload.Trace) Workload {
 	return Workload{Name: tracePrefix + name, Trace: tr}
 }
 
-// Algorithm is one placement policy in the grid.
-type Algorithm struct {
-	Name string
-	// Core is the orchestrator algorithm; ignored when ILP is set.
-	Core core.Algorithm
-	// ILP selects the paper's Appendix integer program instead of a
-	// core algorithm.
-	ILP bool
-}
-
-// AlgorithmNames lists the policies AlgorithmByName accepts: the core
-// algorithms' canonical names plus the Appendix ILP.
-func AlgorithmNames() []string {
-	return append(core.AlgorithmNames(), "ilp")
-}
-
-// AlgorithmByName resolves a placement policy: any core algorithm name
-// or alias, or "ilp".
-func AlgorithmByName(name string) (Algorithm, error) {
-	if name == "ilp" {
-		return Algorithm{Name: "ilp", ILP: true}, nil
-	}
+// AlgorithmByName resolves a placement policy by any core algorithm
+// name or alias.
+func AlgorithmByName(name string) (core.Algorithm, error) {
 	if alg, ok := core.ParseAlgorithm(name); ok {
-		return Algorithm{Name: alg.Name(), Core: alg}, nil
+		return alg, nil
 	}
-	return Algorithm{}, fmt.Errorf("sweep: unknown algorithm %q (valid: %s)",
-		name, strings.Join(AlgorithmNames(), ", "))
+	return 0, fmt.Errorf("sweep: unknown algorithm %q (valid: %s)",
+		name, strings.Join(core.AlgorithmNames(), ", "))
 }
 
 // Grid declares a sweep: the cross product of every dimension plus the
@@ -212,15 +193,14 @@ type Grid struct {
 	Mode       Mode
 	Topologies []Topology
 	Workloads  []Workload
-	Algorithms []Algorithm
+	Algorithms []core.Algorithm
 	// Seeds holds the grid seeds; each contributes one full cross
 	// product of scenarios.
 	Seeds []int64
-	// VMCounts sweeps the tenant allocation size; empty means one entry,
-	// the scalar VMs knob.
+	// VMCounts sweeps the tenant allocation size; empty means {8}.
 	VMCounts []int
 	// MeanSizes sweeps the mean generated transfer size; empty means one
-	// entry, the scalar MeanBytes knob. Trace workloads replay recorded
+	// entry, workload.Default's 200 MB. Trace workloads replay recorded
 	// transfers, so they do not cross this dimension: each trace
 	// contributes one cell per VM count and seed, reported with
 	// meanBytes 0.
@@ -238,9 +218,6 @@ type Grid struct {
 	// period changes how a sequence runs, not the cloud or the arrivals.
 	Reevals []time.Duration
 
-	// VMs is the tenant allocation per scenario (default 8) when
-	// VMCounts does not sweep it.
-	VMs int
 	// Apps is how many applications are combined into one placement
 	// problem per scenario. 0 means the default: one generated
 	// application, or the whole trace for trace workloads.
@@ -248,9 +225,6 @@ type Grid struct {
 	// MinTasks/MaxTasks bound generated application sizes
 	// (defaults 4 and 6, small enough for the exact optimum).
 	MinTasks, MaxTasks int
-	// MeanBytes scales generated transfers (default 200 MB) when
-	// MeanSizes does not sweep it.
-	MeanBytes units.ByteSize
 	// Model is the rate model for greedy/optimal placement. The zero
 	// value is the pipe model; Default() and `choreo sweep` use hose.
 	Model place.Model
@@ -276,9 +250,6 @@ type Grid struct {
 	// many tasks (0 means the default, 6; a negative value disables the
 	// reference entirely).
 	OptimalMaxTasks int
-	// OptimalMaxNodes caps branch-and-bound (and ILP) search nodes;
-	// 0 means the solvers' generous defaults.
-	OptimalMaxNodes int
 	// Timing adds wall-clock placement-latency aggregates to the
 	// report. They are real measurements, hence nondeterministic, so
 	// they are off by default to keep reports byte-reproducible.
@@ -343,29 +314,23 @@ func DefaultSequence() Grid {
 	return g
 }
 
-// applyDefaults fills zero-valued knobs and lifts the scalar VM/transfer
-// knobs into single-entry sweep dimensions.
+// applyDefaults fills zero-valued knobs and empty VM-count and
+// transfer-size dimensions.
 func (g *Grid) applyDefaults() {
-	if g.VMs == 0 {
-		g.VMs = 8
-	}
 	if g.MinTasks == 0 {
 		g.MinTasks = 4
 	}
 	if g.MaxTasks == 0 {
 		g.MaxTasks = 6
 	}
-	if g.MeanBytes == 0 {
-		g.MeanBytes = workload.Default().MeanBytes
-	}
 	if g.OptimalMaxTasks == 0 {
 		g.OptimalMaxTasks = 6
 	}
 	if len(g.VMCounts) == 0 {
-		g.VMCounts = []int{g.VMs}
+		g.VMCounts = []int{8}
 	}
 	if len(g.MeanSizes) == 0 {
-		g.MeanSizes = []units.ByteSize{g.MeanBytes}
+		g.MeanSizes = []units.ByteSize{workload.Default().MeanBytes}
 	}
 	if g.Mode == Sequence {
 		if len(g.Interarrivals) == 0 {
@@ -438,12 +403,12 @@ func (g *Grid) Validate() error {
 		}
 		seenTopo[tp.Name] = true
 	}
-	seenAlg := map[string]bool{}
+	seenAlg := map[core.Algorithm]bool{}
 	for _, a := range g.Algorithms {
-		if seenAlg[a.Name] {
-			return fmt.Errorf("sweep: duplicate algorithm %q", a.Name)
+		if seenAlg[a] {
+			return fmt.Errorf("sweep: duplicate algorithm %q", a.Name())
 		}
-		seenAlg[a.Name] = true
+		seenAlg[a] = true
 	}
 	seenSeed := map[int64]bool{}
 	for _, s := range g.Seeds {
@@ -495,10 +460,9 @@ func (g *Grid) backend() backend.Backend {
 func (g *Grid) backendName() string { return g.backend().Name() }
 
 // validateMode checks the mode-specific dimensions: sequence grids need
-// runnable sequence dimensions and only sequence-capable workloads and
-// algorithms; snapshot grids must not set sequence knobs at all, so a
-// forgotten `-mode sequence` fails loudly instead of silently ignoring
-// the flags.
+// runnable sequence dimensions and only sequence-capable workloads;
+// snapshot grids must not set sequence knobs at all, so a forgotten
+// `-mode sequence` fails loudly instead of silently ignoring the flags.
 func (g *Grid) validateMode() error {
 	if g.Mode == Snapshot {
 		if len(g.Interarrivals) != 0 || len(g.SeqApps) != 0 || len(g.Reevals) != 0 {
@@ -554,11 +518,6 @@ func (g *Grid) validateMode() error {
 	if g.Apps != 0 {
 		return fmt.Errorf("sweep: the Apps knob combines applications in snapshot mode; sequence length is the SeqApps dimension")
 	}
-	for _, a := range g.Algorithms {
-		if a.ILP {
-			return fmt.Errorf("sweep: algorithm %q is snapshot-only (sequence mode places arrivals with the core algorithms)", a.Name)
-		}
-	}
 	for _, w := range g.Workloads {
 		if w.Trace != nil {
 			return fmt.Errorf("sweep: workload %q is snapshot-only (sequence mode generates Poisson arrival sequences; trace replay is an open ROADMAP rung)", w.Name)
@@ -577,7 +536,7 @@ type Scenario struct {
 	Index     int
 	Topology  Topology
 	Workload  Workload
-	Algorithm Algorithm
+	Algorithm core.Algorithm
 }
 
 // Expand enumerates the grid's scenarios in expansion order (see
@@ -598,20 +557,6 @@ func (g *Grid) scenarios(sum *GridSummary) []Scenario {
 			Topology: g.Topologies[t], Workload: g.Workloads[w], Algorithm: g.Algorithms[a]})
 	})
 	return out
-}
-
-// sortedAlgorithmNames returns the distinct algorithm names in grid
-// order (the order aggregates are reported in).
-func (g *Grid) algorithmNames() []string {
-	var names []string
-	seen := map[string]bool{}
-	for _, a := range g.Algorithms {
-		if !seen[a.Name] {
-			seen[a.Name] = true
-			names = append(names, a.Name)
-		}
-	}
-	return names
 }
 
 // ParseSeeds expands a CLI seed spec: either a count ("4" = seeds

@@ -81,7 +81,7 @@ func (ro *runObs) cellSpan(sc Scenario) obs.Span {
 	return ro.o.StartSpan(ro.runSpan, "sweep.cell",
 		obs.String("topology", sc.Topology.Name),
 		obs.String("workload", sc.Workload.Name),
-		obs.String("algorithm", sc.Algorithm.Name),
+		obs.String("algorithm", sc.Algorithm.Name()),
 		obs.Int("seed", sc.Seed),
 		obs.Int("vms", int64(sc.VMs)))
 }

@@ -19,7 +19,9 @@ func Parallel(n, workers int, fn func(i int) error) error {
 // takes a queued task before it starts the next build, so builds start
 // in index order, tasks run in the order they were queued on the whole
 // pool, and only about one build per worker has tasks waiting. A task's
-// error counts as its build's.
+// error counts as its build's: the error returned is the smallest
+// failing build's own, or else its earliest failing task's, so it does
+// not depend on scheduling.
 func fanOut[T any](n, workers int, build func(k int) ([]T, error), run func(T) error) error {
 	if n <= 0 {
 		return nil
@@ -28,8 +30,8 @@ func fanOut[T any](n, workers int, build func(k int) ([]T, error), run func(T) e
 		workers = runtime.GOMAXPROCS(0)
 	}
 	type task struct {
-		k int
-		t T
+		k, i int // build k's i-th task
+		t    T
 	}
 	var (
 		mu       sync.Mutex
@@ -38,10 +40,11 @@ func fanOut[T any](n, workers int, build func(k int) ([]T, error), run func(T) e
 		next     int // the next build to start
 		building int // builds in progress
 		errs     = make([]error, n)
+		errAt    = make([]int, n) // the task errs[k] came from; -1 the build
 	)
-	fail := func(k int, err error) {
-		if errs[k] == nil {
-			errs[k] = err
+	fail := func(k, i int, err error) {
+		if err != nil && (errs[k] == nil || i < errAt[k]) {
+			errs[k], errAt[k] = err, i
 		}
 	}
 	work := func() {
@@ -55,7 +58,7 @@ func fanOut[T any](n, workers int, build func(k int) ([]T, error), run func(T) e
 				mu.Unlock()
 				err := run(tk.t)
 				mu.Lock()
-				fail(tk.k, err)
+				fail(tk.k, tk.i, err)
 			case next < n:
 				k := next
 				next++
@@ -64,9 +67,9 @@ func fanOut[T any](n, workers int, build func(k int) ([]T, error), run func(T) e
 				ts, err := build(k)
 				mu.Lock()
 				building--
-				fail(k, err)
-				for _, t := range ts {
-					queue = append(queue, task{k, t})
+				fail(k, -1, err)
+				for i, t := range ts {
+					queue = append(queue, task{k, i, t})
 				}
 				changed.Broadcast()
 			case building > 0:

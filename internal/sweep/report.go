@@ -106,10 +106,9 @@ type GridSummary struct {
 	MinTasks      int     `json:"minTasks"`
 	MaxTasks      int     `json:"maxTasks"`
 	Model         string  `json:"model"`
-	// OptimalMaxTasks/OptimalMaxNodes bound the slowdown-vs-optimal
-	// reference, so they change result lines too.
+	// OptimalMaxTasks bounds the slowdown-vs-optimal reference, so it
+	// changes result lines too.
 	OptimalMaxTasks int  `json:"optimalMaxTasks"`
-	OptimalMaxNodes int  `json:"optimalMaxNodes,omitempty"`
 	Timing          bool `json:"timing,omitempty"`
 	Scenarios       int  `json:"scenarios"`
 }
@@ -135,7 +134,6 @@ func (g *Grid) summary() GridSummary {
 		MaxTasks:        g.MaxTasks,
 		Model:           g.Model.String(),
 		OptimalMaxTasks: g.OptimalMaxTasks,
-		OptimalMaxNodes: g.OptimalMaxNodes,
 		Timing:          g.Timing,
 	}
 	for _, size := range g.MeanSizes {
@@ -147,7 +145,9 @@ func (g *Grid) summary() GridSummary {
 	for _, w := range g.Workloads {
 		sum.Workloads = append(sum.Workloads, w.Name)
 	}
-	sum.Algorithms = g.algorithmNames()
+	for _, a := range g.Algorithms {
+		sum.Algorithms = append(sum.Algorithms, a.Name())
+	}
 	if name := g.backendName(); name != "sim" {
 		sum.Backend = name
 		sum.Execute = g.backend().Executes()

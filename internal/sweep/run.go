@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"choreo/internal/core"
-	"choreo/internal/ilp"
 	"choreo/internal/obs"
 	"choreo/internal/place"
 	"choreo/internal/profile"
@@ -147,54 +146,10 @@ func (g *Grid) buildApplication(sc Scenario, seed int64) (*profile.Application, 
 // orchestrator's rng always used) so placements are identical across
 // backends, worker counts and the other algorithms run on the cell.
 func (g *Grid) place(sc Scenario, c *cell, rng *rand.Rand) (place.Placement, error) {
-	switch {
-	case sc.Algorithm.Core == core.AlgChoreo && !sc.Algorithm.ILP:
+	if sc.Algorithm == core.AlgChoreo {
 		return place.GreedyWithTransfers(c.app, c.env, g.Model, c.transfers)
-	case !sc.Algorithm.ILP:
-		return core.PlaceWith(c.app, c.env, sc.Algorithm.Core, g.Model, rng)
 	}
-	in, err := placementInput(c.app, c.env)
-	if err != nil {
-		return place.Placement{}, err
-	}
-	prog, err := ilp.BuildPlacement(in)
-	if err != nil {
-		return place.Placement{}, err
-	}
-	sol, err := ilp.Solve(prog.Problem, g.OptimalMaxNodes)
-	if err != nil {
-		return place.Placement{}, fmt.Errorf("sweep: ilp: %w", err)
-	}
-	machineOf, err := prog.DecodeAssignment(sol)
-	if err != nil {
-		return place.Placement{}, fmt.Errorf("sweep: ilp: %w", err)
-	}
-	return place.Placement{MachineOf: machineOf}, nil
-}
-
-// placementInput converts a measured environment and application into
-// the Appendix program's data.
-func placementInput(app *profile.Application, env *place.Environment) (*ilp.PlacementInput, error) {
-	j, m := app.Tasks(), env.Machines()
-	in := &ilp.PlacementInput{
-		BytesB:    make([][]float64, j),
-		RateR:     make([][]float64, m),
-		CPUDemand: append([]float64(nil), app.CPU...),
-		CPUCap:    append([]float64(nil), env.CPUCap...),
-	}
-	for a := 0; a < j; a++ {
-		in.BytesB[a] = make([]float64, j)
-		for b := 0; b < j; b++ {
-			in.BytesB[a][b] = float64(app.TM.At(a, b))
-		}
-	}
-	for a := 0; a < m; a++ {
-		in.RateR[a] = make([]float64, m)
-		for b := 0; b < m; b++ {
-			in.RateR[a][b] = float64(env.Rates[a][b])
-		}
-	}
-	return in, nil
+	return core.PlaceWith(c.app, c.env, sc.Algorithm, g.Model, rng)
 }
 
 // sequenceParams collects a sequence scenario's cell parameters: the
@@ -236,12 +191,12 @@ func (g *Grid) runSequenceScenario(sc Scenario, c *cell, ro *runObs) (Result, er
 		return Result{}, fmt.Errorf("sweep: %s: %w", sc.Topology.Name, err)
 	}
 	execStart := time.Now()
-	cres, err := sequence.Run(exec, c.seq, sc.Algorithm.Core, c.env, g.sequenceParams(sc))
+	cres, err := sequence.Run(exec, c.seq, sc.Algorithm, c.env, g.sequenceParams(sc))
 	exec.Release()
 	ro.phase("execute", execStart)
 	if err != nil {
 		return Result{}, fmt.Errorf("sweep: sequence %s/%s/%s seed %d: %w",
-			sc.Topology.Name, sc.Workload.Name, sc.Algorithm.Name, sc.Seed, err)
+			sc.Topology.Name, sc.Workload.Name, sc.Algorithm.Name(), sc.Seed, err)
 	}
 	tasks := 0
 	for _, app := range c.seq {
@@ -263,19 +218,19 @@ func (g *Grid) runSequenceScenario(sc Scenario, c *cell, ro *runObs) (Result, er
 // live), and attach the slowdown-vs-optimal reference the cell carries.
 func (g *Grid) runScenario(ctx context.Context, sc Scenario, c *cell, ro *runObs) (Result, error) {
 	var rng *rand.Rand
-	if sc.Algorithm.Core == core.AlgRandom && !sc.Algorithm.ILP {
+	if sc.Algorithm == core.AlgRandom {
 		rng = seededRand(sc.cloudSeed() + 1)
 		defer rngs.Put(rng)
 	}
 	pspan := ro.o.StartSpan(obs.SpanFromContext(ctx), "sweep.place",
-		obs.String("algorithm", sc.Algorithm.Name))
+		obs.String("algorithm", sc.Algorithm.Name()))
 	start := time.Now()
 	p, err := g.place(sc, c, rng)
 	latency := time.Since(start)
 	if err != nil {
 		pspan.End(obs.String("outcome", "error"))
 		return Result{}, fmt.Errorf("sweep: placing %s/%s/%s seed %d: %w",
-			sc.Topology.Name, sc.Workload.Name, sc.Algorithm.Name, sc.Seed, err)
+			sc.Topology.Name, sc.Workload.Name, sc.Algorithm.Name(), sc.Seed, err)
 	}
 	pspan.End(obs.String("outcome", "ok"))
 	ro.phaseSeconds.With("place").Observe(latency.Seconds()) // the result's latency, not re-timed
@@ -283,7 +238,7 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, c *cell, ro *runObs
 	exec, err := g.backend().Execute(ctx, g.backendCell(sc, c), c.app, c.env, p, g.Model)
 	if err != nil {
 		return Result{}, fmt.Errorf("sweep: executing %s/%s/%s seed %d: %w",
-			sc.Topology.Name, sc.Workload.Name, sc.Algorithm.Name, sc.Seed, err)
+			sc.Topology.Name, sc.Workload.Name, sc.Algorithm.Name(), sc.Seed, err)
 	}
 	ro.phase("execute", execStart)
 
@@ -301,7 +256,7 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, c *cell, ro *runObs
 			pct := 100 * (pred - meas) / meas
 			res.ErrorPct = &pct
 		}
-		ro.acc.RecordExecution(sc.Algorithm.Name, sc.Topology.Name, pred, meas)
+		ro.acc.RecordExecution(sc.Algorithm.Name(), sc.Topology.Name, pred, meas)
 	}
 
 	if g.OptimalMaxTasks > 0 && c.app.Tasks() <= g.OptimalMaxTasks {
@@ -309,7 +264,7 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, c *cell, ro *runObs
 		// scenario ran the optimum itself: then its own completion is
 		// the reference.
 		opt, computed := c.ref, c.hasRef
-		if sc.Algorithm.Core == core.AlgOptimal && !sc.Algorithm.ILP {
+		if sc.Algorithm == core.AlgOptimal {
 			opt, computed = res.CompletionSeconds, true
 		}
 		if computed {
@@ -342,7 +297,7 @@ func (g *Grid) runScenario(ctx context.Context, sc Scenario, c *cell, ro *runObs
 // its node budget). The value is a pure function of the cell, which is
 // what lets buildGroup compute it once for all of the cell's scenarios.
 func (g *Grid) computeReference(ctx context.Context, sc Scenario, c *cell) (float64, bool, error) {
-	p, err := place.Optimal(c.app, c.env, g.Model, g.OptimalMaxNodes)
+	p, err := place.Optimal(c.app, c.env, g.Model, 0)
 	if errors.Is(err, place.ErrSearchBudget) {
 		// The search ran out of nodes: report no reference rather than
 		// a wrong one. Any other failure is real and must surface.
@@ -461,24 +416,29 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 	outcome := "error"
 	defer func() { ro.finish(time.Since(wallStart), outcome) }()
 
-	agg := NewAggregator(g.algorithmNames(), g.Timing)
+	agg := NewAggregator(sum.Algorithms, g.Timing)
 
 	// Reorder buffer: workers finish out of order, the stream is emitted
 	// in expansion order. Holding completed-but-not-yet-due results in a map
 	// bounds its size by about one expansion block (see above), not grid
 	// size — and once the run is doomed (a scenario or the emit
 	// destination failed, so the output will be discarded), the buffer
-	// is dropped and the rest of the grid skipped rather than simulated
-	// into the void.
+	// is dropped and the groups after the failed one are skipped rather
+	// than simulated into the void. The groups up to it still run, so
+	// the error reported is the earliest group's, as on one worker.
 	var mu sync.Mutex
 	pending := make(map[int]Result)
 	next := 0
 	var emitErr error
-	var aborted atomic.Bool
+	// failed is the earliest group with a failed scenario: len(groups)
+	// while none has, -1 once the emit destination failed.
+	var failed atomic.Int64
+	failed.Store(int64(len(groups)))
+	doomed := func() bool { return failed.Load() < int64(len(groups)) }
 	deliver := func(pos int, r Result) {
 		mu.Lock()
 		defer mu.Unlock()
-		if aborted.Load() || emitErr != nil {
+		if doomed() {
 			return
 		}
 		pending[pos] = r
@@ -500,7 +460,7 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 				if emitErr != nil {
 					// The destination is gone (full disk, closed pipe).
 					rspan.End(obs.String("outcome", "error"))
-					aborted.Store(true)
+					failed.Store(-1)
 					pending = nil
 					return
 				}
@@ -522,11 +482,15 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 	// the pool, each running on its built cell. The cells are read-only
 	// by then, and they go out of scope with the group's last scenario.
 	type job struct {
-		pos int
-		c   *cell
+		k, pos int
+		c      *cell
 	}
-	abort := func() {
-		aborted.Store(true)
+	fail := func(k int) {
+		for f := failed.Load(); int64(k) < f; f = failed.Load() {
+			if failed.CompareAndSwap(f, int64(k)) {
+				break
+			}
+		}
 		mu.Lock()
 		pending = nil
 		mu.Unlock()
@@ -537,7 +501,7 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 	}
 	var stats CacheStats
 	err = fanOut(len(groups), opts.Workers, func(k int) ([]job, error) {
-		if aborted.Load() {
+		if int64(k) > failed.Load() {
 			return nil, nil
 		}
 		scs := make([]Scenario, len(groups[k]))
@@ -548,7 +512,7 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 		cells, counts, err := g.buildGroup(bctx, scs, ro)
 		ro.busyNs.Add(time.Since(buildStart).Nanoseconds())
 		if err != nil {
-			abort()
+			fail(k)
 			return nil, err
 		}
 		mu.Lock()
@@ -556,11 +520,11 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 		mu.Unlock()
 		jobs := make([]job, len(cells))
 		for j, pos := range groups[k] {
-			jobs[j] = job{pos, cells[j]}
+			jobs[j] = job{k, pos, cells[j]}
 		}
 		return jobs, nil
 	}, func(jb job) error {
-		if aborted.Load() {
+		if int64(jb.k) > failed.Load() {
 			return nil
 		}
 		sc := scenarios[included[jb.pos]]
@@ -573,7 +537,7 @@ func RunStream(g Grid, opts RunOptions) (*Summary, error) {
 		r, err := g.runOn(cctx, sc, jb.c, ro)
 		if err != nil {
 			span.End(obs.String("outcome", "error"))
-			abort()
+			fail(jb.k)
 			return err
 		}
 		ro.cellDone(time.Since(cellStart))

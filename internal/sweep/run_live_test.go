@@ -31,9 +31,9 @@ func liveGrid(t *testing.T, agents []string) Grid {
 		t.Fatal(err)
 	}
 	g := Grid{
-		Backend: live,
-		Seeds:   []int64{1, 2},
-		VMs:     3,
+		Backend:  live,
+		Seeds:    []int64{1, 2},
+		VMCounts: []int{3},
 		// Small apps so the optimal reference is computed and Slowdown
 		// populated, like a default sim sweep.
 		MinTasks: 3, MaxTasks: 4,
@@ -245,7 +245,7 @@ func TestLiveSequenceRejected(t *testing.T) {
 	defer mesh.Close()
 	g := liveGrid(t, mesh.Addrs())
 	g.Mode = Sequence
-	g.VMs = 2
+	g.VMCounts = []int{2}
 	if _, err := g.Expand(); err == nil || !strings.Contains(err.Error(), "sequence mode is sim-only") {
 		t.Errorf("sequence-mode live grid error = %v, want a sequence-is-sim-only error", err)
 	}
@@ -260,7 +260,6 @@ func TestLiveGridCapacityValidated(t *testing.T) {
 	}
 	defer mesh.Close()
 	g := liveGrid(t, mesh.Addrs())
-	g.VMs = 0
 	g.VMCounts = []int{2, 5}
 	if _, err := g.Expand(); err == nil || !strings.Contains(err.Error(), "only 2 agents") {
 		t.Errorf("over-capacity live grid error = %v, want an only-2-agents error", err)
@@ -285,7 +284,7 @@ func loadPriorForTest(t *testing.T, g Grid, data []byte) (map[int]Result, error)
 	}
 	idx := make(map[ident]int)
 	for _, sc := range scenarios {
-		idx[ident{sc.Topology.Name, sc.Workload.Name, sc.Algorithm.Name, sc.Seed, sc.VMs, int64(sc.MeanBytes)}] = sc.Index
+		idx[ident{sc.Topology.Name, sc.Workload.Name, sc.Algorithm.Name(), sc.Seed, sc.VMs, int64(sc.MeanBytes)}] = sc.Index
 	}
 	out := make(map[int]Result)
 	for _, ln := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")[1:] {

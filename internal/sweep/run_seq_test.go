@@ -41,7 +41,7 @@ func tinySeqGrid() Grid {
 	g := Grid{
 		Mode:          Sequence,
 		Seeds:         []int64{1},
-		VMs:           4,
+		VMCounts:      []int{4},
 		MinTasks:      3,
 		MaxTasks:      4,
 		MeanSizes:     []units.ByteSize{100 * units.Megabyte},
@@ -247,10 +247,6 @@ func TestSequenceValidation(t *testing.T) {
 			g.MigrationGain = 0.3
 			g.MaxMigrations = 0
 		}},
-		{"ilp in sequence mode", func(g *Grid) {
-			alg, _ := AlgorithmByName("ilp")
-			g.Algorithms = append(g.Algorithms, alg)
-		}},
 		{"zero interarrival", func(g *Grid) { g.Interarrivals = []time.Duration{0} }},
 		{"duplicate interarrival", func(g *Grid) { g.Interarrivals = []time.Duration{time.Second, time.Second} }},
 		{"zero sequence length", func(g *Grid) { g.SeqApps = []int{0} }},
@@ -290,7 +286,7 @@ func TestSequenceExpandOrder(t *testing.T) {
 	}
 	// With 1 seed, algorithm varies fastest, then reeval, then
 	// interarrival.
-	if scenarios[0].Algorithm.Name == scenarios[1].Algorithm.Name {
+	if scenarios[0].Algorithm.Name() == scenarios[1].Algorithm.Name() {
 		t.Errorf("algorithm should vary fastest")
 	}
 	if scenarios[0].ReevalNs != scenarios[1].ReevalNs || scenarios[0].ReevalNs == scenarios[2].ReevalNs {

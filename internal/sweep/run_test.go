@@ -21,7 +21,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // 32 scenarios over 16 unique cells.
 func goldenGrid() Grid {
 	g := Grid{
-		Seeds: []int64{1, 2}, VMs: 4, MinTasks: 3, MaxTasks: 4,
+		Seeds: []int64{1, 2}, VMCounts: []int{4}, MinTasks: 3, MaxTasks: 4,
 		MeanSizes: []units.ByteSize{8 * units.Megabyte, 32 * units.Megabyte},
 	}
 	for _, name := range []string{"tworack", "fattree-4"} {
@@ -314,40 +314,45 @@ func TestEmitErrorAbortsSweep(t *testing.T) {
 	}
 }
 
-// TestILPAlgorithmMatchesOptimal runs the Appendix ILP on a tiny cell
-// and cross-checks it against the branch-and-bound reference.
-func TestILPAlgorithmMatchesOptimal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ILP solve is slow in -short mode")
-	}
-	g := tinyGrid()
-	g.VMs = 3
-	g.MinTasks = 3
-	g.MaxTasks = 3
-	ilpAlg, err := AlgorithmByName("ilp")
+// TestRunStreamErrorIndependentOfWorkers: on a grid whose cell groups
+// fail in several places, eight workers report the error one worker
+// does — the earliest failing group's, at its smallest expansion
+// position — however the workers interleave.
+func TestRunStreamErrorIndependentOfWorkers(t *testing.T) {
+	g := DefaultSequence()
+	g.Seeds, g.VMCounts, g.SeqApps = []int64{3, 4}, []int{4, 6}, []int{4}
+	scs, err := g.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	optAlg, err := AlgorithmByName("optimal")
-	if err != nil {
-		t.Fatal(err)
+	failing := map[Coord]bool{}
+	for _, sc := range scs {
+		cloud := sc.Cloud()
+		if _, done := failing[cloud]; done {
+			continue
+		}
+		_, err := RunStream(g, RunOptions{Workers: 1, Include: func(i int) bool { return scs[i].Cloud() == cloud }})
+		failing[cloud] = err != nil
 	}
-	g.Algorithms = []Algorithm{ilpAlg, optAlg}
-	rep, err := RunCollect(g, RunOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	n := 0
+	for _, f := range failing {
+		if f {
+			n++
+		}
 	}
-	if len(rep.Scenarios) != 2 {
-		t.Fatalf("got %d scenarios", len(rep.Scenarios))
+	if n < 2 {
+		t.Fatalf("%d of %d cell groups fail; the test needs failures in several", n, len(failing))
 	}
-	// Both exact solvers may differ in tie-breaking but not by much in
-	// completion time; the ILP minimizes predicted time on the same
-	// measured rates.
-	a, b := rep.Scenarios[0].CompletionSeconds, rep.Scenarios[1].CompletionSeconds
-	if a <= 0 || b <= 0 {
-		t.Fatalf("non-positive completion: ilp=%v optimal=%v", a, b)
+
+	_, err = RunStream(g, RunOptions{Workers: 1})
+	if err == nil {
+		t.Fatal("the grid ran without error")
 	}
-	if diff := (a - b) / b; diff > 0.25 || diff < -0.25 {
-		t.Errorf("ilp completion %v deviates from optimal %v by %.0f%%", a, b, diff*100)
+	want := err.Error()
+	for run := 0; run < 20; run++ {
+		_, err := RunStream(g, RunOptions{Workers: 8})
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d on 8 workers: err = %v, want %s", run, err, want)
+		}
 	}
 }

@@ -30,7 +30,7 @@ func liveTestGrid(t *testing.T, agents []string) sweep.Grid {
 		t.Fatal(err)
 	}
 	g := testGrid()
-	g.VMs = len(agents)
+	g.VMCounts = []int{len(agents)}
 	g.Backend = live
 	return g
 }
@@ -69,7 +69,7 @@ func TestLiveShardsMergeAndRejectSimSplice(t *testing.T) {
 	// A simulated shard of the same grid shape: identical dimensions,
 	// different measurement plane.
 	sim := testGrid()
-	sim.VMs = 3
+	sim.VMCounts = []int{3}
 	sb, _ := shardBytes(t, sim, Spec{Index: 2, Count: 2}, nil)
 	ssh, err := ReadShard("sim-shard", bytes.NewReader(sb))
 	if err != nil {

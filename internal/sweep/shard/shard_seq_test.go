@@ -20,7 +20,7 @@ func seqTestGrid() sweep.Grid {
 	g := sweep.Grid{
 		Mode:          sweep.Sequence,
 		Seeds:         []int64{1, 2},
-		VMs:           4,
+		VMCounts:      []int{4},
 		MinTasks:      3,
 		MaxTasks:      4,
 		MeanSizes:     []units.ByteSize{100 * units.Megabyte},

@@ -19,7 +19,7 @@ import (
 // 16 scenarios over 8 cells.
 func testGrid() sweep.Grid {
 	g := sweep.Grid{
-		Seeds: []int64{1, 2}, VMs: 4, MinTasks: 3, MaxTasks: 4,
+		Seeds: []int64{1, 2}, VMCounts: []int{4}, MinTasks: 3, MaxTasks: 4,
 		Model:     place.Hose,
 		MeanSizes: []units.ByteSize{8 * units.Megabyte, 32 * units.Megabyte},
 	}

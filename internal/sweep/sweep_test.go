@@ -7,7 +7,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"choreo/internal/core"
 	"choreo/internal/profile"
 	"choreo/internal/units"
 	"choreo/internal/workload"
@@ -155,8 +157,11 @@ func TestByNameErrors(t *testing.T) {
 	if _, err := WorkloadByName("nope"); err == nil || !strings.Contains(err.Error(), "shuffle") {
 		t.Errorf("WorkloadByName should list valid names, got %v", err)
 	}
-	if _, err := AlgorithmByName("nope"); err == nil || !strings.Contains(err.Error(), "round-robin") {
-		t.Errorf("AlgorithmByName should list valid names, got %v", err)
+	// The Appendix ILP is place.Optimal's test reference, not a sweep
+	// algorithm.
+	const wantErr = `sweep: unknown algorithm "ilp" (valid: choreo, random, round-robin, min-machines, optimal)`
+	if _, err := AlgorithmByName("ilp"); err == nil || err.Error() != wantErr {
+		t.Errorf("AlgorithmByName(\"ilp\") = %v, want %s", err, wantErr)
 	}
 	for _, name := range TopologyNames() {
 		if _, err := TopologyByName(name); err != nil {
@@ -168,7 +173,7 @@ func TestByNameErrors(t *testing.T) {
 			t.Errorf("WorkloadByName(%q): %v", name, err)
 		}
 	}
-	for _, name := range AlgorithmNames() {
+	for _, name := range core.AlgorithmNames() {
 		if _, err := AlgorithmByName(name); err != nil {
 			t.Errorf("AlgorithmByName(%q): %v", name, err)
 		}
@@ -269,22 +274,32 @@ func TestFanOutRunsEveryTaskOnce(t *testing.T) {
 }
 
 // TestFanOutReturnsSmallestBuildError: the error returned is that of the
-// smallest failing build, a failing task counting under its build.
+// smallest failing build, a failing task counting under its build, and
+// of a build's failing tasks the earliest one's, even when it fails last.
 func TestFanOutReturnsSmallestBuildError(t *testing.T) {
-	wantErr := errors.New("task of build 2")
+	wantErr := errors.New("task 0 of build 2")
+	task1Failed := make(chan struct{})
 	err := fanOut(6, 4, func(k int) ([]int, error) {
 		if k == 4 {
 			return nil, errors.New("build 4")
 		}
-		return []int{k}, nil
-	}, func(k int) error {
-		if k == 2 {
+		return []int{2 * k, 2*k + 1}, nil
+	}, func(task int) error {
+		switch task {
+		case 4:
+			select {
+			case <-task1Failed:
+			case <-time.After(5 * time.Second):
+			}
 			return wantErr
+		case 5:
+			defer close(task1Failed)
+			return errors.New("task 1 of build 2")
 		}
 		return nil
 	})
 	if err != wantErr {
-		t.Errorf("got %v, want the smallest build's error", err)
+		t.Errorf("got %v, want %v", err, wantErr)
 	}
 	if err := fanOut(0, 4, func(int) ([]int, error) { return nil, errors.New("never") }, nil); err != nil {
 		t.Errorf("empty fanOut returned %v", err)
@@ -293,8 +308,8 @@ func TestFanOutReturnsSmallestBuildError(t *testing.T) {
 
 func TestTraceWorkloadRoundTrip(t *testing.T) {
 	g := tinyGrid()
-	g.Apps = 0 // whole trace
-	g.VMs = 8  // headroom for both replayed applications' CPU demands
+	g.Apps = 0            // whole trace
+	g.VMCounts = []int{8} // headroom for both replayed applications' CPU demands
 
 	// Record a tiny trace from the generator, then sweep over it.
 	cfg := workload.Config{MinTasks: 3, MaxTasks: 4, MeanBytes: 10 * 1 << 20}
@@ -346,7 +361,7 @@ func TestTraceWorkloadRoundTrip(t *testing.T) {
 func tinyGrid() Grid {
 	g := Grid{
 		Seeds:    []int64{1},
-		VMs:      4,
+		VMCounts: []int{4},
 		MinTasks: 3,
 		MaxTasks: 4,
 	}
@@ -354,7 +369,6 @@ func tinyGrid() Grid {
 	g.Topologies = []Topology{tp}
 	wl, _ := WorkloadByName("skewed")
 	g.Workloads = []Workload{wl}
-	alg, _ := AlgorithmByName("choreo")
-	g.Algorithms = []Algorithm{alg}
+	g.Algorithms = []core.Algorithm{core.AlgChoreo}
 	return g
 }

@@ -14,7 +14,8 @@ import (
 // and the measurement-noise magnitudes that downstream packages
 // (internal/packetsim, internal/bulk) consume. The concrete values are
 // calibrated so that the measurement experiments reproduce the shapes the
-// paper reports for each provider (see DESIGN.md "Expected result shapes").
+// paper reports for each provider (internal/experiments' shape tests
+// check them).
 type Profile struct {
 	// Name labels the profile in errors, reports and grid coordinates. It
 	// is not a fabric identity: tworack-N and dumbbell-N leave out the
